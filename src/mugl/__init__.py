@@ -32,7 +32,6 @@ from .solvers import (
     SolveReport,
     SolverOptions,
     ls_pgd_solve,
-    pgd_solve,
     project_simplex,
     stationarity_residual,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SolveReport",
     "SolverOptions",
     "ls_pgd_solve",
-    "pgd_solve",
     "project_simplex",
     "stationarity_residual",
 ]

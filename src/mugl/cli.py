@@ -182,7 +182,7 @@ def parse_solver_options(doc, where: str) -> solvers.SolverOptions:
     if not isinstance(doc, dict):
         raise config_error(f"{where} must be an object")
     ints = {"max_iters", "max_backtracks"}
-    floats = {"step", "eta_min", "eta_max", "beta", "gamma", "tol_step", "tol_kkt"}
+    floats = {"eta_max", "beta", "gamma", "tol_step", "tol_kkt"}
     check_keys(doc, ints | floats, set(), where)
     kwargs = {}
     for key in doc:
@@ -229,14 +229,11 @@ def cmd_generate(args) -> int:
 
     write_edge_list(os.path.join(out, GRAPH_FILE), graph.weights, graph.m)
     write_signals_csv(os.path.join(out, SIGNALS_FILE), X)
-    signal_doc = asdict(signal_spec)
-    if signal_doc["mu_star"] is not None:
-        signal_doc["mu_star"] = [float(x) for x in signal_doc["mu_star"]]
     provenance = {
         "version": __version__,
         "master_seed": master,
         "graph_spec": asdict(graph_spec),
-        "signal_spec": signal_doc,
+        "signal_spec": asdict(signal_spec),
         "n_edges": graph.n_edges,
         "connected": graph.connected,
         "files": {"graph": GRAPH_FILE, "signals": SIGNALS_FILE},

@@ -5,16 +5,17 @@ Four presets cover the model family:
 * mugl_o: robust objective, no regularizer.
 * mugl_l: robust objective plus the log-degree barrier.
 * vsgl: both radii forced to zero, no regularizer; the plain smoothness
-  baseline whose minimizers concentrate on few pairs.
+  baseline, a linear objective minimized by a single pair.
 * log_model: radii zero, log-degree barrier plus the squared off-diagonal
   penalty; the classical non-robust log-degree model.
 
 Robust presets take their radii either explicitly or, by default, from the
 sample-size calibration with the covariance spectral norm plugged in.  The
 simplex scale is tied to the node count (s = m), matching how the synthetic
-benchmarks are run.  Smooth presets solve with fixed-step PGD; whenever the
-barrier is active the line-search solver is used, since its rejection of
-+inf trials is what keeps iterates inside the barrier domain.
+benchmarks are run.  A resolved config that is linear (zero radii, no
+penalty: vsgl, or mugl_o with explicit zero radii) is solved in closed form
+at the argmin vertex; every other config goes to the line-search solver,
+whose rejection of +inf trials keeps iterates inside the barrier domain.
 
 run_experiment draws (graph, signals) pairs from per-run child seeds of a
 master seed, learns every preset on every draw, scores edge recovery
@@ -107,18 +108,20 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
 def learn(preset: ModelPreset, X: np.ndarray) -> tuple[np.ndarray, solvers.SolveReport]:
     """Fit the preset to signals X and return (Laplacian, solve report).
 
-    Starts from the simplex centroid.  The returned Laplacian has trace 2m;
-    the weight vector itself sits in the report.
+    Linear configs are solved exactly; the rest start the line search from
+    the simplex centroid.  The returned Laplacian has trace 2m; the weight
+    vector itself sits in the report.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     moments = empirical_moments(X)
     config = resolve_config(preset, moments, m)
     ctx = build_context(moments, config)
-    mbar = edge_count(m)
-    w0 = np.full(mbar, config.s / mbar)
-    solve = solvers.ls_pgd_solve if preset.uses_barrier else solvers.pgd_solve
-    report = solve(ctx, w0, preset.solver)
+    if solvers.is_linear(config):
+        report = solvers.vertex_solve(ctx)
+    else:
+        mbar = edge_count(m)
+        report = solvers.ls_pgd_solve(ctx, np.full(mbar, config.s / mbar), preset.solver)
     return expand(report.w_final, m), report
 
 
@@ -293,14 +296,10 @@ def summary_doc(summary: ExperimentSummary) -> dict:
     """JSON-ready document with provenance, per-seed records, and stats."""
     from . import __version__
 
-    graph_doc = asdict(summary.graph_spec)
-    signal_doc = asdict(summary.signal_spec)
-    if signal_doc["mu_star"] is not None:
-        signal_doc["mu_star"] = [float(x) for x in signal_doc["mu_star"]]
     return {
         "version": __version__,
-        "graph_spec": graph_doc,
-        "signal_spec": signal_doc,
+        "graph_spec": asdict(summary.graph_spec),
+        "signal_spec": asdict(summary.signal_spec),
         "presets": [preset_doc(p) for p in summary.presets],
         "n_seeds": summary.n_seeds,
         "master_seed": summary.master_seed,

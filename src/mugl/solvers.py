@@ -1,21 +1,21 @@
-"""Projected-gradient solvers over the scaled weight simplex.
+"""Solvers over the scaled weight simplex.
 
-Two variants share the projection and the stopping logic:
-
-* pgd_solve: fixed step size.  Cheap per iteration, but the step is a user
-  choice and nothing guards against overshoot, so prefer the line-search
-  variant unless you know the objective's curvature.
-* ls_pgd_solve: computes the projected step once per iteration at the
-  maximum step size, then backtracks along the segment toward it until a
-  sufficient-decrease (Armijo) condition holds.  Because the trial points
-  are convex combinations of feasible points they stay feasible, and
-  because a rejected trial can return +inf (log-barrier) the backtracking
-  also acts as the domain guard: iterates never leave the barrier domain.
+* ls_pgd_solve: projected gradient with backtracking.  It computes the
+  projected step once per iteration at the maximum step size, then
+  backtracks along the segment toward it until a sufficient-decrease
+  (Armijo) condition holds.  Because the trial points are convex
+  combinations of feasible points they stay feasible, and because a
+  rejected trial can return +inf (log-barrier) the backtracking also acts
+  as the domain guard: iterates never leave the barrier domain.
+* vertex_solve: the closed form for a linear objective (no radii, no
+  penalty), whose minimum over the simplex sits at the vertex s * e_k with
+  k = argmin(quad_coeff).  Choosing the vertex is O(p) in the number of
+  node pairs p; the residual check on it costs one projection.
 
 Stationarity is measured by the projected-gradient residual
 ||w - project(w - t * grad)|| / t, which vanishes exactly at constrained
-stationary points.  Both solvers stop on the disjunction of a step-size
-tolerance (infinity norm of the update) and a residual tolerance.
+stationary points.  The iterative solver stops on the disjunction of a
+step-size tolerance (infinity norm of the update) and a residual tolerance.
 """
 
 from __future__ import annotations
@@ -44,15 +44,12 @@ class LineSearchStallError(RuntimeError):
 class SolverOptions:
     """Iteration budget, step sizes, and stopping tolerances.
 
-    step is the fixed PGD step; eta_max is the line-search base step with
-    eta_min its lower guard; beta and gamma are the Armijo acceptance slope
-    and backtracking ratio; tol_step and tol_kkt are the stopping
-    tolerances; max_backtracks caps the backtracking exponent.
+    eta_max is the line-search base step; beta and gamma are the Armijo
+    acceptance slope and backtracking ratio; tol_step and tol_kkt are the
+    stopping tolerances; max_backtracks caps the backtracking exponent.
     """
 
     max_iters: int = 10_000
-    step: float = 0.01
-    eta_min: float = 1e-6
     eta_max: float = 1.0
     beta: float = 1e-4
     gamma: float = 0.5
@@ -63,12 +60,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if not 0 < self.eta_min <= self.eta_max:
-            raise ValueError(
-                f"need 0 < eta_min <= eta_max, got ({self.eta_min}, {self.eta_max})"
-            )
+        if not self.eta_max > 0:
+            raise ValueError(f"eta_max must be positive, got {self.eta_max}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0 < self.gamma < 1:
@@ -142,37 +135,28 @@ def _final_residual(ctx: obj.ObjectiveContext, w: np.ndarray) -> float:
         return math.nan
 
 
-def pgd_solve(
-    ctx: obj.ObjectiveContext, w0: np.ndarray, opts: SolverOptions | None = None
-) -> SolveReport:
-    """Fixed-step projected gradient descent from a feasible w0.
+def is_linear(config: obj.ModelConfig) -> bool:
+    """True when the objective reduces to w @ quad_coeff (no radii, no penalty)."""
+    return (
+        config.rho1 == 0.0
+        and config.rho2 == 0.0
+        and config.regularizer == "none"
+        and config.quad_weight == 0.0
+    )
 
-    Each iteration projects w - step * grad back onto the simplex.  A
-    nonsmooth square-root point encountered at an iterate aborts the run
-    with termination "nonsmooth_abort"; an infeasible w0 raises.
+
+def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
+    """Exact minimizer of a linear objective: all mass on argmin(quad_coeff).
+
+    The projection of w - t * grad returns w at that vertex for every t, so
+    the reported residual is zero and no iteration is taken.
     """
-    opts = opts or SolverOptions()
-    s = ctx.config.s
-    w = np.asarray(w0, dtype=float).copy()
+    if not is_linear(ctx.config):
+        raise ValueError("vertex_solve needs a linear objective (zero radii, no penalty)")
+    w = np.zeros(ctx.n_pairs)
+    w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    termination = "max_iters"
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        try:
-            g = obj.gradient(ctx, w)
-        except obj.NonsmoothPointError:
-            return SolveReport(w, trace, iters - 1, math.nan, "nonsmooth_abort")
-        w_next = project_simplex(w - opts.step * g, s)
-        delta = w_next - w
-        w = w_next
-        trace.append(obj.objective_value(ctx, w))
-        if float(np.linalg.norm(delta)) / opts.step <= opts.tol_kkt:
-            termination = "kkt_tol"
-            break
-        if float(np.abs(delta).max()) <= opts.tol_step:
-            termination = "step_tol"
-            break
-    return SolveReport(w, trace, iters, _final_residual(ctx, w), termination)
+    return SolveReport(w, trace, 0, stationarity_residual(ctx, w), "kkt_tol")
 
 
 def ls_pgd_solve(
@@ -190,8 +174,6 @@ def ls_pgd_solve(
     """
     opts = opts or SolverOptions()
     s = ctx.config.s
-    # Constant base-step schedule; eta_min is the guard rail any adaptive
-    # schedule would have to respect, kept for option validation.
     eta = opts.eta_max
     w = np.asarray(w0, dtype=float).copy()
     f_cur = obj.objective_value(ctx, w)

@@ -79,6 +79,13 @@ def test_unknown_key_is_named(tmp_path, capsys):
     code = cli.main(["generate", "--config", write_config(tmp_path, config)])
     assert code == 2
     assert "'prob'" in capsys.readouterr().err
+    learn_config = {
+        "signals": str(tmp_path / "signals.csv"),
+        "preset": {"name": "mugl_o", "solver": {"step": 0.01}},
+    }
+    code = cli.main(["learn", "--config", write_config(tmp_path, learn_config, "learn.json")])
+    assert code == 2
+    assert "'step'" in capsys.readouterr().err
 
 
 def test_learn_vsgl_finds_single_edge(tmp_path):

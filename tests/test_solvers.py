@@ -21,10 +21,11 @@ from mugl.objective import (
 from mugl.solvers import (
     LineSearchStallError,
     SolverOptions,
+    is_linear,
     ls_pgd_solve,
-    pgd_solve,
     project_simplex,
     stationarity_residual,
+    vertex_solve,
 )
 from oracles import project_simplex_bruteforce, random_interior
 
@@ -94,9 +95,7 @@ def test_project_simplex_always_feasible(v, s):
 def test_solver_options_validation():
     for kwargs in [
         {"max_iters": 0},
-        {"step": 0.0},
-        {"eta_min": 0.0},
-        {"eta_min": 2.0, "eta_max": 1.0},
+        {"eta_max": 0.0},
         {"beta": 1.0},
         {"gamma": 0.0},
         {"tol_step": -1.0},
@@ -108,7 +107,7 @@ def test_solver_options_validation():
 
 def test_pgd_linear_objective_finds_argmin_vertex():
     ctx = generic_context(101, s=1.0)
-    report = pgd_solve(ctx, np.full(10, 0.1))
+    report = ls_pgd_solve(ctx, np.full(10, 0.1))
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
     assert np.array_equal(report.w_final, vertex)
@@ -121,7 +120,7 @@ def test_pgd_uniform_gradient_is_fixed_point():
     mom = EmpiricalMoments(np.zeros(4), np.eye(4), 10)
     ctx = build_context(mom, ModelConfig(s=2.0))
     w0 = random_interior(np.random.default_rng(17), 6, 2.0)
-    report = pgd_solve(ctx, w0)
+    report = ls_pgd_solve(ctx, w0)
     assert report.iters == 1
     assert report.termination == "kkt_tol"
     assert np.allclose(report.w_final, w0, atol=1e-12)
@@ -130,31 +129,49 @@ def test_pgd_uniform_gradient_is_fixed_point():
 def test_pgd_short_run_matches_tight_reference():
     ctx = generic_context(101, rho2=0.8, s=1.0)
     w0 = np.full(10, 0.1)
-    short = pgd_solve(ctx, w0)
-    ref = pgd_solve(ctx, w0, SolverOptions(max_iters=100_000, tol_step=0.0, tol_kkt=1e-9))
+    short = ls_pgd_solve(ctx, w0)
+    ref = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=100_000, tol_step=0.0, tol_kkt=1e-9))
     assert ref.termination == "kkt_tol"
     assert abs(short.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-8
 
 
 def test_pgd_iterates_stay_feasible():
     ctx = generic_context(103, rho1=0.5, rho2=0.5, s=2.0)
-    report = pgd_solve(ctx, np.full(10, 0.2), SolverOptions(max_iters=50))
+    report = ls_pgd_solve(ctx, np.full(10, 0.2), SolverOptions(max_iters=50))
     assert validate_simplex(report.w_final, 2.0)
     # every trace entry was computed through the feasibility guard already;
     # spot-check the guard is active
     with pytest.raises(InfeasiblePointError):
-        pgd_solve(ctx, np.full(10, 0.3))
+        ls_pgd_solve(ctx, np.full(10, 0.3))
 
 
 def test_pgd_nonsmooth_abort_on_constant_mean():
     mom = EmpiricalMoments(np.full(3, 2.0), np.eye(3), 10)
     ctx = build_context(mom, ModelConfig(rho1=0.5, s=1.0))
-    report = pgd_solve(ctx, np.full(3, 1.0 / 3.0))
+    report = ls_pgd_solve(ctx, np.full(3, 1.0 / 3.0))
     assert report.termination == "nonsmooth_abort"
     assert not report.converged
     assert report.iters == 0
     assert math.isnan(report.kkt_residual)
     assert np.allclose(report.w_final, np.full(3, 1.0 / 3.0))
+
+
+def test_vertex_solve_matches_line_search_on_linear_instance():
+    ctx = generic_context(101, s=2.0)
+    assert is_linear(ctx.config)
+    report = vertex_solve(ctx)
+    vertex = np.zeros(10)
+    vertex[np.argmin(ctx.quad_coeff)] = 2.0
+    assert np.array_equal(report.w_final, vertex)
+    assert report.termination == "kkt_tol"
+    assert report.iters == 0
+    assert report.kkt_residual == 0.0
+    assert report.objective_trace == [objective_value(ctx, vertex)]
+    ref = ls_pgd_solve(ctx, np.full(10, 0.2))
+    assert ref.converged
+    assert abs(report.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-9
+    with pytest.raises(ValueError):
+        vertex_solve(generic_context(101, rho2=0.8, s=2.0))
 
 
 def test_ls_pgd_fixed_point_terminates_immediately():
@@ -260,7 +277,7 @@ def test_stationarity_residual_decreases_along_pgd():
     ctx = generic_context(101, rho2=0.8, s=1.0)
     w0 = np.full(10, 0.1)
     start = stationarity_residual(ctx, w0)
-    report = pgd_solve(ctx, w0)
+    report = ls_pgd_solve(ctx, w0)
     assert start > 0.0
     assert report.kkt_residual < start
     with pytest.raises(ValueError):
@@ -270,7 +287,7 @@ def test_stationarity_residual_decreases_along_pgd():
 def test_objective_trace_records_start_value():
     ctx = generic_context(101, rho2=0.8, s=1.0)
     w0 = np.full(10, 0.1)
-    report = pgd_solve(ctx, w0, SolverOptions(max_iters=3, tol_step=0.0, tol_kkt=0.0))
+    report = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=3, tol_step=0.0, tol_kkt=0.0))
     assert report.termination == "max_iters"
     assert report.iters == 3
     assert len(report.objective_trace) == 4

@@ -271,6 +271,7 @@ def cmd_learn(args) -> int:
         "preset": harness.preset_doc(preset),
         "resolved": asdict(resolved),
         "iters": report.iters,
+        "backtracks": report.backtracks,
         "termination": report.termination,
         "converged": report.converged,
         "kkt_residual": None if math.isnan(report.kkt_residual) else report.kkt_residual,

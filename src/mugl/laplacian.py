@@ -19,6 +19,7 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 # Tolerances for validation helpers.  Feasibility checks are relative to the
 # scale of the object being checked, never absolute.
@@ -61,6 +62,28 @@ def pair_indices(m: int):
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
+
+
+@lru_cache(maxsize=None)
+def incidence(m: int):
+    """Unsigned node-pair incidence operator B and its transpose, as CSR.
+
+    B is m x m(m-1)/2 with ones at rows i and j of pair k's column, so
+    B @ w is the weighted degree vector and (B.T @ d)[k] = d[i] + d[j].
+    Both matrices are cached per m and their arrays marked read-only.
+    """
+    rows, cols = pair_indices(m)
+    p = rows.size
+    k = np.arange(p)
+    B = csr_matrix(
+        (np.ones(2 * p), (np.concatenate([rows, cols]), np.concatenate([k, k]))),
+        shape=(m, p),
+    )
+    BT = B.T.tocsr()
+    for op in (B, BT):
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+    return B, BT
 
 
 def pair_to_linear(i: int, j: int, m: int) -> int:

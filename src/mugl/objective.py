@@ -32,8 +32,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .laplacian import edge_count, pair_indices, validate_simplex
+from .laplacian import edge_count, incidence, pair_indices, validate_simplex
 from .moments import EmpiricalMoments
 
 REGULARIZERS = ("none", "log_barrier")
@@ -103,19 +104,20 @@ class ObjectiveContext:
     quad_coeff: np.ndarray  # adjoint(cov + outer(mean, mean))
     mean_gap_sq: np.ndarray  # (mean_i - mean_j)^2 per pair
     sqrt_coeff: np.ndarray  # a = 4 rho1^2 * mean_gap_sq
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
+    incidence: csr_matrix = field(repr=False)  # B, m x n_pairs
+    incidence_t: csr_matrix = field(repr=False)  # B.T
 
     @property
     def n_pairs(self) -> int:
         return self.quad_coeff.size
 
     def degrees(self, w: np.ndarray) -> np.ndarray:
-        """Weighted degree of each node under pair weights w."""
-        deg = np.zeros(self.m)
-        np.add.at(deg, self.rows, w)
-        np.add.at(deg, self.cols, w)
-        return deg
+        """Weighted degree of each node under pair weights w, i.e. B @ w."""
+        return self.incidence @ w
+
+    def pair_sums(self, d: np.ndarray) -> np.ndarray:
+        """d_i + d_j for every pair (i, j) of a node vector d, i.e. B.T @ d."""
+        return self.incidence_t @ d
 
 
 def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveContext:
@@ -142,6 +144,7 @@ def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveCo
     sqrt_coeff = 4.0 * config.rho1**2 * mean_gap_sq
     for arr in (quad_coeff, mean_gap_sq, sqrt_coeff):
         arr.flags.writeable = False
+    B, BT = incidence(m)
     return ObjectiveContext(
         moments=moments,
         config=config,
@@ -149,8 +152,8 @@ def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveCo
         quad_coeff=quad_coeff,
         mean_gap_sq=mean_gap_sq,
         sqrt_coeff=sqrt_coeff,
-        rows=rows,
-        cols=cols,
+        incidence=B,
+        incidence_t=BT,
     )
 
 
@@ -220,10 +223,14 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
                 f"floor {cfg.sqrt_floor:.3g} * max(a) * s"
             )
         grad += a / (2.0 * math.sqrt(aw))
+    # The degree-dependent terms are pair sums d_i + d_j of one node vector d,
+    # so they share a single B.T product.
+    node_coeff = np.zeros(ctx.m)
     if cfg.rho2 > 0:
-        frob = _frobenius(ctx, w, deg)
+        scale = cfg.rho2 / _frobenius(ctx, w, deg)
         # adjoint(expand(w)) = deg_i + deg_j + 2 w_k per pair.
-        grad += cfg.rho2 * (deg[ctx.rows] + deg[ctx.cols] + 2.0 * w) / frob
+        grad += (2.0 * scale) * w
+        node_coeff += scale * deg
     if cfg.quad_weight > 0:
         grad += 2.0 * cfg.quad_weight * w
     if cfg.regularizer == "log_barrier":
@@ -231,7 +238,9 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
             raise BarrierDomainError(
                 f"log-barrier domain violated: min degree {deg.min():.3g} <= 0"
             )
-        grad -= cfg.alpha * (1.0 / deg[ctx.rows] + 1.0 / deg[ctx.cols])
+        # -alpha * (1/deg_i + 1/deg_j) per pair.
+        node_coeff -= cfg.alpha / deg
+    grad += ctx.pair_sums(node_coeff)
     return grad
 
 

@@ -1,12 +1,14 @@
 """Solvers over the scaled weight simplex.
 
-* ls_pgd_solve: projected gradient with backtracking.  It computes the
-  projected step once per iteration at the maximum step size, then
-  backtracks along the segment toward it until a sufficient-decrease
-  (Armijo) condition holds.  Because the trial points are convex
-  combinations of feasible points they stay feasible, and because a
-  rejected trial can return +inf (log-barrier) the backtracking also acts
-  as the domain guard: iterates never leave the barrier domain.
+* ls_pgd_solve: spectral projected gradient (Birgin, Martinez & Raydan
+  2000).  Each iteration projects once, at the Barzilai-Borwein step
+  s @ s / s @ y built from the last change in iterate (s) and in gradient
+  (y), then backtracks along the segment toward that projection until a
+  monotone sufficient-decrease (Armijo) condition holds.  Because the
+  trial points are convex combinations of feasible points they stay
+  feasible, and because a rejected trial can return +inf (log-barrier) the
+  backtracking also acts as the domain guard: iterates never leave the
+  barrier domain.
 * vertex_solve: the closed form for a linear objective (no radii, no
   penalty), whose minimum over the simplex sits at the vertex s * e_k with
   k = argmin(quad_coeff).  Choosing the vertex is O(p) in the number of
@@ -14,8 +16,11 @@
 
 Stationarity is measured by the projected-gradient residual
 ||w - project(w - t * grad)|| / t, which vanishes exactly at constrained
-stationary points.  The iterative solver stops on the disjunction of a
-step-size tolerance (infinity norm of the update) and a residual tolerance.
+stationary points.  ||project(w - t * grad) - w|| grows with t while its
+ratio to t shrinks, so the step the iteration already projected at bounds
+the residual at t = eta_max from above without a second projection.  The
+iterative solver stops on the disjunction of a step-size tolerance
+(infinity norm of the update) and that residual bound.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ DECREASE_SLACK = 1e-12
 
 DEFAULT_RESIDUAL_PROBE = 1e-3
 
+# The spectral step is clamped to this interval.
+SPECTRAL_STEP_MIN = 1e-10
+SPECTRAL_STEP_MAX = 1e10
+
 
 class LineSearchStallError(RuntimeError):
     """Backtracking exhausted its budget without sufficient decrease."""
@@ -44,9 +53,12 @@ class LineSearchStallError(RuntimeError):
 class SolverOptions:
     """Iteration budget, step sizes, and stopping tolerances.
 
-    eta_max is the line-search base step; beta and gamma are the Armijo
-    acceptance slope and backtracking ratio; tol_step and tol_kkt are the
-    stopping tolerances; max_backtracks caps the backtracking exponent.
+    eta_max is the step of the first iteration and the fallback whenever the
+    spectral step is undefined (s @ y <= 0); it is also the probe step of
+    the stationarity test, which stops once ||w - project(w - eta_max *
+    grad)|| / eta_max <= tol_kkt is guaranteed.  beta and gamma are the
+    Armijo acceptance slope and backtracking ratio; tol_step is the
+    step-size tolerance; max_backtracks caps the backtracking exponent.
     """
 
     max_iters: int = 10_000
@@ -81,6 +93,7 @@ class SolveReport:
     iters: int
     kkt_residual: float
     termination: str
+    backtracks: int  # rejected line-search trial points
 
     @property
     def converged(self) -> bool:
@@ -93,13 +106,20 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     Sort-based thresholding: find the largest support for which shifting by
     a common offset keeps all supported entries positive, clamp the rest to
     zero.  The surviving entries are then shifted once more by the residual
-    mass so the sum equals s to the last bit.
+    mass so the sum equals s to the last bit.  Non-finite entries raise
+    ValueError naming them.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
     if not s > 0:
         raise ValueError(f"simplex scale must be positive, got s={s}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        shown = ", ".join(f"v[{k}]={v[k]}" for k in bad[:5])
+        more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+        raise ValueError(f"cannot project non-finite entries: {shown}{more}")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
@@ -120,12 +140,20 @@ def stationarity_residual(
     """||w - project(w - probe_step * grad)||_2 / probe_step.
 
     Zero exactly at constrained stationary points, for any probe step.
+    Raises RuntimeError when the gradient has a non-finite entry.
     """
     if not probe_step > 0:
         raise ValueError(f"probe step must be positive, got {probe_step}")
-    g = obj.gradient(ctx, w)
+    g = _finite_gradient(ctx, w)
     moved = project_simplex(w - probe_step * g, ctx.config.s)
     return float(np.linalg.norm(w - moved)) / probe_step
+
+
+def _finite_gradient(ctx: obj.ObjectiveContext, w: np.ndarray) -> np.ndarray:
+    g = obj.gradient(ctx, w)
+    if not np.isfinite(g).all():
+        raise RuntimeError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(g))} entries)")
+    return g
 
 
 def _final_residual(ctx: obj.ObjectiveContext, w: np.ndarray) -> float:
@@ -156,25 +184,44 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    return SolveReport(w, trace, 0, stationarity_residual(ctx, w), "kkt_tol")
+    return SolveReport(w, trace, 0, stationarity_residual(ctx, w), "kkt_tol", 0)
+
+
+def spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
+    """Barzilai-Borwein step s @ s / s @ y, clamped to
+    [SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX].
+
+    s_k and y_k are the last changes in iterate and gradient.  Where s @ y
+    <= 0 (no positive curvature along s, e.g. a linear objective) the step
+    is undefined and fallback is returned.
+    """
+    sy = float(s_k @ y_k)
+    if not sy > 0.0:
+        return fallback
+    return min(max(float(s_k @ s_k) / sy, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
 
 
 def ls_pgd_solve(
     ctx: obj.ObjectiveContext, w0: np.ndarray, opts: SolverOptions | None = None
 ) -> SolveReport:
-    """Projected gradient with Armijo backtracking along the projection arc.
+    """Spectral projected gradient with monotone Armijo backtracking.
 
-    Per iteration: take the full projected step v at eta_max, then accept
-    w + gamma^t * v for the smallest t whose objective sits below the
-    Armijo line through the predicted decrease
-    Gamma = grad @ v + ||v||^2 / (2 eta).  Gamma <= 0 by the projection
-    theorem, so accepted objectives never increase.  Trial points outside
-    the log-barrier domain evaluate to +inf and are rejected like any other
-    insufficient decrease.
+    Per iteration: pick eta, the Barzilai-Borwein step (eta_max on the first
+    iteration and wherever it is undefined), take the projected step
+    v = project(w - eta * grad) - w, then accept w + gamma^t * v for the
+    smallest t whose objective sits below the Armijo line through the
+    predicted decrease Gamma = grad @ v + ||v||^2 / (2 eta).  Gamma <= 0 by
+    the projection theorem, so accepted objectives never increase.  Trial
+    points outside the log-barrier domain evaluate to +inf and are rejected
+    like any other insufficient decrease.  The iteration stops with
+    kkt_tol once ||v|| / min(eta, eta_max) <= tol_kkt, which bounds the
+    stationarity residual at probe step eta_max.
+
+    A non-finite gradient raises RuntimeError, which callers that score
+    many fits record as a failure of that one fit.
     """
     opts = opts or SolverOptions()
     s = ctx.config.s
-    eta = opts.eta_max
     w = np.asarray(w0, dtype=float).copy()
     f_cur = obj.objective_value(ctx, w)
     if not math.isfinite(f_cur):
@@ -182,14 +229,20 @@ def ls_pgd_solve(
     trace = [f_cur]
     termination = "max_iters"
     iters = 0
+    backtracks = 0
+    w_prev = g_prev = None
     for iters in range(1, opts.max_iters + 1):
         try:
-            g = obj.gradient(ctx, w)
+            g = _finite_gradient(ctx, w)
         except obj.NonsmoothPointError:
-            return SolveReport(w, trace, iters - 1, math.nan, "nonsmooth_abort")
+            return SolveReport(w, trace, iters - 1, math.nan, "nonsmooth_abort", backtracks)
+        if g_prev is None:
+            eta = opts.eta_max
+        else:
+            eta = spectral_step(w - w_prev, g - g_prev, opts.eta_max)
         v = project_simplex(w - eta * g, s) - w
         v_norm = float(np.linalg.norm(v))
-        if v_norm / eta <= opts.tol_kkt:
+        if v_norm / min(eta, opts.eta_max) <= opts.tol_kkt:
             termination = "kkt_tol"
             break
         predicted = float(g @ v) + v_norm**2 / (2.0 * eta)
@@ -200,7 +253,7 @@ def ls_pgd_solve(
             )
         accepted = False
         scale = 1.0
-        for _ in range(opts.max_backtracks + 1):
+        for rejected in range(opts.max_backtracks + 1):
             trial = w + scale * v
             f_trial = obj.objective_value(ctx, trial)
             if f_trial <= f_cur + opts.beta * scale * predicted:
@@ -212,11 +265,13 @@ def ls_pgd_solve(
                 f"no sufficient decrease within {opts.max_backtracks} backtracks "
                 f"at iteration {iters}"
             )
+        backtracks += rejected
         step_inf = scale * float(np.abs(v).max())
+        w_prev, g_prev = w, g
         w = trial
         f_cur = f_trial
         trace.append(f_cur)
         if step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    return SolveReport(w, trace, iters, _final_residual(ctx, w), termination)
+    return SolveReport(w, trace, iters, _final_residual(ctx, w), termination, backtracks)

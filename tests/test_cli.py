@@ -127,6 +127,21 @@ def test_learn_barrier_trace_non_increasing(tmp_path):
     assert report["objective"] == trace[-1]
 
 
+def test_learn_report_counts_backtracks(tmp_path):
+    data = run_generate(tmp_path)
+    for name in ("mugl_l", "vsgl"):
+        out = tmp_path / f"fit_{name}"
+        cfg = write_config(tmp_path, {
+            "signals": str(data / "signals.csv"),
+            "preset": {"name": name},
+        }, f"learn_{name}.json")
+        assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert isinstance(report["backtracks"], int) and report["backtracks"] >= 0
+        if name == "vsgl":
+            assert report["backtracks"] == 0
+
+
 def test_learn_missing_signals_is_io_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "signals": str(tmp_path / "nowhere.csv"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mugl.objective
 from mugl import harness, serialize, solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from mugl.laplacian import edge_count, expand, is_laplacian
@@ -197,6 +198,22 @@ def test_solver_failure_skips_one_seed_only(monkeypatch):
     by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
     assert by_model[("vsgl", "f_measure")] == 2
     assert by_model[("mugl_o", "f_measure")] == 1
+
+
+def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
+    real_gradient = mugl.objective.gradient
+
+    def poisoned_gradient(ctx, w):
+        g = real_gradient(ctx, w)
+        return np.full_like(g, np.nan) if ctx.config.regularizer == "log_barrier" else g
+
+    monkeypatch.setattr(mugl.objective, "gradient", poisoned_gradient)
+    presets = [harness.ModelPreset("mugl_o"), harness.ModelPreset("mugl_l")]
+    summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
+    assert [(f["seed_index"], f["model"]) for f in summary.failures] == [(0, "mugl_l"), (1, "mugl_l")]
+    assert all("non-finite gradient" in f["error"] for f in summary.failures)
+    by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
+    assert by_model[("mugl_o", "f_measure")] == 2
 
 
 def test_run_experiment_input_validation():

@@ -8,6 +8,7 @@ from mugl.laplacian import (
     adjoint,
     edge_count,
     expand,
+    incidence,
     is_laplacian,
     linear_to_pair,
     node_count,
@@ -57,6 +58,22 @@ def test_pair_indices_are_column_major_and_read_only():
     assert list(zip(rows + 1, cols + 1)) == [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (4, 3)]
     with pytest.raises(ValueError):
         rows[0] = 9
+
+
+def test_incidence_has_ones_at_each_pair_endpoint_and_is_read_only():
+    B, BT = incidence(4)
+    rows, cols = pair_indices(4)
+    dense = B.toarray()
+    assert dense.shape == (4, 6)
+    assert np.array_equal(dense.sum(axis=0), np.full(6, 2.0))
+    assert np.all(dense[rows, np.arange(6)] == 1.0)
+    assert np.all(dense[cols, np.arange(6)] == 1.0)
+    assert np.array_equal(BT.toarray(), dense.T)
+    assert incidence(4)[0] is B
+    for op in (B, BT):
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def test_expand_single_edge():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mugl.objective
+import mugl.solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
-from mugl.harness import ModelPreset, resolve_config
+from mugl.harness import ModelPreset, learn, resolve_config
 from mugl.laplacian import validate_simplex
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
@@ -19,11 +20,14 @@ from mugl.objective import (
     objective_value,
 )
 from mugl.solvers import (
+    SPECTRAL_STEP_MAX,
+    SPECTRAL_STEP_MIN,
     LineSearchStallError,
     SolverOptions,
     is_linear,
     ls_pgd_solve,
     project_simplex,
+    spectral_step,
     stationarity_residual,
     vertex_solve,
 )
@@ -46,6 +50,14 @@ def test_project_simplex_validation():
         project_simplex(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         project_simplex(np.zeros((2, 2)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_project_simplex_rejects_non_finite_entries(bad):
+    v = np.array([0.2, 0.5, 0.1, 0.3])
+    v[2] = bad
+    with pytest.raises(ValueError, match=r"non-finite entries: v\[2\]="):
+        project_simplex(v, 1.0)
 
 
 def test_project_simplex_matches_bruteforce():
@@ -112,6 +124,35 @@ def test_pgd_linear_objective_finds_argmin_vertex():
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
     assert np.array_equal(report.w_final, vertex)
     assert report.converged
+
+
+def test_spectral_step_rule():
+    s_k = np.array([0.5, -0.5])
+    assert spectral_step(s_k, 2.0 * s_k, 1.0) == pytest.approx(0.5)
+    # no curvature (linear objective) or negative curvature: fall back
+    assert spectral_step(s_k, np.zeros(2), 0.7) == 0.7
+    assert spectral_step(s_k, -s_k, 0.7) == 0.7
+    assert spectral_step(s_k, 1e-14 * s_k, 1.0) == SPECTRAL_STEP_MAX
+    assert spectral_step(s_k, 1e14 * s_k, 1.0) == SPECTRAL_STEP_MIN
+
+
+def test_linear_instance_takes_fallback_step(monkeypatch):
+    # the gradient is constant, so y = 0 and every step is eta_max
+    ctx = generic_context(101, s=1.0)
+    steps = []
+
+    def spy(s_k, y_k, fallback):
+        assert not np.any(y_k)
+        steps.append(spectral_step(s_k, y_k, fallback))
+        return steps[-1]
+
+    monkeypatch.setattr(mugl.solvers, "spectral_step", spy)
+    report = ls_pgd_solve(ctx, np.full(10, 0.1), SolverOptions(eta_max=0.25))
+    vertex = np.zeros(10)
+    vertex[np.argmin(ctx.quad_coeff)] = 1.0
+    assert report.converged
+    assert np.array_equal(report.w_final, vertex)
+    assert steps and all(step == 0.25 for step in steps)
 
 
 def test_pgd_uniform_gradient_is_fixed_point():
@@ -190,14 +231,62 @@ def test_ls_pgd_trace_non_increasing_and_descent():
         dict(rho1=0.4, rho2=0.6, s=2.0),
         dict(rho1=0.4, rho2=0.6, s=5.0, regularizer="log_barrier", alpha=0.5),
         dict(rho2=1.0, s=3.0, quad_weight=0.5),
+        # nearly linear: spectral steps near 1 / (2 quad_weight) far exceed eta_max
+        dict(s=1.0, quad_weight=1e-8),
     ]:
         ctx = generic_context(107, **kwargs)
         w0 = np.full(10, ctx.config.s / 10)
-        report = ls_pgd_solve(ctx, w0)
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-        assert np.isfinite(trace).all()
-        assert validate_simplex(report.w_final, ctx.config.s)
+        for opts in (
+            SolverOptions(),
+            SolverOptions(tol_step=0.0),
+            SolverOptions(eta_max=0.1, tol_step=0.0),
+            SolverOptions(eta_max=10.0, tol_step=0.0),
+        ):
+            report = ls_pgd_solve(ctx, w0, opts)
+            trace = np.array(report.objective_trace)
+            assert np.all(np.diff(trace) <= 0.0)
+            assert np.isfinite(trace).all()
+            assert validate_simplex(report.w_final, ctx.config.s)
+            if opts.tol_step == 0.0:
+                assert report.termination == "kkt_tol"
+            if report.termination == "kkt_tol":
+                # the stopping test bounds the residual at probe step eta_max
+                residual = stationarity_residual(ctx, report.w_final, probe_step=opts.eta_max)
+                assert residual <= opts.tol_kkt
+
+
+def test_backtracks_count_rejected_trial_points(monkeypatch):
+    ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
+    real_value = mugl.objective.objective_value
+    evaluations = []
+
+    def counting_value(ctx_, w):
+        evaluations.append(1)
+        return real_value(ctx_, w)
+
+    monkeypatch.setattr(mugl.objective, "objective_value", counting_value)
+    report = ls_pgd_solve(ctx, np.full(10, 0.4))
+    accepted = len(report.objective_trace) - 1
+    assert report.backtracks > 0
+    assert report.backtracks == len(evaluations) - 1 - accepted
+    monkeypatch.undo()
+    assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
+
+
+def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
+    ctx = generic_context(113, rho2=0.5, s=1.0)
+    monkeypatch.setattr(mugl.objective, "gradient", lambda ctx_, w: np.full(10, math.nan))
+    with pytest.raises(RuntimeError, match="non-finite gradient"):
+        ls_pgd_solve(ctx, np.full(10, 0.1))
+
+
+def test_mugl_l_on_er_draw_converges_within_iteration_guard():
+    # fixed steps needed 481 iterations on this draw; spectral steps about 115
+    graph = gen_graph(GraphSpec("er", 100, seed=0))
+    X = gen_signals(graph.laplacian, SignalSpec(n=400, epsilon=0.1, seed=100))
+    _, report = learn(ModelPreset("mugl_l"), X)
+    assert report.converged
+    assert report.iters <= 250
 
 
 def test_ls_pgd_keeps_barrier_domain():

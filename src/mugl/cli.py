@@ -34,7 +34,7 @@ from . import __version__, harness, serialize, solvers
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
 from .laplacian import read_edge_list, write_edge_list
-from .moments import RadiusParams, empirical_moments, read_signals_csv, write_signals_csv
+from .moments import RadiusParams, read_signals_csv, write_signals_csv
 from .objective import BarrierDomainError, NonsmoothPointError
 from .solvers import LineSearchStallError
 
@@ -257,17 +257,15 @@ def cmd_learn(args) -> int:
     out = resolve_out_dir(args, config)
 
     X = read_signals_csv(config["signals"])
-    m = X.shape[0]
-    moments = empirical_moments(X)
-    resolved = harness.resolve_config(preset, moments, m)
-    _, report = harness.learn(preset, X)
+    m, n = X.shape
+    resolved, report = harness.learn(preset, X)
 
     write_edge_list(os.path.join(out, LEARNED_FILE), report.w_final, m)
     doc = {
         "version": __version__,
         "signals": config["signals"],
         "m": m,
-        "n": moments.n,
+        "n": n,
         "preset": harness.preset_doc(preset),
         "resolved": asdict(resolved),
         "iters": report.iters,
@@ -338,11 +336,11 @@ def cmd_bench(args) -> int:
     signal_spec = parse_signal_spec(config["signals"], "config.signals", 0)
     if not isinstance(config["presets"], list) or not config["presets"]:
         raise config_error("'presets' must be a non-empty list")
-    presets = [
-        parse_preset(p, f"config.presets[{i}]") if isinstance(p, dict)
-        else _bad_preset(i)
-        for i, p in enumerate(config["presets"])
-    ]
+    presets = []
+    for i, p in enumerate(config["presets"]):
+        if not isinstance(p, dict):
+            raise config_error(f"config.presets[{i}] must be an object")
+        presets.append(parse_preset(p, f"config.presets[{i}]"))
     n_seeds = _number(config, "n_seeds", "config", int)
     threshold = DEFAULT_REL_THRESHOLD
     if "threshold" in config:
@@ -378,22 +376,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bad_preset(i: int):
-    raise config_error(f"config.presets[{i}] must be an object")
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
-EPILOG = """exit codes:
-  0  success
-  2  config error (malformed JSON, unknown or invalid keys)
-  3  I/O error (missing or unreadable/unwritable files)
-  4  learn hit the iteration cap (result still written, flagged)
-  5  solver abort (nonsmooth point, barrier domain, or line-search stall)
-  6  truth/prediction node-count mismatch in eval
-  7  bench: every seed failed
-"""
+EPILOG = "exit codes:\n" + __doc__.partition("Exit codes are part of the contract:\n\n")[2]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", cmd_eval, "score a predicted edge-list against a truth edge-list"),
         ("bench", cmd_bench, "run the seeded generate/learn/eval loop and summarize"),
     ]
+    subparsers = {}
     for name, func, help_text in specs:
         p = sub.add_parser(
             name,
@@ -419,11 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=1, help="seed-level concurrency (bench)")
         p.add_argument("--quiet", action="store_true", help="suppress informational output")
         p.set_defaults(func=func)
+        subparsers[name] = p
+    # Flags are registered only on the subcommands that read them.
+    for name in ("generate", "bench"):
+        subparsers[name].add_argument(
+            "--seed", type=int, default=None, help="master seed (overrides config)"
+        )
+    subparsers["bench"].add_argument(
+        "--threads", type=int, default=1, help="seed-level concurrency"
+    )
     return parser
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .laplacian import edge_count, expand, pair_indices
+from .laplacian import edge_count, expand, pair_indices, pair_to_linear
 
 GRAPH_FAMILIES = ("gaussian", "er", "pa")
 
@@ -205,10 +205,8 @@ def gen_pa_graph(spec: GraphSpec) -> GeneratedGraph:
             edges.append((arrival, t))
             urn.extend((arrival, t))
     w = np.zeros(edge_count(m))
-    rows, cols = pair_indices(m)
-    lookup = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(rows, cols))}
     for i, j in edges:
-        w[lookup[(max(i, j), min(i, j))]] = 1.0
+        w[pair_to_linear(max(i, j) + 1, min(i, j) + 1, m) - 1] = 1.0
     return GeneratedGraph(w, m, spec.family, spec.seed)
 
 

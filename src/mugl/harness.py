@@ -34,9 +34,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import solvers
-from .datagen import GeneratedGraph, GraphSpec, SignalSpec, gen_graph, gen_signals
+from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
-from .laplacian import edge_count, expand
+from .laplacian import edge_count
 from .moments import EmpiricalMoments, RadiusParams, calibrated, empirical_moments, rho1_radius, rho2_radius
 from .objective import ModelConfig, build_context
 from .serialize import format_float
@@ -105,12 +105,12 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
     )
 
 
-def learn(preset: ModelPreset, X: np.ndarray) -> tuple[np.ndarray, solvers.SolveReport]:
-    """Fit the preset to signals X and return (Laplacian, solve report).
+def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.SolveReport]:
+    """Fit the preset to signals X and return (resolved config, solve report).
 
     Linear configs are solved exactly; the rest start the line search from
-    the simplex centroid.  The returned Laplacian has trace 2m; the weight
-    vector itself sits in the report.
+    the simplex centroid.  The learned weights sit in report.w_final; their
+    Laplacian expand(report.w_final, m) has trace 2m.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
@@ -122,7 +122,7 @@ def learn(preset: ModelPreset, X: np.ndarray) -> tuple[np.ndarray, solvers.Solve
     else:
         mbar = edge_count(m)
         report = solvers.ls_pgd_solve(ctx, np.full(mbar, config.s / mbar), preset.solver)
-    return expand(report.w_final, m), report
+    return config, report
 
 
 @dataclass

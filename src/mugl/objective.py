@@ -34,13 +34,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .laplacian import edge_count, incidence, pair_indices, validate_simplex
+from .laplacian import adjoint, incidence, pair_indices, validate_simplex
 from .moments import EmpiricalMoments
 
 REGULARIZERS = ("none", "log_barrier")
 
 # w is accepted as feasible when within this relative distance of the simplex.
 FEASIBILITY_TOL = 1e-9
+
+# The square-root term counts as nonsmooth where a @ w falls at or below this
+# fraction of max(a) * s.
+SQRT_FLOOR = 1e-12
 
 
 class InfeasiblePointError(ValueError):
@@ -65,8 +69,6 @@ class ModelConfig:
     quad_weight: coefficient of the squared off-diagonal penalty
         (quad_weight / 2) * sum_{i != j} L_ij^2, used by the non-robust
         log-degree model; 0 disables it.
-    sqrt_floor: relative floor under a @ w below which the square-root term
-        counts as nonsmooth.
     """
 
     rho1: float = 0.0
@@ -75,7 +77,6 @@ class ModelConfig:
     regularizer: str = "none"
     alpha: float = 0.5
     quad_weight: float = 0.0
-    sqrt_floor: float = 1e-12
 
     def __post_init__(self):
         if self.rho1 < 0 or self.rho2 < 0:
@@ -90,19 +91,15 @@ class ModelConfig:
             raise ValueError(f"log_barrier needs alpha > 0, got {self.alpha}")
         if self.quad_weight < 0:
             raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
-        if not self.sqrt_floor > 0:
-            raise ValueError(f"sqrt_floor must be positive, got {self.sqrt_floor}")
 
 
 @dataclass(frozen=True)
 class ObjectiveContext:
-    """Moments, config, and the precomputed pair-space coefficient vectors."""
+    """Config and the precomputed pair-space coefficient vectors."""
 
-    moments: EmpiricalMoments
     config: ModelConfig
     m: int
     quad_coeff: np.ndarray  # adjoint(cov + outer(mean, mean))
-    mean_gap_sq: np.ndarray  # (mean_i - mean_j)^2 per pair
     sqrt_coeff: np.ndarray  # a = 4 rho1^2 * mean_gap_sq
     incidence: csr_matrix = field(repr=False)  # B, m x n_pairs
     incidence_t: csr_matrix = field(repr=False)  # B.T
@@ -139,18 +136,15 @@ def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveCo
     mean_gap_sq = gaps * gaps
     # adjoint(cov + outer(mean)) splits into adjoint(cov) + mean_gap_sq; the
     # covariance part is the variance of the pairwise signal difference.
-    d = np.diag(cov)
-    quad_coeff = d[rows] + d[cols] - 2.0 * cov[rows, cols] + mean_gap_sq
+    quad_coeff = adjoint(cov) + mean_gap_sq
     sqrt_coeff = 4.0 * config.rho1**2 * mean_gap_sq
-    for arr in (quad_coeff, mean_gap_sq, sqrt_coeff):
+    for arr in (quad_coeff, sqrt_coeff):
         arr.flags.writeable = False
     B, BT = incidence(m)
     return ObjectiveContext(
-        moments=moments,
         config=config,
         m=m,
         quad_coeff=quad_coeff,
-        mean_gap_sq=mean_gap_sq,
         sqrt_coeff=sqrt_coeff,
         incidence=B,
         incidence_t=BT,
@@ -205,7 +199,7 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     """Gradient of g at a feasible w.
 
     The square-root term contributes a / (2 sqrt(a @ w)); when a @ w falls at
-    or below sqrt_floor * max(a) * s this raises NonsmoothPointError, which
+    or below SQRT_FLOOR * max(a) * s this raises NonsmoothPointError, which
     also catches the degenerate constant-mean case where a vanishes
     identically.  The log-barrier contributes -alpha (1/deg_i + 1/deg_j) per
     pair and raises BarrierDomainError off its domain.
@@ -217,10 +211,10 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     if cfg.rho1 > 0:
         a = ctx.sqrt_coeff
         aw = float(a @ w)
-        if aw <= cfg.sqrt_floor * float(a.max()) * cfg.s:
+        if aw <= SQRT_FLOOR * float(a.max()) * cfg.s:
             raise NonsmoothPointError(
                 f"square-root term nonsmooth: a @ w = {aw:.3g} at or below the "
-                f"floor {cfg.sqrt_floor:.3g} * max(a) * s"
+                f"floor {SQRT_FLOOR:.3g} * max(a) * s"
             )
         grad += a / (2.0 * math.sqrt(aw))
     # The degree-dependent terms are pair sums d_i + d_j of one node vector d,

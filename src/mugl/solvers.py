@@ -156,9 +156,9 @@ def _finite_gradient(ctx: obj.ObjectiveContext, w: np.ndarray) -> np.ndarray:
     return g
 
 
-def _final_residual(ctx: obj.ObjectiveContext, w: np.ndarray) -> float:
+def _final_residual(ctx: obj.ObjectiveContext, w: np.ndarray, probe_step: float) -> float:
     try:
-        return stationarity_residual(ctx, w)
+        return stationarity_residual(ctx, w, probe_step)
     except (obj.NonsmoothPointError, obj.BarrierDomainError):
         return math.nan
 
@@ -215,7 +215,9 @@ def ls_pgd_solve(
     points outside the log-barrier domain evaluate to +inf and are rejected
     like any other insufficient decrease.  The iteration stops with
     kkt_tol once ||v|| / min(eta, eta_max) <= tol_kkt, which bounds the
-    stationarity residual at probe step eta_max.
+    stationarity residual at probe step eta_max; the report's kkt_residual
+    is measured at that probe step, so a kkt_tol return reports at most
+    tol_kkt up to round-off.
 
     A non-finite gradient raises RuntimeError, which callers that score
     many fits record as a failure of that one fit.
@@ -274,4 +276,6 @@ def ls_pgd_solve(
         if step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    return SolveReport(w, trace, iters, _final_residual(ctx, w), termination, backtracks)
+    return SolveReport(
+        w, trace, iters, _final_residual(ctx, w, opts.eta_max), termination, backtracks
+    )

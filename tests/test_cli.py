@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mugl import cli, harness
 from mugl.laplacian import read_edge_list, write_edge_list
+from mugl.moments import empirical_moments, read_signals_csv
 
 GEN_CONFIG = {
     "graph": {"family": "er", "m": 5, "seed": 2, "p": 0.5},
@@ -140,6 +142,36 @@ def test_learn_report_counts_backtracks(tmp_path):
         assert isinstance(report["backtracks"], int) and report["backtracks"] >= 0
         if name == "vsgl":
             assert report["backtracks"] == 0
+
+
+def test_learn_report_records_the_resolved_config(tmp_path):
+    data = run_generate(tmp_path)
+    out = tmp_path / "fit"
+    preset = {"name": "mugl_l", "radius_params": {"delta": 0.01}}
+    cfg = write_config(tmp_path, {"signals": str(data / "signals.csv"), "preset": preset},
+                       "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    X = read_signals_csv(data / "signals.csv")
+    resolved = harness.resolve_config(cli.parse_preset(preset, "preset"), empirical_moments(X), 5)
+    assert report["resolved"] == asdict(resolved)
+    assert (report["m"], report["n"]) == X.shape
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--seed", "3"],
+    ["eval", "--seed", "3"],
+    ["generate", "--threads", "2"],
+    ["learn", "--threads", "2"],
+    ["eval", "--threads", "2"],
+])
+def test_flags_are_registered_only_where_read(tmp_path, argv, capsys):
+    # --seed belongs to generate and bench, --threads to bench
+    cfg = write_config(tmp_path, {})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", cfg])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_learn_missing_signals_is_io_error(tmp_path, capsys):

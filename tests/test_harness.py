@@ -80,14 +80,14 @@ def test_vsgl_finds_linear_argmin_vertex(graph_seed):
     # with both radii zero and no regularizer the objective is linear in w,
     # so the simplex minimizer is the vertex of the smallest coefficient
     _, X = small_instance(graph_seed, graph_seed + 100)
-    L, report = harness.learn(harness.ModelPreset("vsgl"), X)
+    resolved, report = harness.learn(harness.ModelPreset("vsgl"), X)
     mom = empirical_moments(X)
     config = harness.resolve_config(harness.ModelPreset("vsgl"), mom, 5)
+    assert resolved == config
     ctx = build_context(mom, config)
     vertex = np.zeros(edge_count(5))
     vertex[np.argmin(ctx.quad_coeff)] = config.s
     assert np.array_equal(report.w_final, vertex)
-    assert np.array_equal(L, expand(vertex))
 
 
 def test_log_model_starts_agree():
@@ -118,12 +118,17 @@ def test_robust_objective_exceeds_plain_at_baseline_solution():
     assert objective_value(ctx_robust, w) > objective_value(ctx_plain, w)
 
 
-def test_learn_returns_scaled_laplacian():
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_learn_returns_resolved_config(name):
+    # learn resolves the config once and hands it back; the weights it
+    # learns expand to a Laplacian of trace 2m
     _, X = small_instance(1, 9, m=6)
-    L, report = harness.learn(harness.ModelPreset("mugl_o"), X)
+    preset = harness.ModelPreset(name)
+    config, report = harness.learn(preset, X)
+    assert config == harness.resolve_config(preset, empirical_moments(X), 6)
+    L = expand(report.w_final, 6)
     assert is_laplacian(L)
     assert np.trace(L) == pytest.approx(12.0)
-    assert np.array_equal(L, expand(report.w_final))
 
 
 def test_run_seeds_schedule():

@@ -102,8 +102,6 @@ def test_model_config_validation():
         ModelConfig(regularizer="log_barrier", alpha=0)
     with pytest.raises(ValueError):
         ModelConfig(quad_weight=-0.1)
-    with pytest.raises(ValueError):
-        ModelConfig(sqrt_floor=0)
 
 
 def test_objective_reduces_to_empirical_risk():

@@ -250,9 +250,10 @@ def test_ls_pgd_trace_non_increasing_and_descent():
             if opts.tol_step == 0.0:
                 assert report.termination == "kkt_tol"
             if report.termination == "kkt_tol":
-                # the stopping test bounds the residual at probe step eta_max
+                # the stopping test bounds the residual at probe step eta_max,
+                # which is the residual the report carries
                 residual = stationarity_residual(ctx, report.w_final, probe_step=opts.eta_max)
-                assert residual <= opts.tol_kkt
+                assert report.kkt_residual == residual <= opts.tol_kkt
 
 
 def test_backtracks_count_rejected_trial_points(monkeypatch):

@@ -4,9 +4,10 @@ The four subcommands compose through files: `generate` writes an edge-list
 and a signals CSV, `learn` turns a signals CSV into a learned edge-list plus
 a solve report, `eval` scores a predicted edge-list against a truth
 edge-list, and `bench` runs the whole seeded loop and writes summary tables.
-All configuration comes from a JSON file; unknown keys are rejected rather
-than ignored so typos fail fast.  Outputs are deterministic functions of the
-config and master seed.
+All configuration comes from a JSON file.  Each section is decoded from the
+fields of its dataclass, and unknown keys, null where a field is not
+optional, and non-finite numbers are rejected so typos fail fast.  Outputs
+are deterministic functions of the config and master seed.
 
 Exit codes are part of the contract:
 
@@ -22,19 +23,21 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
-from . import __version__, harness, serialize, solvers
+from . import __version__, harness, serialize
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
 from .laplacian import read_edge_list, write_edge_list
-from .moments import RadiusParams, read_signals_csv, write_signals_csv
+from .moments import read_signals_csv, write_signals_csv
 from .objective import BarrierDomainError, NonsmoothPointError
 from .solvers import LineSearchStallError
 
@@ -93,102 +96,65 @@ def check_keys(doc: dict, allowed, required, where: str) -> None:
             raise config_error(f"missing required key {key!r} in {where}")
 
 
-def _number(doc: dict, key: str, where: str, cast=float):
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise config_error(f"{where}.{key} must be a number, got {val!r}")
-    if cast is int and not float(val).is_integer():
-        raise config_error(f"{where}.{key} must be an integer, got {val!r}")
-    return cast(val)
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (resolved type hint, required) for a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
 
 
-def parse_graph_spec(doc: dict, where: str, seed: int | None) -> GraphSpec:
-    allowed = {"family", "m", "seed", "sigma", "threshold", "p", "theta0", "theta"}
-    required = {"family", "m"} if seed is not None or "seed" in doc else {"family", "m", "seed"}
-    check_keys(doc, allowed, required, where)
-    kwargs = {"family": doc["family"], "m": _number(doc, "m", where, int)}
-    kwargs["seed"] = seed if seed is not None else _number(doc, "seed", where, int)
-    for key in ("sigma", "threshold", "p"):
-        if key in doc:
-            kwargs[key] = _number(doc, key, where)
-    for key in ("theta0", "theta"):
-        if key in doc:
-            kwargs[key] = _number(doc, key, where, int)
-    try:
-        return GraphSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise config_error(f"{where}: {exc}") from None
+def parse_value(hint, val, where: str):
+    """Decode one JSON value as `hint`: int, float, str, a config dataclass,
+    np.ndarray (from a list of numbers), or a union of one of them with None.
+    Numbers must be finite; null is accepted only where the hint admits None."""
+    kinds = typing.get_args(hint) or (hint,)
+    if val is None and type(None) in kinds:
+        return None
+    kind = next(k for k in kinds if k is not type(None))
+    if is_dataclass(kind):
+        return parse_fields(kind, val, where)
+    if kind is str:
+        if not isinstance(val, str):
+            raise config_error(f"{where} must be a string, got {val!r}")
+        return val
+    if kind is np.ndarray:
+        if not isinstance(val, list):
+            raise config_error(f"{where} must be a list of numbers, got {val!r}")
+        return np.array([parse_value(float, x, f"{where}[{i}]") for i, x in enumerate(val)])
+    # the bound also rejects NaN, and ints too large for a float
+    if (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or not abs(val) <= sys.float_info.max
+    ):
+        raise config_error(f"{where} must be a finite number, got {val!r}")
+    if kind is int and val != int(val):
+        raise config_error(f"{where} must be an integer, got {val!r}")
+    return kind(val)
 
 
-def parse_signal_spec(doc: dict, where: str, seed: int | None) -> SignalSpec:
-    allowed = {"n", "epsilon", "seed", "mu_star"}
-    required = {"n", "epsilon"} if seed is not None or "seed" in doc else {"n", "epsilon", "seed"}
-    check_keys(doc, allowed, required, where)
-    mu_star = None
-    if doc.get("mu_star") is not None:
-        if not isinstance(doc["mu_star"], list):
-            raise config_error(f"{where}.mu_star must be a list of numbers")
-        mu_star = np.array([float(x) for x in doc["mu_star"]])
-    try:
-        return SignalSpec(
-            n=_number(doc, "n", where, int),
-            epsilon=_number(doc, "epsilon", where),
-            seed=seed if seed is not None else _number(doc, "seed", where, int),
-            mu_star=mu_star,
-        )
-    except (TypeError, ValueError) as exc:
-        raise config_error(f"{where}: {exc}") from None
+def parse_fields(cls, doc, where: str, **fixed):
+    """Build dataclass `cls` from the JSON object `doc`.
 
-
-def parse_preset(doc: dict, where: str) -> harness.ModelPreset:
-    allowed = {"name", "label", "rho1", "rho2", "radius_params", "alpha", "quad_weight", "solver"}
-    check_keys(doc, allowed, {"name"}, where)
-    kwargs = {"name": doc["name"]}
-    if "label" in doc:
-        if not isinstance(doc["label"], str):
-            raise config_error(f"{where}.label must be a string")
-        kwargs["label"] = doc["label"]
-    for key in ("rho1", "rho2", "alpha", "quad_weight"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = _number(doc, key, where)
-    if "radius_params" in doc:
-        kwargs["radius_params"] = parse_radius_params(
-            doc["radius_params"], f"{where}.radius_params"
-        )
-    if "solver" in doc:
-        kwargs["solver"] = parse_solver_options(doc["solver"], f"{where}.solver")
-    try:
-        return harness.ModelPreset(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise config_error(f"{where}: {exc}") from None
-
-
-def parse_radius_params(doc, where: str) -> RadiusParams:
+    The allowed keys are the dataclass's fields; the required ones are those
+    without a default that `fixed` does not supply.  Values in `fixed` take
+    precedence over the document and are not decoded.
+    """
     if not isinstance(doc, dict):
         raise config_error(f"{where} must be an object")
-    allowed = {"delta", "c0", "c1", "c2", "sigma_norm"}
-    check_keys(doc, allowed, set(), where)
-    kwargs = {}
-    for key in allowed:
-        if key in doc and doc[key] is not None:
-            kwargs[key] = _number(doc, key, where)
+    schema = _schema(cls)
+    required = [name for name, (_, needed) in schema.items() if needed and name not in fixed]
+    check_keys(doc, schema, required, where)
+    kwargs = {
+        name: parse_value(schema[name][0], val, f"{where}.{name}")
+        for name, val in doc.items()
+        if name not in fixed
+    }
     try:
-        return RadiusParams(**kwargs)
-    except ValueError as exc:
-        raise config_error(f"{where}: {exc}") from None
-
-
-def parse_solver_options(doc, where: str) -> solvers.SolverOptions:
-    if not isinstance(doc, dict):
-        raise config_error(f"{where} must be an object")
-    ints = {"max_iters", "max_backtracks"}
-    floats = {"eta_max", "beta", "gamma", "tol_step", "tol_kkt"}
-    check_keys(doc, ints | floats, set(), where)
-    kwargs = {}
-    for key in doc:
-        kwargs[key] = _number(doc, key, where, int if key in ints else float)
-    try:
-        return solvers.SolverOptions(**kwargs)
+        return cls(**kwargs, **fixed)
     except ValueError as exc:
         raise config_error(f"{where}: {exc}") from None
 
@@ -213,15 +179,12 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     check_keys(config, {"graph", "signals", "seed", "out"}, {"graph", "signals"}, "config")
     master = args.seed if args.seed is not None else config.get("seed")
+    graph_fixed = signal_fixed = {}
     if master is not None:
-        master = int(master)
-        graph_seed, signal_seed = harness.run_seeds(master, 1)[0]
-    else:
-        graph_seed = signal_seed = None
-    if not isinstance(config.get("graph"), dict) or not isinstance(config.get("signals"), dict):
-        raise config_error("'graph' and 'signals' must be objects")
-    graph_spec = parse_graph_spec(config["graph"], "config.graph", graph_seed)
-    signal_spec = parse_signal_spec(config["signals"], "config.signals", signal_seed)
+        master = parse_value(int, master, "config.seed")
+        graph_fixed, signal_fixed = ({"seed": seed} for seed in harness.run_seeds(master, 1)[0])
+    graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", **graph_fixed)
+    signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", **signal_fixed)
     out = resolve_out_dir(args, config)
 
     graph = gen_graph(graph_spec)
@@ -248,12 +211,10 @@ def cmd_learn(args) -> int:
     check_keys(config, {"signals", "preset", "out", "trace"}, {"signals", "preset"}, "config")
     if not isinstance(config["signals"], str):
         raise config_error("'signals' must be a path string")
-    if not isinstance(config.get("preset"), dict):
-        raise config_error("'preset' must be an object")
     want_trace = config.get("trace", False)
     if not isinstance(want_trace, bool):
         raise config_error("'trace' must be a boolean")
-    preset = parse_preset(config["preset"], "config.preset")
+    preset = parse_fields(harness.ModelPreset, config["preset"], "config.preset")
     out = resolve_out_dir(args, config)
 
     X = read_signals_csv(config["signals"])
@@ -292,9 +253,9 @@ def cmd_eval(args) -> int:
     for key in ("truth", "predicted"):
         if not isinstance(config[key], str):
             raise config_error(f"'{key}' must be a path string")
-    threshold = DEFAULT_REL_THRESHOLD
-    if "threshold" in config:
-        threshold = _number(config, "threshold", "config")
+    threshold = parse_value(
+        float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
+    )
     w_truth, m_truth = read_edge_list(config["truth"])
     w_pred, m_pred = read_edge_list(config["predicted"])
     if m_truth != m_pred:
@@ -323,28 +284,26 @@ def cmd_bench(args) -> int:
         {"graph", "signals", "presets", "n_seeds"},
         "config",
     )
-    if not isinstance(config.get("graph"), dict) or not isinstance(config.get("signals"), dict):
-        raise config_error("'graph' and 'signals' must be objects")
+    # per-run seeds replace the placeholder 0 in run_experiment
+    graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", seed=0)
+    signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", seed=0)
     if "seed" in config["graph"] or "seed" in config["signals"]:
         raise config_error(
             "bench derives per-run seeds from the master seed; "
             "remove 'seed' from the graph/signals sections"
         )
     master = args.seed if args.seed is not None else config.get("seed", 0)
-    master = int(master)
-    graph_spec = parse_graph_spec(config["graph"], "config.graph", 0)
-    signal_spec = parse_signal_spec(config["signals"], "config.signals", 0)
+    master = parse_value(int, master, "config.seed")
     if not isinstance(config["presets"], list) or not config["presets"]:
         raise config_error("'presets' must be a non-empty list")
-    presets = []
-    for i, p in enumerate(config["presets"]):
-        if not isinstance(p, dict):
-            raise config_error(f"config.presets[{i}] must be an object")
-        presets.append(parse_preset(p, f"config.presets[{i}]"))
-    n_seeds = _number(config, "n_seeds", "config", int)
-    threshold = DEFAULT_REL_THRESHOLD
-    if "threshold" in config:
-        threshold = _number(config, "threshold", "config")
+    presets = [
+        parse_fields(harness.ModelPreset, p, f"config.presets[{i}]")
+        for i, p in enumerate(config["presets"])
+    ]
+    n_seeds = parse_value(int, config["n_seeds"], "config.n_seeds")
+    threshold = parse_value(
+        float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
+    )
     if args.threads < 1:
         raise config_error(f"--threads must be at least 1, got {args.threads}")
     out = resolve_out_dir(args, config)

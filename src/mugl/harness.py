@@ -246,16 +246,19 @@ def run_experiment(
 
 def summarize(records: list[dict], labels) -> list[dict]:
     """Mean and normalized std (population, as percent of the mean) per
-    model and metric, over the seeds where that model succeeded."""
+    model and metric, over the seeds where that model succeeded.  n_capped
+    counts how many of those fits stopped at the iteration cap."""
     stats = []
     for label in labels:
         values = {metric: [] for metric in SUMMARY_METRICS}
+        n_capped = 0
         for rec in records:
             entry = rec["models"].get(label)
             if entry is None or "error" in entry:
                 continue
             for metric in SUMMARY_METRICS:
                 values[metric].append(entry[metric])
+            n_capped += entry["termination"] == "max_iters"
         for metric in SUMMARY_METRICS:
             vals = np.array(values[metric], dtype=float)
             if vals.size:
@@ -270,6 +273,7 @@ def summarize(records: list[dict], labels) -> list[dict]:
                     "mean": mean,
                     "normalized_std_percent": spread,
                     "n_seeds": int(vals.size),
+                    "n_capped": n_capped,
                 }
             )
     return stats

@@ -15,6 +15,7 @@ optimization modules use these maps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -204,8 +205,8 @@ def read_edge_list(path) -> tuple[np.ndarray, int]:
     """Parse an edge-list file back into (weights, m).
 
     Unlisted pairs get weight zero.  Malformed headers or lines, out-of-range
-    node labels, i <= j, and duplicate pairs all raise ValueError with the
-    offending line number.
+    node labels, i <= j, duplicate pairs, and negative or non-finite weights
+    all raise ValueError with the offending line number.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -229,6 +230,10 @@ def read_edge_list(path) -> tuple[np.ndarray, int]:
             i, j, weight = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable edge line {line!r}") from None
+        if not 0 <= weight < math.inf:
+            raise ValueError(
+                f"{path}:{lineno}: weight must be finite and nonnegative, got {line!r}"
+            )
         try:
             k = pair_to_linear(i, j, m)
         except ValueError as exc:

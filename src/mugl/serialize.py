@@ -68,5 +68,8 @@ def dumps(doc, indent: int = 0) -> str:
 
 
 def write_json(path, doc) -> None:
+    """Write the document, or raise before creating the file if it cannot be
+    serialized."""
+    text = dumps(doc) + "\n"
     with open(path, "w") as fh:
-        fh.write(dumps(doc) + "\n")
+        fh.write(text)

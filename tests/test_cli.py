@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mugl import cli, harness
+from mugl.datagen import GraphSpec, SignalSpec
 from mugl.laplacian import read_edge_list, write_edge_list
-from mugl.moments import empirical_moments, read_signals_csv
+from mugl.moments import RadiusParams, empirical_moments, read_signals_csv
+from mugl.solvers import SolverOptions
 
 GEN_CONFIG = {
     "graph": {"family": "er", "m": 5, "seed": 2, "p": 0.5},
@@ -153,9 +156,61 @@ def test_learn_report_records_the_resolved_config(tmp_path):
     assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "solve_report.json").read_text())
     X = read_signals_csv(data / "signals.csv")
-    resolved = harness.resolve_config(cli.parse_preset(preset, "preset"), empirical_moments(X), 5)
+    resolved = harness.resolve_config(
+        cli.parse_fields(harness.ModelPreset, preset, "preset"), empirical_moments(X), 5
+    )
     assert report["resolved"] == asdict(resolved)
     assert (report["m"], report["n"]) == X.shape
+
+
+def test_config_schema_round_trips(tmp_path):
+    preset = harness.ModelPreset(
+        "mugl_o",
+        label="robust",
+        rho1=0.25,
+        rho2=1.5,
+        radius_params=RadiusParams(delta=0.01, c1=2.0, sigma_norm=3.0),
+        solver=SolverOptions(max_iters=500, tol_kkt=1e-7),
+    )
+    assert cli.parse_fields(harness.ModelPreset, harness.preset_doc(preset), "preset") == preset
+
+    config = {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "mu_star": [0.5, 0, -1, 2, 0.25]}}
+    prov = json.loads((run_generate(tmp_path, config) / "provenance.json").read_text())
+    graph_spec = cli.parse_fields(GraphSpec, prov["graph_spec"], "graph_spec")
+    signal_spec = cli.parse_fields(SignalSpec, prov["signal_spec"], "signal_spec")
+    assert graph_spec == GraphSpec(**config["graph"])
+    assert (signal_spec.n, signal_spec.epsilon, signal_spec.seed) == (30, 0.1, 102)
+    np.testing.assert_array_equal(signal_spec.mu_star, config["signals"]["mu_star"])
+
+
+def test_null_only_where_a_field_is_optional(tmp_path, capsys):
+    parsed = cli.parse_fields(harness.ModelPreset, {"name": "vsgl", "label": None}, "preset")
+    assert parsed.label is None
+    cfg = write_config(tmp_path, {
+        "signals": str(tmp_path / "signals.csv"),
+        "preset": {"name": "mugl_o", "alpha": None},
+    })
+    assert cli.main(["learn", "--config", cfg, "--quiet"]) == 2
+    assert "config.preset.alpha" in capsys.readouterr().err
+
+
+def test_non_finite_config_numbers_are_rejected(tmp_path, capsys):
+    out = tmp_path / "data"
+    config = {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "epsilon": math.nan}}
+    cfg = write_config(tmp_path, config, "gen.json")
+    assert cli.main(["generate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "config.signals.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+    data = run_generate(tmp_path / "ok")
+    fit = tmp_path / "fit"
+    cfg = write_config(tmp_path, {
+        "signals": str(data / "signals.csv"),
+        "preset": {"name": "mugl_o", "rho1": math.inf},
+    }, "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(fit), "--quiet"]) == 2
+    assert "config.preset.rho1" in capsys.readouterr().err
+    assert not fit.exists()
 
 
 @pytest.mark.parametrize("argv", [

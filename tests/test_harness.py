@@ -174,6 +174,17 @@ def test_stats_recomputable_from_records():
         assert row["normalized_std_percent"] == pytest.approx(want_spread, abs=1e-12)
 
 
+def test_summary_counts_capped_fits():
+    capped = harness.ModelPreset(
+        "mugl_l", label="capped", solver=solvers.SolverOptions(max_iters=1)
+    )
+    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l"), capped]
+    summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=3, master_seed=5)
+    assert all(rec["models"]["capped"]["termination"] == "max_iters" for rec in summary.records)
+    n_capped = {row["model"]: row["n_capped"] for row in summary.stats}
+    assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3}
+
+
 def test_summary_csv_matches_golden_file(tmp_path):
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)

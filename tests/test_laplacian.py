@@ -211,6 +211,8 @@ def test_read_edge_list_errors(tmp_path):
         "upper_pair.edges": ("# m=3\n1 2 0.5\n", "invalid"),
         "out_of_range.edges": ("# m=3\n4 1 0.5\n", "invalid"),
         "duplicate.edges": ("# m=3\n2 1 0.5\n2 1 0.25\n", "duplicate"),
+        "nan_weight.edges": ("# m=3\n2 1 nan\n", "finite and nonnegative"),
+        "negative_weight.edges": ("# m=3\n2 1 -5\n", "finite and nonnegative"),
     }
     for name, (text, needle) in cases.items():
         path = tmp_path / name

@@ -99,3 +99,10 @@ def test_write_json_ends_with_newline(tmp_path):
     write_json(path, {"k": 1.5})
     assert path.read_text() == '{\n  "k": 1.5\n}\n'
     assert json.load(open(path)) == {"k": 1.5}
+
+
+def test_write_json_leaves_no_file_when_serialization_fails(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(path, {"k": [1.0, math.nan]})
+    assert not path.exists()

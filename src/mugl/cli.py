@@ -15,7 +15,8 @@ Exit codes are part of the contract:
   2  config error (malformed JSON, unknown or invalid keys)
   3  I/O error (missing or unreadable/unwritable files)
   4  learn hit the iteration cap (result still written, flagged)
-  5  solver abort (nonsmooth point, barrier domain, or line-search stall)
+  5  solver abort (nonsmooth point, barrier domain, line-search stall, or
+     non-finite gradient); nothing is written
   6  truth/prediction node-count mismatch in eval
   7  bench: every seed failed
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import typing
@@ -38,8 +38,6 @@ from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
 from .laplacian import read_edge_list, write_edge_list
 from .moments import read_signals_csv, write_signals_csv
-from .objective import BarrierDomainError, NonsmoothPointError
-from .solvers import LineSearchStallError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,10 +158,11 @@ def parse_fields(cls, doc, where: str, **fixed):
 
 
 def resolve_out_dir(args, config: dict) -> str:
+    """The output directory, checked up front but created by the caller just
+    before its first write, so a failed run leaves no directory behind."""
     out = args.out if args.out is not None else config.get("out")
     if not out:
         raise config_error("no output directory: set 'out' in the config or pass --out")
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -190,6 +189,7 @@ def cmd_generate(args) -> int:
     graph = gen_graph(graph_spec)
     X = gen_signals(graph.laplacian, signal_spec)
 
+    os.makedirs(out, exist_ok=True)
     write_edge_list(os.path.join(out, GRAPH_FILE), graph.weights, graph.m)
     write_signals_csv(os.path.join(out, SIGNALS_FILE), X)
     provenance = {
@@ -221,6 +221,7 @@ def cmd_learn(args) -> int:
     m, n = X.shape
     resolved, report = harness.learn(preset, X)
 
+    os.makedirs(out, exist_ok=True)
     write_edge_list(os.path.join(out, LEARNED_FILE), report.w_final, m)
     doc = {
         "version": __version__,
@@ -233,18 +234,14 @@ def cmd_learn(args) -> int:
         "backtracks": report.backtracks,
         "termination": report.termination,
         "converged": report.converged,
-        "kkt_residual": None if math.isnan(report.kkt_residual) else report.kkt_residual,
+        "kkt_residual": report.kkt_residual,
         "objective": report.objective_trace[-1],
     }
     if want_trace:
         doc["objective_trace"] = list(report.objective_trace)
     serialize.write_json(os.path.join(out, REPORT_FILE), doc)
     info(args, f"wrote {LEARNED_FILE}, {REPORT_FILE} to {out} ({report.termination})")
-    if report.termination == "max_iters":
-        return EXIT_MAX_ITERS
-    if report.termination == "nonsmooth_abort":
-        return EXIT_SOLVER_ABORT
-    return EXIT_OK
+    return EXIT_MAX_ITERS if report.termination == "max_iters" else EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -267,12 +264,11 @@ def cmd_eval(args) -> int:
         record = metric_record(w_pred, w_truth > 0, threshold)
     except ValueError as exc:
         raise config_error(str(exc)) from None
-    text = serialize.dumps(record)
-    print(text)
+    print(serialize.dumps(record))
     if args.out is not None or config.get("out"):
         out = resolve_out_dir(args, config)
-        with open(os.path.join(out, "metrics.json"), "w") as fh:
-            fh.write(text + "\n")
+        os.makedirs(out, exist_ok=True)
+        serialize.write_json(os.path.join(out, "metrics.json"), record)
     return EXIT_OK
 
 
@@ -321,16 +317,11 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise config_error(str(exc)) from None
 
+    os.makedirs(out, exist_ok=True)
     harness.write_summary_csv(os.path.join(out, SUMMARY_CSV), summary)
     serialize.write_json(os.path.join(out, SUMMARY_JSON), harness.summary_doc(summary))
     info(args, f"wrote {SUMMARY_CSV}, {SUMMARY_JSON} to {out}")
-    n_ok = sum(
-        1
-        for rec in summary.records
-        for entry in rec["models"].values()
-        if "error" not in entry
-    )
-    if n_ok == 0:
+    if len(summary.failures) == n_seeds * len(presets):
         raise CliError(EXIT_ALL_SEEDS_FAILED, "every seed failed for every preset")
     return EXIT_OK
 
@@ -396,10 +387,7 @@ def main(argv=None) -> int:
     except PermissionError as exc:
         print(f"error: permission denied: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO
-    except NonsmoothPointError as exc:
-        print(f"error: nonsmooth point: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
-    except (BarrierDomainError, LineSearchStallError) as exc:
+    except RuntimeError as exc:
         print(f"error: solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
     except ValueError as exc:

@@ -21,6 +21,13 @@ ratio to t shrinks, so the step the iteration already projected at bounds
 the residual at t = eta_max from above without a second projection.  The
 iterative solver stops on the disjunction of a step-size tolerance
 (infinity norm of the update) and that residual bound.
+
+Every abort raises a RuntimeError: NonsmoothPointError where the
+square-root term has no gradient, BarrierDomainError at a start outside the
+barrier domain, LineSearchStallError when backtracking runs out, and a
+plain RuntimeError for a non-finite gradient or a projected step that
+predicts an increase.  A returned SolveReport is therefore always a
+finished fit (step_tol, kkt_tol or max_iters) with a finite kkt_residual.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import objective as obj
 
-TERMINATIONS = ("step_tol", "kkt_tol", "max_iters", "nonsmooth_abort")
+TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
 
 # Armijo predicted-decrease quantities must be nonpositive up to round-off;
 # anything above this signals a corrupted gradient and aborts loudly.
@@ -156,13 +163,6 @@ def _finite_gradient(ctx: obj.ObjectiveContext, w: np.ndarray) -> np.ndarray:
     return g
 
 
-def _final_residual(ctx: obj.ObjectiveContext, w: np.ndarray, probe_step: float) -> float:
-    try:
-        return stationarity_residual(ctx, w, probe_step)
-    except (obj.NonsmoothPointError, obj.BarrierDomainError):
-        return math.nan
-
-
 def is_linear(config: obj.ModelConfig) -> bool:
     """True when the objective reduces to w @ quad_coeff (no radii, no penalty)."""
     return (
@@ -219,8 +219,8 @@ def ls_pgd_solve(
     is measured at that probe step, so a kkt_tol return reports at most
     tol_kkt up to round-off.
 
-    A non-finite gradient raises RuntimeError, which callers that score
-    many fits record as a failure of that one fit.
+    Aborts raise (see the module docstring); callers that score many fits
+    record one as a failure of that one fit.
     """
     opts = opts or SolverOptions()
     s = ctx.config.s
@@ -234,10 +234,7 @@ def ls_pgd_solve(
     backtracks = 0
     w_prev = g_prev = None
     for iters in range(1, opts.max_iters + 1):
-        try:
-            g = _finite_gradient(ctx, w)
-        except obj.NonsmoothPointError:
-            return SolveReport(w, trace, iters - 1, math.nan, "nonsmooth_abort", backtracks)
+        g = _finite_gradient(ctx, w)
         if g_prev is None:
             eta = opts.eta_max
         else:
@@ -276,6 +273,5 @@ def ls_pgd_solve(
         if step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    return SolveReport(
-        w, trace, iters, _final_residual(ctx, w, opts.eta_max), termination, backtracks
-    )
+    residual = stationarity_residual(ctx, w, opts.eta_max)
+    return SolveReport(w, trace, iters, residual, termination, backtracks)

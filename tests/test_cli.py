@@ -6,10 +6,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import mugl.objective
 from mugl import cli, harness
 from mugl.datagen import GraphSpec, SignalSpec
 from mugl.laplacian import read_edge_list, write_edge_list
-from mugl.moments import RadiusParams, empirical_moments, read_signals_csv
+from mugl.moments import RadiusParams, empirical_moments, read_signals_csv, write_signals_csv
 from mugl.solvers import SolverOptions
 
 GEN_CONFIG = {
@@ -237,6 +238,37 @@ def test_learn_missing_signals_is_io_error(tmp_path, capsys):
     })
     assert cli.main(["learn", "--config", cfg, "--quiet"]) == 3
     assert "not found" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_generate_wrong_length_mu_star_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, {
+        "graph": {"family": "er", "m": 6, "seed": 0, "p": 0.5},
+        "signals": {"n": 10, "epsilon": 0.1, "seed": 1, "mu_star": [1.0, 2.0]},
+    })
+    assert cli.main(["generate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "mu_star" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["mugl_o", "mugl_l"],
+                         ids=["nonsmooth_point", "non_finite_gradient"])
+def test_learn_solver_abort_writes_nothing(tmp_path, monkeypatch, capsys, preset):
+    if preset == "mugl_o":
+        # every row is a permutation of 0..9, so every node's mean is exactly
+        # 4.5 and the square-root term has no gradient at the start
+        signals = tmp_path / "flat.csv"
+        rng = np.random.default_rng(0)
+        write_signals_csv(signals, np.array([rng.permutation(10) for _ in range(5)], float))
+    else:
+        signals = run_generate(tmp_path) / "signals.csv"
+        monkeypatch.setattr(mugl.objective, "gradient", lambda ctx, w: np.full(w.size, math.nan))
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": preset}}, "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 5
+    assert "solver abort" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_perfect_prediction(tmp_path, capsys):
@@ -344,6 +376,19 @@ def test_bench_rejects_per_section_seeds(tmp_path, capsys):
     code, _ = run_bench(tmp_path, config)
     assert code == 2
     assert "master seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("generate", GEN_CONFIG),
+    ("bench", BENCH_CONFIG),
+])
+def test_negative_master_seed_is_named(tmp_path, command, config, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config)
+    code = cli.main([command, "--config", cfg, "--out", str(out), "--seed", "-1", "--quiet"])
+    assert code == 2
+    assert "master seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_all_failures_exit_code(tmp_path, monkeypatch):

@@ -240,6 +240,10 @@ def test_run_experiment_input_validation():
     twins = [harness.ModelPreset("vsgl"), harness.ModelPreset("vsgl")]
     with pytest.raises(ValueError, match="unique"):
         harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, twins, n_seeds=1)
+    with pytest.raises(ValueError, match="master seed must be nonnegative, got -1"):
+        harness.run_experiment(
+            SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, master_seed=-1
+        )
 
 
 def test_summary_doc_is_serializable():

@@ -187,6 +187,17 @@ def test_pgd_iterates_stay_feasible():
         ls_pgd_solve(ctx, np.full(10, 0.3))
 
 
+def test_pgd_nonsmooth_abort_on_constant_mean():
+    # the abort is a RuntimeError, the one class harness and cli count as a
+    # failed fit, and it fires before any step, leaving the start untouched
+    mom = EmpiricalMoments(np.full(3, 2.0), np.eye(3), 10)
+    ctx = build_context(mom, ModelConfig(rho1=0.5, s=1.0))
+    w0 = np.full(3, 1.0 / 3.0)
+    with pytest.raises(RuntimeError, match="square-root term nonsmooth"):
+        ls_pgd_solve(ctx, w0)
+    assert np.array_equal(w0, np.full(3, 1.0 / 3.0))
+
+
 def test_vertex_solve_matches_line_search_on_linear_instance():
     ctx = generic_context(101, s=2.0)
     assert is_linear(ctx.config)

@@ -332,7 +332,9 @@ def cmd_bench(args) -> int:
 EPILOG = "exit codes:\n" + __doc__.partition("Exit codes are part of the contract:\n\n")[2]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mugl`` parser, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="mugl",
         description=__doc__.split("\n\n")[0],

@@ -15,7 +15,9 @@ optimization modules use these maps.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 import warnings
 from functools import lru_cache
 
@@ -185,8 +187,8 @@ def write_edge_list(path, w: np.ndarray, m: int) -> None:
     """Write the nonzero pair weights as an edge-list text file.
 
     Format: a header line ``# m=<nodes>`` followed by one ``i j weight`` line
-    per nonzero pair, 1-based with i > j, weights at 17 significant digits so
-    the round-trip through text is exact.
+    per nonzero pair, 1-based with i > j, weights at 17 significant digits
+    (``%.17g``) so the round-trip through text is exact.
     """
     w = np.asarray(w, dtype=float)
     if w.size != edge_count(m):
@@ -194,11 +196,11 @@ def write_edge_list(path, w: np.ndarray, m: int) -> None:
             f"weight vector has {w.size} entries, expected {edge_count(m)} for m={m}"
         )
     rows, cols = pair_indices(m)
-    lines = [f"# m={m}"]
-    for k in np.flatnonzero(w):
-        lines.append(f"{rows[k] + 1} {cols[k] + 1} {w[k]:.17g}")
+    k = np.flatnonzero(w)
+    edges = zip((rows[k] + 1).tolist(), (cols[k] + 1).tolist(), w[k].tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# m={m}\n")
+        fh.writelines("%d %d %.17g\n" % edge for edge in edges)
 
 
 def read_edge_list(path) -> tuple[np.ndarray, int]:
@@ -208,6 +210,53 @@ def read_edge_list(path) -> tuple[np.ndarray, int]:
     node labels, i <= j, duplicate pairs, and negative or non-finite weights
     all raise ValueError with the offending line number.
     """
+    try:
+        return _load_edge_list_bulk(path)
+    except ValueError:
+        # Anything the bulk parser rejects is re-read line by line, which
+        # either accepts it or names the failing line.
+        return _read_edge_list_rows(path)
+
+
+# Labels are parsed as integers, so "2.0" fails here as it fails int().
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+# Line breaks of str.splitlines() other than "\n" ("\r" is already
+# translated on reading).  loadtxt splits fields at them instead.
+_OTHER_LINE_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
+    """Parse a well-formed edge list with one ``np.loadtxt`` call.
+
+    Raises ValueError on every input it cannot vouch for; what it does return
+    equals ``_read_edge_list_rows``'s result bit for bit.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if not header.startswith("# m=") or _OTHER_LINE_BREAKS.search(text):
+        raise ValueError("not a plain edge list")
+    m = int(header[len("# m=") :])
+    w = np.zeros(edge_count(m))
+    # loadtxt warns on a body without data; an edgeless graph has none.
+    if not body or body.isspace():
+        return w, m
+    edges = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
+    i, j, weight = edges["i"], edges["j"], edges["w"]
+    if not np.all((1 <= j) & (j < i) & (i <= m)):
+        raise ValueError("pair out of range")
+    if not np.all((0 <= weight) & (weight < math.inf)):
+        raise ValueError("weight out of range")
+    k = i - j + (j - 1) * (2 * m - j) // 2  # pair_to_linear on arrays
+    if np.unique(k).size != k.size:
+        raise ValueError("duplicate pair")
+    w[k - 1] = weight
+    return w, m
+
+
+def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
+    """Line-by-line parse of an edge list, citing the line of any error."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("# m="):

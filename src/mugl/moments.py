@@ -18,6 +18,7 @@ are exposed as parameters c0, c1, c2 defaulting to 1.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -177,17 +178,18 @@ def write_signals_csv(path, X: np.ndarray) -> None:
     """Write signals as CSV: header node_1..node_m, one row per observation.
 
     The on-disk layout is the transpose of the in-memory m x n matrix.
-    Floats carry 17 significant digits for an exact round-trip.
+    Floats carry 17 significant digits (``%.17g``) for an exact round-trip;
+    rows end in CRLF, the csv module's default, and no field needs quoting.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"signal matrix must be 2-d, got shape {X.shape}")
     m = X.shape[0]
+    row_format = ",".join(["%.17g"] * m) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"node_{i}" for i in range(1, m + 1)])
-        for row in X.T:
-            writer.writerow([f"{x:.17g}" for x in row])
+        fh.write(",".join(_signal_header(m)) + "\r\n")
+        # One row at a time: a whole-matrix string would cost megabytes.
+        fh.writelines(row_format % tuple(row.tolist()) for row in X.T)
 
 
 def read_signals_csv(path) -> np.ndarray:
@@ -196,13 +198,61 @@ def read_signals_csv(path) -> np.ndarray:
     The header fixes m; every data row must have exactly m fields.  Errors
     cite the offending row number.
     """
+    try:
+        return _load_signals_bulk(path)
+    except ValueError:
+        # Anything the bulk parser rejects is re-read row by row, which either
+        # accepts it or names the failing row.
+        return _read_signals_csv_rows(path)
+
+
+def _signal_header(m: int) -> list[str]:
+    return [f"node_{i}" for i in range(1, m + 1)]
+
+
+def _load_signals_bulk(path) -> np.ndarray:
+    """Parse a well-formed signals CSV in one ``np.loadtxt`` call.
+
+    Raises ValueError on every input it cannot vouch for; the values it does
+    return are bit-equal to ``_read_signals_csv_rows``'s ``float()`` parse.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if not header or header != _signal_header(len(header)):
+            raise ValueError("bad header")
+        # loadtxt warns on a body without data, so the first row must have some.
+        first = next(fh, "")
+        if not first.strip():
+            raise ValueError("no first row")
+        X = np.loadtxt(
+            _refuse_separator_controls(itertools.chain([first], fh)),
+            delimiter=",", comments=None, ndmin=2,
+        )
+    if X.shape[1] != len(header):
+        raise ValueError("wrong field count")
+    return X.T
+
+
+def _refuse_separator_controls(lines):
+    """Pass lines through, raising ValueError at any with a \\x1c-\\x1f control.
+
+    loadtxt strips those from a field as whitespace; float() rejects them.
+    """
+    for line in lines:
+        if any(c in line for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("separator control in a field")
+        yield line
+
+
+def _read_signals_csv_rows(path) -> np.ndarray:
+    """Row-by-row parse of a signals CSV, citing the row of any error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty signals file") from None
-        expected = [f"node_{i}" for i in range(1, len(header) + 1)]
+        expected = _signal_header(len(header))
         if header != expected:
             raise ValueError(
                 f"{path}: bad header {header[:4]}..., expected node_1..node_{len(header)}"

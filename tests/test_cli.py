@@ -230,6 +230,35 @@ def test_flags_are_registered_only_where_read(tmp_path, argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_cached_parser_behaves_like_a_fresh_one(tmp_path, capsys):
+    # main builds its parser once per process; consecutive commands must not
+    # see each other's flags or defaults
+    signals = tmp_path / "signals.csv"
+    write_signals_csv(signals, np.random.default_rng(0).standard_normal((5, 30)))
+    learn_cfg = write_config(tmp_path, {
+        "signals": str(signals), "preset": {"name": "vsgl"},
+    }, "learn.json")
+    gen_cfg = write_config(tmp_path, {
+        "graph": {"family": "er", "m": 5, "p": 0.5},
+        "signals": {"n": 10, "epsilon": 0.1},
+    }, "gen.json")
+    fresh = cli.build_parser.__wrapped__
+    for argv in (
+        ["learn", "--config", learn_cfg, "--out", str(tmp_path / "fit"), "--quiet"],
+        ["generate", "--config", gen_cfg, "--out", str(tmp_path / "data"), "--quiet",
+         "--seed", "3"],
+    ):
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+        assert cli.main(argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    prov = json.loads((tmp_path / "data" / "provenance.json").read_text())
+    assert prov["master_seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["learn", "--config", learn_cfg, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_learn_missing_signals_is_io_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "signals": str(tmp_path / "nowhere.csv"),
@@ -360,7 +389,8 @@ def test_bench_robust_model_orders_above_baseline(tmp_path):
         "seed": 0,
     })
     assert code == 0
-    rows = list(csv.DictReader(open(out / "summary.csv")))
+    with open(out / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
     mean_f = {r["model"]: float(r["mean"]) for r in rows if r["metric"] == "f_measure"}
     assert mean_f["mugl_o"] >= mean_f["vsgl"]
 

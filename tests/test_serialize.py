@@ -98,7 +98,7 @@ def test_write_json_ends_with_newline(tmp_path):
     path = tmp_path / "doc.json"
     write_json(path, {"k": 1.5})
     assert path.read_text() == '{\n  "k": 1.5\n}\n'
-    assert json.load(open(path)) == {"k": 1.5}
+    assert json.loads(path.read_text()) == {"k": 1.5}
 
 
 def test_write_json_leaves_no_file_when_serialization_fails(tmp_path):

@@ -235,6 +235,7 @@ def cmd_learn(args) -> int:
         "termination": report.termination,
         "converged": report.converged,
         "kkt_residual": report.kkt_residual,
+        "gap": report.gap,
         "objective": report.objective_trace[-1],
     }
     if want_trace:

@@ -217,7 +217,7 @@ def _load_signals_bulk(path) -> np.ndarray:
     return are bit-equal to ``_read_signals_csv_rows``'s ``float()`` parse.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_csv_rows(path, fh), None)
         if not header or header != _signal_header(len(header)):
             raise ValueError("bad header")
         # loadtxt warns on a body without data, so the first row must have some.
@@ -244,10 +244,20 @@ def _refuse_separator_controls(lines):
         yield line
 
 
+def _csv_rows(path, fh):
+    """csv.reader rows of fh, with the csv module's own errors (such as a
+    field longer than csv.field_size_limit()) raised as ValueError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_signals_csv_rows(path) -> np.ndarray:
     """Row-by-row parse of a signals CSV, citing the row of any error."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

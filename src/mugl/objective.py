@@ -207,6 +207,7 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     w = _check_feasible(ctx, w)
     cfg = ctx.config
     grad = ctx.quad_coeff.copy()
+    term = np.empty_like(grad)  # each pair-space term, added in a fixed order
     deg = ctx.degrees(w)
     if cfg.rho1 > 0:
         a = ctx.sqrt_coeff
@@ -216,17 +217,17 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
                 f"square-root term nonsmooth: a @ w = {aw:.3g} at or below the "
                 f"floor {SQRT_FLOOR:.3g} * max(a) * s"
             )
-        grad += a / (2.0 * math.sqrt(aw))
+        grad += np.divide(a, 2.0 * math.sqrt(aw), out=term)
     # The degree-dependent terms are pair sums d_i + d_j of one node vector d,
     # so they share a single B.T product.
     node_coeff = np.zeros(ctx.m)
     if cfg.rho2 > 0:
         scale = cfg.rho2 / _frobenius(ctx, w, deg)
         # adjoint(expand(w)) = deg_i + deg_j + 2 w_k per pair.
-        grad += (2.0 * scale) * w
+        grad += np.multiply(2.0 * scale, w, out=term)
         node_coeff += scale * deg
     if cfg.quad_weight > 0:
-        grad += 2.0 * cfg.quad_weight * w
+        grad += np.multiply(2.0 * cfg.quad_weight, w, out=term)
     if cfg.regularizer == "log_barrier":
         if deg.min() <= 0.0:
             raise BarrierDomainError(

@@ -22,6 +22,11 @@ the residual at t = eta_max from above without a second projection.  The
 iterative solver stops on the disjunction of a step-size tolerance
 (infinity norm of the update) and that residual bound.
 
+Optimality is certified by the Frank-Wolfe duality gap
+grad @ w - s * min(grad), which bounds g(w) - min g from above for the
+convex objective (Jaggi 2013).  Both it and the residual come from the one
+gradient evaluated at the returned point.
+
 Every abort raises a RuntimeError: NonsmoothPointError where the
 square-root term has no gradient, BarrierDomainError at a start outside the
 barrier domain, LineSearchStallError when backtracking runs out, and a
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,10 +107,19 @@ class SolveReport:
     kkt_residual: float
     termination: str
     backtracks: int  # rejected line-search trial points
+    gap: float  # Frank-Wolfe duality gap, an upper bound on g(w_final) - min g
 
     @property
     def converged(self) -> bool:
         return self.termination in ("step_tol", "kkt_tol")
+
+
+@lru_cache(maxsize=16)
+def _ranks(p: int) -> np.ndarray:
+    """Float ranks 1..p, cached for the most recent sizes and marked read-only."""
+    ranks = np.arange(1, p + 1, dtype=float)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
@@ -114,7 +129,20 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     a common offset keeps all supported entries positive, clamp the rest to
     zero.  The surviving entries are then shifted once more by the residual
     mass so the sum equals s to the last bit.  Non-finite entries raise
-    ValueError naming them.
+    ValueError naming them; v itself is never modified.
+
+    The arithmetic is that of the textbook form
+
+        u = sort(v)[::-1]; css = cumsum(u)
+        rho = last k with u_k - (css_k - s) / k > 0
+        w = max(v - (css_rho - s) / rho, 0); w[w > 0] += (s - sum(w)) / count
+
+    operation for operation and in the same order, so the result is the same
+    to the last bit; only the buffers differ.  The descending sort is an
+    ascending sort of -v negated back, ranks are exact floats, and the
+    scatter on the support is written as w += (w > 0) * c: off the support w
+    is +0.0 (maximum(x, 0.0) returns +0.0 for x = -0.0) and +0.0 + (+-0.0)
+    is +0.0, while on it 1.0 * c is c.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -127,15 +155,20 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
         shown = ", ".join(f"v[{k}]={v[k]}" for k in bad[:5])
         more = f" and {bad.size - 5} more" if bad.size > 5 else ""
         raise ValueError(f"cannot project non-finite entries: {shown}{more}")
-    u = np.sort(v)[::-1]
+    u = np.negative(v)
+    u.sort()
+    np.negative(u, out=u)
     css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    support = u - (css - s) / idx > 0
-    rho = int(np.nonzero(support)[0][-1]) + 1
+    margin = np.subtract(css, s)
+    np.divide(margin, _ranks(v.size), out=margin)
+    np.subtract(u, margin, out=margin)
+    support = np.greater(margin, 0.0)
+    rho = v.size - int(np.argmax(support[::-1]))
     tau = (css[rho - 1] - s) / rho
-    w = np.maximum(v - tau, 0.0)
-    pos = w > 0
-    w[pos] += (s - w.sum()) / pos.sum()
+    w = np.subtract(v, tau, out=u)
+    np.maximum(w, 0.0, out=w)
+    pos = np.greater(w, 0.0, out=support)
+    w += np.multiply(pos, (s - w.sum()) / np.count_nonzero(pos), out=margin)
     return w
 
 
@@ -149,11 +182,21 @@ def stationarity_residual(
     Zero exactly at constrained stationary points, for any probe step.
     Raises RuntimeError when the gradient has a non-finite entry.
     """
+    return _certificate(ctx, w, probe_step)[0]
+
+
+def _certificate(
+    ctx: obj.ObjectiveContext, w: np.ndarray, probe_step: float
+) -> tuple[float, float]:
+    """(stationarity residual at probe_step, Frank-Wolfe gap) at w, both
+    from one gradient."""
     if not probe_step > 0:
         raise ValueError(f"probe step must be positive, got {probe_step}")
     g = _finite_gradient(ctx, w)
-    moved = project_simplex(w - probe_step * g, ctx.config.s)
-    return float(np.linalg.norm(w - moved)) / probe_step
+    s = ctx.config.s
+    moved = project_simplex(w - probe_step * g, s)
+    residual = float(np.linalg.norm(w - moved)) / probe_step
+    return residual, float(g @ w) - s * float(g.min())
 
 
 def _finite_gradient(ctx: obj.ObjectiveContext, w: np.ndarray) -> np.ndarray:
@@ -184,7 +227,8 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    return SolveReport(w, trace, 0, stationarity_residual(ctx, w), "kkt_tol", 0)
+    residual, gap = _certificate(ctx, w, DEFAULT_RESIDUAL_PROBE)
+    return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap)
 
 
 def spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
@@ -233,13 +277,18 @@ def ls_pgd_solve(
     iters = 0
     backtracks = 0
     w_prev = g_prev = None
+    # scratch for the gradient step w - eta * grad; never escapes the call
+    moved = np.empty_like(w)
     for iters in range(1, opts.max_iters + 1):
         g = _finite_gradient(ctx, w)
         if g_prev is None:
             eta = opts.eta_max
         else:
             eta = spectral_step(w - w_prev, g - g_prev, opts.eta_max)
-        v = project_simplex(w - eta * g, s) - w
+        np.multiply(eta, g, out=moved)
+        np.subtract(w, moved, out=moved)
+        v = project_simplex(moved, s)
+        v -= w
         v_norm = float(np.linalg.norm(v))
         if v_norm / min(eta, opts.eta_max) <= opts.tol_kkt:
             termination = "kkt_tol"
@@ -253,7 +302,8 @@ def ls_pgd_solve(
         accepted = False
         scale = 1.0
         for rejected in range(opts.max_backtracks + 1):
-            trial = w + scale * v
+            trial = np.multiply(scale, v)
+            trial += w
             f_trial = obj.objective_value(ctx, trial)
             if f_trial <= f_cur + opts.beta * scale * predicted:
                 accepted = True
@@ -265,7 +315,7 @@ def ls_pgd_solve(
                 f"at iteration {iters}"
             )
         backtracks += rejected
-        step_inf = scale * float(np.abs(v).max())
+        step_inf = scale * max(float(v.max()), -float(v.min()))
         w_prev, g_prev = w, g
         w = trial
         f_cur = f_trial
@@ -273,5 +323,5 @@ def ls_pgd_solve(
         if step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    residual = stationarity_residual(ctx, w, opts.eta_max)
-    return SolveReport(w, trace, iters, residual, termination, backtracks)
+    residual, gap = _certificate(ctx, w, opts.eta_max)
+    return SolveReport(w, trace, iters, residual, termination, backtracks, gap)

@@ -92,6 +92,42 @@ def project_simplex_bruteforce(v, s):
     return best
 
 
+def project_simplex_reference(v: np.ndarray, s: float) -> np.ndarray:
+    """Euclidean projection onto {w >= 0, sum(w) = s}, in its textbook form.
+
+    This is the sort-based projection exactly as the package first wrote
+    it, one temporary per step; ``solvers.project_simplex`` must match it
+    byte for byte.
+
+    Sort-based thresholding: find the largest support for which shifting by
+    a common offset keeps all supported entries positive, clamp the rest to
+    zero.  The surviving entries are then shifted once more by the residual
+    mass so the sum equals s to the last bit.  Non-finite entries raise
+    ValueError naming them.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
+    if not s > 0:
+        raise ValueError(f"simplex scale must be positive, got s={s}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        shown = ", ".join(f"v[{k}]={v[k]}" for k in bad[:5])
+        more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+        raise ValueError(f"cannot project non-finite entries: {shown}{more}")
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    support = u - (css - s) / idx > 0
+    rho = int(np.nonzero(support)[0][-1]) + 1
+    tau = (css[rho - 1] - s) / rho
+    w = np.maximum(v - tau, 0.0)
+    pos = w > 0
+    w[pos] += (s - w.sum()) / pos.sum()
+    return w
+
+
 def worst_mean_risk_ascent(L, mean, rho1, n_starts=12, iters=5000, step=0.05, seed=0):
     """sup of mu @ L @ mu over the ellipsoid (mu-mean) @ L @ (mu-mean) <= rho1^2.
 

@@ -144,8 +144,10 @@ def test_learn_report_counts_backtracks(tmp_path):
         assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "solve_report.json").read_text())
         assert isinstance(report["backtracks"], int) and report["backtracks"] >= 0
+        assert report["gap"] >= 0.0
         if name == "vsgl":
             assert report["backtracks"] == 0
+            assert report["gap"] == 0.0
 
 
 def test_learn_report_records_the_resolved_config(tmp_path):
@@ -268,6 +270,31 @@ def test_learn_missing_signals_is_io_error(tmp_path, capsys):
     assert cli.main(["learn", "--config", cfg, "--quiet"]) == 3
     assert "not found" in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+def test_learn_oversized_csv_field_is_config_error(tmp_path, capsys, line):
+    # the csv module refuses any field longer than csv.field_size_limit()
+    big = "x" * (csv.field_size_limit() + 1)
+    signals = tmp_path / "big.csv"
+    rows = [f"node_1,{big}", "1,2"] if line == 1 else ["node_1,node_2", "1,2", f"3,{big}"]
+    signals.write_text("\r\n".join(rows) + "\r\n")
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": "vsgl"}})
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{signals}: line {line}: " in err and "field larger than field limit" in err
+    assert not out.exists()
+
+
+def test_eval_oversized_edge_list_field_is_config_error(tmp_path, capsys):
+    # edge lists are not read through the csv module, so no field limit
+    # applies; an absurd weight is still refused by line
+    edges = tmp_path / "big.edges"
+    edges.write_text("# m=3\n2 1 " + "1" * 200_000 + "\n")
+    cfg = write_config(tmp_path, {"truth": str(edges), "predicted": str(edges)})
+    assert cli.main(["eval", "--config", cfg]) == 2
+    assert f"{edges}:2: weight must be finite" in capsys.readouterr().err
 
 
 def test_generate_wrong_length_mu_star_writes_nothing(tmp_path, capsys):

@@ -185,6 +185,14 @@ def test_summary_counts_capped_fits():
     assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3}
 
 
+def test_records_carry_the_gap():
+    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l")]
+    summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=5)
+    for rec in summary.records:
+        assert rec["models"]["vsgl"]["gap"] == 0.0
+        assert rec["models"]["mugl_l"]["gap"] >= -1e-12
+
+
 def test_summary_csv_matches_golden_file(tmp_path):
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)

@@ -1,15 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mugl.objective
 import mugl.solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
-from mugl.harness import ModelPreset, learn, resolve_config
+from mugl.harness import ModelPreset, learn, resolve_config, run_seeds
 from mugl.laplacian import validate_simplex
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
@@ -32,7 +33,7 @@ from mugl.solvers import (
     stationarity_residual,
     vertex_solve,
 )
-from oracles import project_simplex_bruteforce, random_interior
+from oracles import project_simplex_bruteforce, project_simplex_reference, random_interior
 
 
 def generic_context(seed=101, m=5, n=12, **config_kwargs):
@@ -103,6 +104,42 @@ def test_project_simplex_always_feasible(v, s):
     w = project_simplex(v, s)
     assert validate_simplex(w, s)
     assert np.abs(project_simplex(w, s) - w).max() <= 1e-12
+
+
+# A small pool of values makes ties, signed zeros and exact cancellations
+# common; the wide floats cover everything else.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e-300, -1e-300]),
+    st.floats(-1e3, 1e3),
+)
+_PROJECTION_INPUTS = st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=_ENTRY),
+    st.builds(lambda x, p: np.full(p, x), _ENTRY, st.integers(1, 40)),
+    st.builds(
+        lambda x, k, p: np.where(np.arange(p) == k % p, x, 0.0),
+        _ENTRY, st.integers(0, 39), st.integers(1, 40),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(v=_PROJECTION_INPUTS, s=st.floats(1e-3, 1e3))
+def test_project_simplex_matches_reference_bitwise(v, s):
+    before = v.tobytes()
+    got = project_simplex(v, s)
+    assert got.tobytes() == project_simplex_reference(v, s).tobytes()
+    assert v.tobytes() == before
+
+
+def test_project_simplex_matches_reference_bitwise_at_scale():
+    # the m=300 shape, as the solver sees it: a gradient step off a sparse
+    # iterate, with coarse values so many entries tie
+    rng = np.random.default_rng(17)
+    p, s = 44_850, 300.0
+    for _ in range(5):
+        w = np.where(rng.random(p) < 0.05, rng.exponential(s / (0.05 * p), p), 0.0)
+        v = np.round(w - 0.1 * rng.standard_normal(p), 3)
+        assert project_simplex(v, s).tobytes() == project_simplex_reference(v, s).tobytes()
 
 
 def test_solver_options_validation():
@@ -385,3 +422,64 @@ def test_objective_trace_records_start_value():
     assert report.iters == 3
     assert len(report.objective_trace) == 4
     assert report.objective_trace[0] == pytest.approx(objective_value(ctx, w0))
+
+
+def test_gap_is_nonnegative_and_zero_at_the_vertex():
+    for kwargs in (
+        {"rho2": 0.5, "s": 4.0, "regularizer": "log_barrier", "alpha": 0.6},
+        {"rho1": 0.3, "rho2": 0.5, "s": 2.0},
+        {"s": 3.0, "regularizer": "log_barrier", "quad_weight": 0.5},
+    ):
+        report = ls_pgd_solve(generic_context(109, **kwargs), np.full(10, kwargs["s"] / 10))
+        assert report.gap >= -1e-12
+    assert vertex_solve(generic_context(101, s=2.0)).gap == 0.0
+
+
+def test_gap_bounds_the_distance_to_a_tighter_solve():
+    graph = gen_graph(GraphSpec("gaussian", 12, seed=3))
+    X = gen_signals(graph.laplacian, SignalSpec(n=48, epsilon=0.1, seed=30))
+    moments = empirical_moments(X)
+    loose = SolverOptions(tol_step=1e-4, tol_kkt=1e-3)
+    tight = SolverOptions(tol_step=1e-14, tol_kkt=1e-9)
+    for name in ("mugl_o", "mugl_l", "log_model"):
+        ctx = build_context(moments, resolve_config(ModelPreset(name), moments, 12))
+        w0 = np.full(ctx.n_pairs, 12.0 / ctx.n_pairs)
+        best = ls_pgd_solve(ctx, w0, tight).objective_trace[-1]
+        rough = ls_pgd_solve(ctx, w0, loose)
+        assert rough.objective_trace[-1] - best > 0.0
+        for report in (rough, ls_pgd_solve(ctx, w0)):
+            assert report.gap >= report.objective_trace[-1] - best
+
+
+def solve_digest(report):
+    """sha256 over the final weights, the objective trace, iters and backtracks."""
+    h = hashlib.sha256()
+    h.update(report.w_final.tobytes())
+    h.update(np.asarray(report.objective_trace, dtype=float).tobytes())
+    h.update(f"{report.iters},{report.backtracks}".encode())
+    return h.hexdigest()
+
+
+# Recorded from the solver as it stood before the projection and the step
+# were rewritten to reuse their buffers (sort-based projection with one
+# temporary per step, see oracles.project_simplex_reference), with numpy 2.4
+# on x86-64.  The rewrite keeps every floating-point operation and its
+# order, so any digest change means the arithmetic of a solve changed.
+PINNED_DIGESTS = {
+    (0, "mugl_o"): "35611396bac6f07367914068142ba29ae2545ab887cdc384ac2c8980ee3bd75a",
+    (0, "mugl_l"): "3eac0eca72d8ccc1907e763337df78c916b7153689262540a0b6451bac62e775",
+    (0, "log_model"): "3580a6330fd9a2ca6095a3171b55a5093cabfdfd2dcb5b7f6e183958be0c6f44",
+    (1, "mugl_o"): "1feb32033764166061b73cdd48d570a53ec74c91687c1275863e2a9bea8bbac6",
+    (1, "mugl_l"): "a5f5b1f84eb3ee01e06d513c60a5d881c4925abbdb836f7f183626030fc6f204",
+    (1, "log_model"): "a9e8feb425584f085d86f678bc53dbd7233a2c4fe880d82c6679db9f978eb1e1",
+}
+
+
+def test_solves_match_pinned_digests():
+    got = {}
+    for draw, (graph_seed, signal_seed) in enumerate(run_seeds(2024, 2)):
+        graph = gen_graph(GraphSpec("gaussian", 30, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=120, epsilon=0.1, seed=signal_seed))
+        for name in ("mugl_o", "mugl_l", "log_model"):
+            got[draw, name] = solve_digest(learn(ModelPreset(name), X)[1])
+    assert got == PINNED_DIGESTS

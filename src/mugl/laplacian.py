@@ -255,6 +255,14 @@ def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     return w, m
 
 
+def _excerpt(line: str) -> str:
+    """repr of line for an error message, cut after 80 characters and then
+    followed by the line's length, so a huge field cannot flood the message."""
+    if len(line) <= 80:
+        return repr(line)
+    return f"{line[:80]!r}... ({len(line)} characters)"
+
+
 def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
     """Line-by-line parse of an edge list, citing the line of any error."""
     with open(path) as fh:
@@ -264,7 +272,9 @@ def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
     try:
         m = int(raw[0][len("# m=") :])
     except ValueError:
-        raise ValueError(f"{path}: unparseable node count in header {raw[0]!r}") from None
+        raise ValueError(
+            f"{path}: unparseable node count in header {_excerpt(raw[0])}"
+        ) from None
     if m < 1:
         raise ValueError(f"{path}: node count must be positive, got {m}")
     w = np.zeros(edge_count(m))
@@ -274,14 +284,15 @@ def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {_excerpt(line)}")
         try:
             i, j, weight = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparseable edge line {line!r}") from None
+            raise ValueError(f"{path}:{lineno}: unparseable edge line {_excerpt(line)}") from None
         if not 0 <= weight < math.inf:
             raise ValueError(
-                f"{path}:{lineno}: weight must be finite and nonnegative, got {line!r}"
+                f"{path}:{lineno}: weight must be finite and nonnegative, "
+                f"got {_excerpt(line)}"
             )
         try:
             k = pair_to_linear(i, j, m)

@@ -195,8 +195,8 @@ def write_signals_csv(path, X: np.ndarray) -> None:
 def read_signals_csv(path) -> np.ndarray:
     """Parse a signals CSV back into an m x n matrix.
 
-    The header fixes m; every data row must have exactly m fields.  Errors
-    cite the offending row number.
+    The header fixes m; every data row must have exactly m finite fields.
+    Errors cite the offending row number.
     """
     try:
         return _load_signals_bulk(path)
@@ -230,6 +230,8 @@ def _load_signals_bulk(path) -> np.ndarray:
         )
     if X.shape[1] != len(header):
         raise ValueError("wrong field count")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite value")
     return X.T
 
 
@@ -277,9 +279,13 @@ def _read_signals_csv_rows(path) -> np.ndarray:
                     f"{path}: row {rownum} has {len(row)} fields, expected {m}"
                 )
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError:
                 raise ValueError(f"{path}: row {rownum} has a non-numeric field") from None
+            # nan, inf and values that overflow to inf, such as a long run of digits
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {rownum} has a non-finite field")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no observation rows")
     return np.array(rows).T

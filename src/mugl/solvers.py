@@ -1,14 +1,18 @@
 """Solvers over the scaled weight simplex.
 
 * ls_pgd_solve: spectral projected gradient (Birgin, Martinez & Raydan
-  2000).  Each iteration projects once, at the Barzilai-Borwein step
-  s @ s / s @ y built from the last change in iterate (s) and in gradient
-  (y), then backtracks along the segment toward that projection until a
-  monotone sufficient-decrease (Armijo) condition holds.  Because the
-  trial points are convex combinations of feasible points they stay
-  feasible, and because a rejected trial can return +inf (log-barrier) the
-  backtracking also acts as the domain guard: iterates never leave the
-  barrier domain.
+  2000).  Each iteration projects once, at a Barzilai-Borwein step built
+  from the last change in iterate (s) and in gradient (y): the short step
+  s @ y / y @ y on even iterations and the long step s @ s / s @ y on odd
+  ones (alternating BB, Dai & Fletcher 2005; Dai, Hager, Schittkowski &
+  Zhang 2006).  It then backtracks along the segment toward that
+  projection until a monotone sufficient-decrease (Armijo) condition
+  holds.  Long steps alone are mostly rejected at first by that test;
+  alternating with short ones cuts both iterations and backtracks.
+  Because the trial points are convex combinations of feasible points
+  they stay feasible, and because a rejected trial can return +inf
+  (log-barrier) the backtracking also acts as the domain guard: iterates
+  never leave the barrier domain.
 * vertex_solve: the closed form for a linear objective (no radii, no
   penalty), whose minimum over the simplex sits at the vertex s * e_k with
   k = argmin(quad_coeff).  Choosing the vertex is O(p) in the number of
@@ -20,7 +24,8 @@ stationary points.  ||project(w - t * grad) - w|| grows with t while its
 ratio to t shrinks, so the step the iteration already projected at bounds
 the residual at t = eta_max from above without a second projection.  The
 iterative solver stops on the disjunction of a step-size tolerance
-(infinity norm of the update) and that residual bound.
+(infinity norm of the update, tested after long steps only, since a short
+step moves w less and would fire it early) and that residual bound.
 
 Optimality is certified by the Frank-Wolfe duality gap
 grad @ w - s * min(grad), which bounds g(w) - min g from above for the
@@ -66,11 +71,11 @@ class LineSearchStallError(RuntimeError):
 class SolverOptions:
     """Iteration budget, step sizes, and stopping tolerances.
 
-    eta_max is the step of the first iteration and the fallback whenever the
-    spectral step is undefined (s @ y <= 0); it is also the probe step of
-    the stationarity test, which stops once ||w - project(w - eta_max *
-    grad)|| / eta_max <= tol_kkt is guaranteed.  beta and gamma are the
-    Armijo acceptance slope and backtracking ratio; tol_step is the
+    eta_max is the step of the first iteration and the fallback for both
+    spectral steps wherever they are undefined (s @ y <= 0); it is also the
+    probe step of the stationarity test, which stops once ||w - project(w -
+    eta_max * grad)|| / eta_max <= tol_kkt is guaranteed.  beta and gamma
+    are the Armijo acceptance slope and backtracking ratio; tol_step is the
     step-size tolerance; max_backtracks caps the backtracking exponent.
     """
 
@@ -232,7 +237,7 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
 
 
 def spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
-    """Barzilai-Borwein step s @ s / s @ y, clamped to
+    """Long Barzilai-Borwein step (BB1) s @ s / s @ y, clamped to
     [SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX].
 
     s_k and y_k are the last changes in iterate and gradient.  Where s @ y
@@ -245,13 +250,26 @@ def spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
     return min(max(float(s_k @ s_k) / sy, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
 
 
+def short_spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
+    """Short Barzilai-Borwein step (BB2) s @ y / y @ y, clamped like
+    spectral_step and undefined under the same condition, s @ y <= 0, which
+    also covers y = 0.  By Cauchy-Schwarz it never exceeds the long step.
+    """
+    sy = float(s_k @ y_k)
+    if not sy > 0.0:
+        return fallback
+    return min(max(sy / float(y_k @ y_k), SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
+
+
 def ls_pgd_solve(
     ctx: obj.ObjectiveContext, w0: np.ndarray, opts: SolverOptions | None = None
 ) -> SolveReport:
     """Spectral projected gradient with monotone Armijo backtracking.
 
-    Per iteration: pick eta, the Barzilai-Borwein step (eta_max on the first
-    iteration and wherever it is undefined), take the projected step
+    Per iteration: pick eta, eta_max on the first iteration, then the short
+    Barzilai-Borwein step (short_spectral_step) on even iterations and the
+    long one (spectral_step) on odd ones, each falling back to eta_max
+    wherever it is undefined.  Take the projected step
     v = project(w - eta * grad) - w, then accept w + gamma^t * v for the
     smallest t whose objective sits below the Armijo line through the
     predicted decrease Gamma = grad @ v + ||v||^2 / (2 eta).  Gamma <= 0 by
@@ -261,7 +279,9 @@ def ls_pgd_solve(
     kkt_tol once ||v|| / min(eta, eta_max) <= tol_kkt, which bounds the
     stationarity residual at probe step eta_max; the report's kkt_residual
     is measured at that probe step, so a kkt_tol return reports at most
-    tol_kkt up to round-off.
+    tol_kkt up to round-off.  The step_tol stop (||scale * v||_inf <=
+    tol_step) is tested only after a long step, so a step_tol return always
+    has an odd iteration count; short steps alone would fire it early.
 
     Aborts raise (see the module docstring); callers that score many fits
     record one as a failure of that one fit.
@@ -280,11 +300,13 @@ def ls_pgd_solve(
     # scratch for the gradient step w - eta * grad; never escapes the call
     moved = np.empty_like(w)
     for iters in range(1, opts.max_iters + 1):
+        long_step = iters % 2 == 1
         g = _finite_gradient(ctx, w)
         if g_prev is None:
             eta = opts.eta_max
         else:
-            eta = spectral_step(w - w_prev, g - g_prev, opts.eta_max)
+            step_rule = spectral_step if long_step else short_spectral_step
+            eta = step_rule(w - w_prev, g - g_prev, opts.eta_max)
         np.multiply(eta, g, out=moved)
         np.subtract(w, moved, out=moved)
         v = project_simplex(moved, s)
@@ -320,7 +342,7 @@ def ls_pgd_solve(
         w = trial
         f_cur = f_trial
         trace.append(f_cur)
-        if step_inf <= opts.tol_step:
+        if long_step and step_inf <= opts.tol_step:
             termination = "step_tol"
             break
     residual, gap = _certificate(ctx, w, opts.eta_max)

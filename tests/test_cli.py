@@ -287,6 +287,17 @@ def test_learn_oversized_csv_field_is_config_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "4" * 400], ids=["nan", "inf", "overflow"])
+def test_learn_non_finite_signal_names_file_and_row(tmp_path, capsys, value):
+    signals = tmp_path / "signals.csv"
+    signals.write_text(f"node_1,node_2\r\n1,2\r\n3,{value}\r\n")
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": "vsgl"}})
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert f"{signals}: row 3 has a non-finite field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_oversized_edge_list_field_is_config_error(tmp_path, capsys):
     # edge lists are not read through the csv module, so no field limit
     # applies; an absurd weight is still refused by line

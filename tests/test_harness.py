@@ -191,6 +191,10 @@ def test_records_carry_the_gap():
     for rec in summary.records:
         assert rec["models"]["vsgl"]["gap"] == 0.0
         assert rec["models"]["mugl_l"]["gap"] >= -1e-12
+        # backtracks sit beside iters; the exact vertex solve takes none
+        assert rec["models"]["vsgl"]["backtracks"] == 0
+        assert type(rec["models"]["mugl_l"]["backtracks"]) is int
+        assert rec["models"]["mugl_l"]["backtracks"] >= 0
 
 
 def test_summary_csv_matches_golden_file(tmp_path):

@@ -226,3 +226,20 @@ def test_read_edge_list_cites_line_numbers(tmp_path):
     path.write_text("# m=3\n2 1 0.5\n\n2 1 0.25\n")
     with pytest.raises(ValueError, match=r":4:"):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("# m=" + "x" * 200_000 + "\n", ": unparseable node count"),
+    ("# m=3\n2 1 " + "1" * 200_000 + "\n", ":2: weight must be finite"),
+    ("# m=3\n2 1 " + "x" * 200_000 + "\n", ":2: unparseable edge line"),
+    ("# m=3\n2 1 0.5 " + "7" * 200_000 + "\n", ":2: expected 'i j weight'"),
+], ids=["header", "weight", "unparseable", "fields"])
+def test_read_edge_list_quotes_a_bounded_excerpt(tmp_path, text, where):
+    path = tmp_path / "big.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}{where}")
+    assert f"... ({len(text.splitlines()[-1])} characters)" in message
+    assert len(message) < 300

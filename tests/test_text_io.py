@@ -216,6 +216,8 @@ SIGNALS_CORPUS = {
     "underscore": "node_1,node_2\n1_0,2\n",
     "unicode_digit": "node_1,node_2\n\u0663,2\n",
     "nan_inf": "node_1,node_2,node_3\nnan,inf,-inf\n-nan,Infinity,1e999\n",
+    "overflowing_digits": "node_1,node_2\n1,2\n3," + "4" * 400 + "\n",
+    "nan_after_rows": "node_1,node_2\n1,2\n3,4\nnan,5\n",
     "empty_field": "node_1,node_2\n1,,\n",
     "extra_field": "node_1,node_2\n1,2,3\n",
     # line ends

@@ -54,8 +54,10 @@ class ModelPreset:
 
     rho1/rho2 left as None means calibrate from the data via radius_params
     (robust presets only; the non-robust presets pin both radii to zero and
-    reject explicit nonzero values).  label distinguishes multiple presets
-    of the same name in one experiment, e.g. a grid over alpha.
+    reject explicit nonzero values).  alpha is read by the barrier presets
+    and quad_weight by log_model only; a field the preset never reads must
+    keep its default.  label distinguishes multiple presets of the same
+    name in one experiment, e.g. a grid over alpha.
     """
 
     name: str
@@ -74,6 +76,12 @@ class ModelPreset:
             for radius in (self.rho1, self.rho2):
                 if radius is not None and radius != 0.0:
                     raise ValueError(f"{self.name} is non-robust; radii must be 0 or omitted")
+            if self.radius_params != RadiusParams():
+                raise ValueError(f"{self.name} is non-robust; radius_params must be omitted")
+        if not self.uses_barrier and self.alpha != DEFAULT_ALPHA:
+            raise ValueError(f"{self.name} has no barrier; alpha must be omitted")
+        if self.name != "log_model" and self.quad_weight != DEFAULT_QUAD_WEIGHT:
+            raise ValueError(f"only log_model reads quad_weight; omit it for {self.name}")
         for radius in (self.rho1, self.rho2):
             if radius is not None and radius < 0:
                 raise ValueError(f"radii must be nonnegative, got {radius}")

@@ -28,9 +28,6 @@ import numpy as np
 # longer applies, so we reject rather than silently extrapolate.
 DELTA_MAX = math.exp(-2.0)
 
-POWER_ITER_REL_TOL = 1e-8
-POWER_ITER_MAX = 100_000
-
 
 @dataclass(frozen=True)
 class EmpiricalMoments:
@@ -138,40 +135,15 @@ def rho2_radius(params: RadiusParams, m: int, n: int) -> float:
 
 
 def calibrated(params: RadiusParams, cov: np.ndarray) -> RadiusParams:
-    """Resolve the sigma_norm plug-in against a concrete sample covariance."""
+    """Resolve the sigma_norm plug-in against a concrete sample covariance.
+
+    The plug-in is the covariance's largest eigenvalue, floored at the
+    smallest positive float so constant signals still give a valid scale.
+    """
     if params.sigma_norm is not None:
         return params
-    return replace(params, sigma_norm=max(spectral_norm(cov), np.finfo(float).tiny))
-
-
-def spectral_norm(A: np.ndarray, rel_tol: float = POWER_ITER_REL_TOL) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic: the starting vector comes from a fixed-seed generator, so
-    repeated calls on the same matrix give bit-identical results.  Stops when
-    the Rayleigh quotient moves by less than rel_tol relatively.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITER_MAX):
-        Av = A @ v
-        norm_Av = np.linalg.norm(Av)
-        if norm_Av == 0.0:
-            return 0.0
-        v = Av / norm_Av
-        lam_next = float(v @ A @ v)
-        if abs(lam_next - lam) <= rel_tol * max(abs(lam_next), scale * 1e-300):
-            return lam_next
-        lam = lam_next
-    return lam
+    sigma_norm = max(float(np.linalg.eigvalsh(cov)[-1]), np.finfo(float).tiny)
+    return replace(params, sigma_norm=sigma_norm)
 
 
 def write_signals_csv(path, X: np.ndarray) -> None:

@@ -21,9 +21,10 @@ log-barrier -alpha * sum(log(degrees)) that forces every node to keep
 positive degree, and/or a squared off-diagonal penalty used by the
 non-robust log-degree model.
 
-g is convex but not smooth where a @ w = 0; gradient() refuses to evaluate
-there rather than returning garbage, and callers are expected to treat that
-as a hard stop.
+g is convex only when rho1 = 0.  a @ w is linear in w, so sqrt(a @ w) is
+concave, and for rho1 > 0 g is a difference of convex functions.  g is not
+smooth where a @ w = 0; gradient() refuses to evaluate there rather than
+returning garbage, and callers are expected to treat that as a hard stop.
 """
 
 from __future__ import annotations

@@ -27,10 +27,12 @@ iterative solver stops on the disjunction of a step-size tolerance
 (infinity norm of the update, tested after long steps only, since a short
 step moves w less and would fire it early) and that residual bound.
 
-Optimality is certified by the Frank-Wolfe duality gap
-grad @ w - s * min(grad), which bounds g(w) - min g from above for the
-convex objective (Jaggi 2013).  Both it and the residual come from the one
-gradient evaluated at the returned point.
+The Frank-Wolfe gap grad @ w - s * min(grad) is zero exactly at
+stationary points.  When rho1 = 0 (vsgl, log_model) the objective is convex
+and the gap bounds g(w) - min g from above (Jaggi 2013).  When rho1 > 0 the
+square-root term is concave, so the gap measures stationarity only and
+bounds nothing about optimality (Lacoste-Julien 2016).  Both it and the
+residual come from the one gradient evaluated at the returned point.
 
 Every abort raises a RuntimeError: NonsmoothPointError where the
 square-root term has no gradient, BarrierDomainError at a start outside the
@@ -112,7 +114,9 @@ class SolveReport:
     kkt_residual: float
     termination: str
     backtracks: int  # rejected line-search trial points
-    gap: float  # Frank-Wolfe duality gap, an upper bound on g(w_final) - min g
+    # Frank-Wolfe gap: zero at stationary points, and an upper bound on
+    # g(w_final) - min g only when rho1 = 0 (the objective is then convex)
+    gap: float
 
     @property
     def converged(self) -> bool:

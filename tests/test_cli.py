@@ -197,6 +197,22 @@ def test_null_only_where_a_field_is_optional(tmp_path, capsys):
     assert "config.preset.alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", [
+    {"name": "mugl_o", "alpha": 0.3},
+    {"name": "mugl_l", "quad_weight": 1.0},
+    {"name": "log_model", "radius_params": {"delta": 0.01}},
+])
+def test_preset_field_the_preset_never_reads_is_config_error(tmp_path, capsys, preset):
+    data = run_generate(tmp_path)
+    fit = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(data / "signals.csv"), "preset": preset},
+                       "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(fit), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config.preset: " in err and preset["name"] in err
+    assert not fit.exists()
+
+
 def test_non_finite_config_numbers_are_rejected(tmp_path, capsys):
     out = tmp_path / "data"
     config = {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "epsilon": math.nan}}

@@ -31,6 +31,33 @@ def test_preset_validation():
         harness.ModelPreset("mugl_o", rho1=-0.1)
 
 
+def test_preset_rejects_alpha_without_a_barrier():
+    for name in ("mugl_o", "vsgl"):
+        with pytest.raises(ValueError, match=f"{name} has no barrier; alpha"):
+            harness.ModelPreset(name, alpha=0.3)
+        harness.ModelPreset(name, alpha=harness.DEFAULT_ALPHA)
+    for name in ("mugl_l", "log_model"):
+        assert harness.ModelPreset(name, alpha=0.3).alpha == 0.3
+
+
+def test_preset_rejects_quad_weight_outside_log_model():
+    for name in ("mugl_o", "mugl_l", "vsgl"):
+        with pytest.raises(ValueError, match=f"quad_weight; omit it for {name}"):
+            harness.ModelPreset(name, quad_weight=2.0)
+        harness.ModelPreset(name, quad_weight=harness.DEFAULT_QUAD_WEIGHT)
+    assert harness.ModelPreset("log_model", quad_weight=2.0).quad_weight == 2.0
+
+
+def test_preset_rejects_radius_params_on_non_robust_presets():
+    params = harness.RadiusParams(delta=0.01)
+    for name in ("vsgl", "log_model"):
+        with pytest.raises(ValueError, match="non-robust; radius_params"):
+            harness.ModelPreset(name, radius_params=params)
+        harness.ModelPreset(name, radius_params=harness.RadiusParams())
+    for name in ("mugl_o", "mugl_l"):
+        assert harness.ModelPreset(name, radius_params=params).radius_params == params
+
+
 def test_preset_flags():
     assert harness.ModelPreset("mugl_l").uses_barrier
     assert harness.ModelPreset("log_model").uses_barrier
@@ -242,6 +269,44 @@ def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
     assert all("non-finite gradient" in f["error"] for f in summary.failures)
     by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
     assert by_model[("mugl_o", "f_measure")] == 2
+
+
+def assert_every_cell_scored_or_failed(summary):
+    """Each (seed, preset) cell holds a metric entry or an error entry, and
+    the failures list and stats rows agree with the cells."""
+    labels = [p.display_name for p in summary.presets]
+    failed = []
+    for rec in summary.records:
+        assert list(rec["models"]) == labels
+        for label, entry in rec["models"].items():
+            if "error" in entry:
+                failed.append((rec["seed_index"], label))
+            else:
+                assert all(np.isfinite(entry[metric]) for metric in harness.SUMMARY_METRICS)
+    assert [(f["seed_index"], f["model"]) for f in summary.failures] == failed
+    for row in summary.stats:
+        n_failed = sum(label == row["model"] for _, label in failed)
+        assert row["n_seeds"] == summary.n_seeds - n_failed
+
+
+ALL_PRESETS = [harness.ModelPreset(name) for name in harness.PRESET_NAMES]
+
+
+def test_run_experiment_on_disconnected_truths():
+    sparse = GraphSpec("er", 20, seed=0, p=0.05)
+    signals = SignalSpec(n=80, epsilon=0.1, seed=0)
+    summary = harness.run_experiment(sparse, signals, ALL_PRESETS, n_seeds=4, master_seed=0)
+    assert not all(rec["connected"] for rec in summary.records)
+    assert_every_cell_scored_or_failed(summary)
+
+
+def test_run_experiment_with_fewer_signals_than_nodes():
+    # n < m: the sample covariance is singular.  Some fits may abort here
+    # (see the stopping-test item in ROADMAP); each abort fails one cell.
+    graph = GraphSpec("er", 20, seed=0)
+    few = SignalSpec(n=5, epsilon=0.1, seed=0)
+    summary = harness.run_experiment(graph, few, ALL_PRESETS, n_seeds=6, master_seed=0)
+    assert_every_cell_scored_or_failed(summary)
 
 
 def test_run_experiment_input_validation():

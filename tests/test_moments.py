@@ -14,7 +14,6 @@ from mugl.moments import (
     read_signals_csv,
     rho1_radius,
     rho2_radius,
-    spectral_norm,
     write_signals_csv,
 )
 
@@ -159,31 +158,31 @@ def test_radii_monotone_in_n_and_delta():
     assert all(a < b for a, b in zip(d2, d2[1:]))
 
 
-def test_spectral_norm_matches_eigvalsh():
-    rng = np.random.default_rng(23)
-    for m in (2, 5, 9):
-        A = rng.standard_normal((m, m + 3))
-        S = A @ A.T
-        assert spectral_norm(S) == pytest.approx(np.linalg.eigvalsh(S).max(), rel=1e-6)
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
+def test_calibrated_plugs_in_sample_spectral_norm():
+    rng = np.random.default_rng(31)
+    for m, n in ((2, 5), (5, 40), (9, 12)):
+        cov = empirical_moments(rng.standard_normal((m, n))).cov
+        params = calibrated(RadiusParams(), cov)
+        assert params.sigma_norm == np.linalg.eigvalsh(cov)[-1]
+        assert params.sigma_norm == pytest.approx(np.linalg.norm(cov, 2), rel=1e-12)
+    # explicit values pass through untouched
+    explicit = RadiusParams(sigma_norm=3.25)
+    assert calibrated(explicit, cov) is explicit
 
 
-def test_spectral_norm_deterministic():
+def test_calibrated_floors_a_zero_covariance():
+    c = np.array([1.0, -2.0, 0.5, 4.0])
+    cov = empirical_moments(np.column_stack([c, c, c])).cov
+    assert calibrated(RadiusParams(), cov).sigma_norm == np.finfo(float).tiny
+
+
+def test_calibrated_deterministic():
     rng = np.random.default_rng(29)
     A = rng.standard_normal((6, 6))
     S = A @ A.T
-    assert spectral_norm(S) == spectral_norm(S.copy())
-
-
-def test_calibrated_plugs_in_sample_spectral_norm():
-    rng = np.random.default_rng(31)
-    X = rng.standard_normal((5, 40))
-    mom = empirical_moments(X)
-    params = calibrated(RadiusParams(), mom.cov)
-    assert params.sigma_norm == pytest.approx(spectral_norm(mom.cov))
-    # explicit values pass through untouched
-    explicit = RadiusParams(sigma_norm=3.25)
-    assert calibrated(explicit, mom.cov) is explicit
+    sigma = calibrated(RadiusParams(), S).sigma_norm
+    assert calibrated(RadiusParams(), S).sigma_norm == sigma
+    assert calibrated(RadiusParams(), S.copy()).sigma_norm == sigma
 
 
 def test_signals_csv_round_trip(tmp_path):

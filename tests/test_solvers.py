@@ -365,6 +365,21 @@ def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
         ls_pgd_solve(ctx, np.full(10, 0.1))
 
 
+def test_ls_pgd_rejects_a_step_that_predicts_an_increase(monkeypatch):
+    # v and Gamma share one gradient, so no corrupted gradient can make the
+    # predicted decrease positive; a projection that returns the uphill point
+    # project(w + eta * grad) instead of project(w - eta * grad) does.
+    ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
+    w0 = np.full(10, 0.4)
+    original = mugl.solvers.project_simplex
+    monkeypatch.setattr(
+        mugl.solvers, "project_simplex", lambda moved, s: original(2.0 * w0 - moved, s)
+    )
+    with pytest.raises(RuntimeError, match=r"projected step predicts increase \(.+ > 0\)") as info:
+        ls_pgd_solve(ctx, w0)
+    assert type(info.value) is RuntimeError  # not a stall or a domain error
+
+
 def test_mugl_l_on_er_draw_converges_within_iteration_guard():
     # fixed steps needed 481 iterations on this draw; spectral steps about 115
     graph = gen_graph(GraphSpec("er", 100, seed=0))
@@ -509,15 +524,17 @@ def solve_digest(report):
 # Recorded with numpy 2.4 on x86-64 from the solver that alternates long
 # (BB1) and short (BB2) spectral steps and tests the step stop after long
 # steps only; the projection is the sort-based one that
-# oracles.project_simplex_reference checks bit for bit.  Any digest change
-# means the arithmetic of a solve changed: the step rule, the projection,
-# the stopping tests or the objective.
+# oracles.project_simplex_reference checks bit for bit.  mugl_o and mugl_l
+# calibrate their radii with sigma = eigvalsh(cov)[-1]; log_model does not
+# calibrate.  Any digest change means the arithmetic of a solve changed: the
+# step rule, the projection, the stopping tests, the objective or, for the
+# robust presets, the calibrated radii.
 PINNED_DIGESTS = {
-    (0, "mugl_o"): "41c4a2c06651f37ac9c4a6f64e5ca4ee7e945c678eb6c0a3ef9669d5b1d0eaaf",
-    (0, "mugl_l"): "7e2c2765eb4b02d5f2ec885c9ff8ce668b1d7557e03af351c007d405f3f96464",
+    (0, "mugl_o"): "ec01360196a2453ce848bb710fbd35aadef866c0fa8d58b64b7d09c7d672da36",
+    (0, "mugl_l"): "332f53e2de749613fe027f7f1323237e5806ccb5d0feae7a25a7cca2246c2f15",
     (0, "log_model"): "d6a7c05c289e2a6412126ded7b75f94ba40098a65aa28152c13d76ffeb571a2d",
-    (1, "mugl_o"): "6815c2ae8a2c6c8640934c8d55ddb486feb32035e684de56e4fb710caa64d4b2",
-    (1, "mugl_l"): "006ebf28f3c964fcbf2e96dbdeffbf69daba96bc3ab546f03a58c2f48cdc3f82",
+    (1, "mugl_o"): "3ba5684dc9415c05cde588342b1ed3737c815a81ff5b833c8fc39e6ba0af7623",
+    (1, "mugl_l"): "ecc3704c511836a979fd0157118c8705ae74737c62e4a2050351f504a83da164",
     (1, "log_model"): "991e53c7ae44e72da45d867026f33c6a9751cdf5fe063adcbb8a8e9c02597481",
 }
 

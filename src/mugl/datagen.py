@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .laplacian import edge_count, expand, pair_indices, pair_to_linear
 
@@ -137,13 +135,20 @@ class GeneratedGraph:
 
     @cached_property
     def connected(self) -> bool:
+        """True when every node is reachable from node 0 along positive-weight
+        pairs (breadth-first, one frontier per step)."""
         rows, cols = pair_indices(self.m)
         nz = self.weights > 0
-        adj = coo_matrix(
-            (np.ones(int(nz.sum())), (rows[nz], cols[nz])), shape=(self.m, self.m)
-        )
-        n_comp, _ = connected_components(adj, directed=False)
-        return n_comp == 1
+        adj = np.zeros((self.m, self.m), dtype=bool)
+        adj[rows[nz], cols[nz]] = True
+        adj |= adj.T
+        reached = np.zeros(self.m, dtype=bool)
+        frontier = reached.copy()
+        frontier[0] = True
+        while frontier.any():
+            reached |= frontier
+            frontier = adj[frontier].any(axis=0) & ~reached
+        return bool(reached.all())
 
 
 def gen_graph(spec: GraphSpec) -> GeneratedGraph:

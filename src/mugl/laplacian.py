@@ -22,7 +22,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 # Tolerances for validation helpers.  Feasibility checks are relative to the
 # scale of the object being checked, never absolute.
@@ -68,25 +67,51 @@ def pair_indices(m: int):
 
 
 @lru_cache(maxsize=None)
-def incidence(m: int):
-    """Unsigned node-pair incidence operator B and its transpose, as CSR.
+def node_pairs(m: int) -> np.ndarray:
+    """(m-1) x m table whose column j lists node j's pair indices in
+    increasing order.
 
-    B is m x m(m-1)/2 with ones at rows i and j of pair k's column, so
-    B @ w is the weighted degree vector and (B.T @ d)[k] = d[i] + d[j].
-    Both matrices are cached per m and their arrays marked read-only.
+    Node j's pairs with smaller nodes, (j, c) for c < j, all precede its
+    pairs with larger ones, (r, j) for r > j, in the column-major ordering.
+    The table is C-contiguous, cached per m and marked read-only.
     """
     rows, cols = pair_indices(m)
-    p = rows.size
-    k = np.arange(p)
-    B = csr_matrix(
-        (np.ones(2 * p), (np.concatenate([rows, cols]), np.concatenate([k, k]))),
-        shape=(m, p),
-    )
-    BT = B.T.tocsr()
-    for op in (B, BT):
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
-    return B, BT
+    # A stable sort by node of the concatenated endpoints keeps each node's
+    # row-side pairs first and every run in increasing pair index.
+    order = np.argsort(np.concatenate([rows, cols]), kind="stable") % rows.size
+    table = np.ascontiguousarray(order.reshape(m, m - 1).T)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _column_lengths(m: int) -> np.ndarray:
+    """Pairs in each column of the ordering, m-1 down to 1; read-only."""
+    lengths = np.arange(m - 1, 0, -1)
+    lengths.flags.writeable = False
+    return lengths
+
+
+def degrees(w: np.ndarray, m: int) -> np.ndarray:
+    """Weighted degree of each of the m nodes under pair weights w.
+
+    numpy reduces axis 0 of a C-contiguous array one row at a time, so each
+    degree adds its pair weights one by one in increasing pair index: the
+    same additions, in the same order, as the row sums of the unsigned
+    node-pair incidence matrix stored as CSR.
+    """
+    return w[node_pairs(m)].sum(axis=0)
+
+
+def pair_sums(d: np.ndarray) -> np.ndarray:
+    """d[cols[k]] + d[rows[k]] for every pair k = (rows[k], cols[k]) of a
+    node vector d, i.e. the transposed incidence matrix applied to d.
+
+    cols holds node c in one run of m-1-c entries, so repeating d[:-1] by
+    the column lengths is d[cols] without the gather.
+    """
+    rows, _ = pair_indices(d.size)
+    return np.repeat(d[:-1], _column_lengths(d.size)) + d[rows]
 
 
 def pair_to_linear(i: int, j: int, m: int) -> int:
@@ -126,10 +151,7 @@ def expand(w: np.ndarray, m: int | None = None) -> np.ndarray:
     L = np.zeros((m, m))
     L[rows, cols] = -w
     L[cols, rows] = -w
-    deg = np.zeros(m)
-    np.add.at(deg, rows, w)
-    np.add.at(deg, cols, w)
-    L[np.arange(m), np.arange(m)] = deg
+    L[np.arange(m), np.arange(m)] = degrees(w, m)
     return L
 
 

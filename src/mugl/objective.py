@@ -30,12 +30,11 @@ returning garbage, and callers are expected to treat that as a hard stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .laplacian import adjoint, incidence, pair_indices, validate_simplex
+from .laplacian import adjoint, degrees, pair_indices, pair_sums, validate_simplex
 from .moments import EmpiricalMoments
 
 REGULARIZERS = ("none", "log_barrier")
@@ -102,20 +101,19 @@ class ObjectiveContext:
     m: int
     quad_coeff: np.ndarray  # adjoint(cov + outer(mean, mean))
     sqrt_coeff: np.ndarray  # a = 4 rho1^2 * mean_gap_sq
-    incidence: csr_matrix = field(repr=False)  # B, m x n_pairs
-    incidence_t: csr_matrix = field(repr=False)  # B.T
 
     @property
     def n_pairs(self) -> int:
         return self.quad_coeff.size
 
     def degrees(self, w: np.ndarray) -> np.ndarray:
-        """Weighted degree of each node under pair weights w, i.e. B @ w."""
-        return self.incidence @ w
+        """Weighted degree of each node under pair weights w, i.e. B @ w for
+        the unsigned node-pair incidence matrix B."""
+        return degrees(w, self.m)
 
     def pair_sums(self, d: np.ndarray) -> np.ndarray:
         """d_i + d_j for every pair (i, j) of a node vector d, i.e. B.T @ d."""
-        return self.incidence_t @ d
+        return pair_sums(d)
 
 
 def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveContext:
@@ -141,15 +139,7 @@ def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveCo
     sqrt_coeff = 4.0 * config.rho1**2 * mean_gap_sq
     for arr in (quad_coeff, sqrt_coeff):
         arr.flags.writeable = False
-    B, BT = incidence(m)
-    return ObjectiveContext(
-        config=config,
-        m=m,
-        quad_coeff=quad_coeff,
-        sqrt_coeff=sqrt_coeff,
-        incidence=B,
-        incidence_t=BT,
-    )
+    return ObjectiveContext(config=config, m=m, quad_coeff=quad_coeff, sqrt_coeff=sqrt_coeff)
 
 
 def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
@@ -179,9 +169,32 @@ def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     Raises InfeasiblePointError outside the simplex.
     """
     w = _check_feasible(ctx, w)
+    return _value(ctx, w, ctx.degrees(w))
+
+
+def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
+    """Gradient of g at a feasible w.
+
+    The square-root term contributes a / (2 sqrt(a @ w)); when a @ w falls at
+    or below SQRT_FLOOR * max(a) * s this raises NonsmoothPointError, which
+    also catches the degenerate constant-mean case where a vanishes
+    identically.  The log-barrier contributes -alpha (1/deg_i + 1/deg_j) per
+    pair and raises BarrierDomainError off its domain.
+    """
+    w = _check_feasible(ctx, w)
+    return _gradient(ctx, w, ctx.degrees(w))
+
+
+# _value and _gradient are the unchecked evaluators behind objective_value
+# and gradient: w must be a float array already known to be feasible, and
+# deg must be ctx.degrees(w).  A solver that checked its start and evaluates
+# each point once through both of them passes the degrees along instead of
+# recomputing them.
+
+
+def _value(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
     cfg = ctx.config
     val = float(w @ ctx.quad_coeff)
-    deg = ctx.degrees(w)
     if cfg.rho2 > 0:
         val += cfg.rho2 * _frobenius(ctx, w, deg)
     if cfg.rho1 > 0:
@@ -196,20 +209,10 @@ def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     return val
 
 
-def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
-    """Gradient of g at a feasible w.
-
-    The square-root term contributes a / (2 sqrt(a @ w)); when a @ w falls at
-    or below SQRT_FLOOR * max(a) * s this raises NonsmoothPointError, which
-    also catches the degenerate constant-mean case where a vanishes
-    identically.  The log-barrier contributes -alpha (1/deg_i + 1/deg_j) per
-    pair and raises BarrierDomainError off its domain.
-    """
-    w = _check_feasible(ctx, w)
+def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarray:
     cfg = ctx.config
     grad = ctx.quad_coeff.copy()
     term = np.empty_like(grad)  # each pair-space term, added in a fixed order
-    deg = ctx.degrees(w)
     if cfg.rho1 > 0:
         a = ctx.sqrt_coeff
         aw = float(a @ w)
@@ -220,7 +223,7 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
             )
         grad += np.divide(a, 2.0 * math.sqrt(aw), out=term)
     # The degree-dependent terms are pair sums d_i + d_j of one node vector d,
-    # so they share a single B.T product.
+    # so they share a single pair_sums call.
     node_coeff = np.zeros(ctx.m)
     if cfg.rho2 > 0:
         scale = cfg.rho2 / _frobenius(ctx, w, deg)

@@ -191,25 +191,24 @@ def stationarity_residual(
     Zero exactly at constrained stationary points, for any probe step.
     Raises RuntimeError when the gradient has a non-finite entry.
     """
-    return _certificate(ctx, w, probe_step)[0]
+    return _certificate(ctx, w, _finite(obj.gradient(ctx, w)), probe_step)[0]
 
 
 def _certificate(
-    ctx: obj.ObjectiveContext, w: np.ndarray, probe_step: float
+    ctx: obj.ObjectiveContext, w: np.ndarray, g: np.ndarray, probe_step: float
 ) -> tuple[float, float]:
     """(stationarity residual at probe_step, Frank-Wolfe gap) at w, both
-    from one gradient."""
+    from its one gradient g."""
     if not probe_step > 0:
         raise ValueError(f"probe step must be positive, got {probe_step}")
-    g = _finite_gradient(ctx, w)
     s = ctx.config.s
     moved = project_simplex(w - probe_step * g, s)
     residual = float(np.linalg.norm(w - moved)) / probe_step
     return residual, float(g @ w) - s * float(g.min())
 
 
-def _finite_gradient(ctx: obj.ObjectiveContext, w: np.ndarray) -> np.ndarray:
-    g = obj.gradient(ctx, w)
+def _finite(g: np.ndarray) -> np.ndarray:
+    """g itself; raises RuntimeError when the gradient g has a non-finite entry."""
     if not np.isfinite(g).all():
         raise RuntimeError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(g))} entries)")
     return g
@@ -236,7 +235,7 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    residual, gap = _certificate(ctx, w, DEFAULT_RESIDUAL_PROBE)
+    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)), DEFAULT_RESIDUAL_PROBE)
     return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap)
 
 
@@ -293,7 +292,11 @@ def ls_pgd_solve(
     opts = opts or SolverOptions()
     s = ctx.config.s
     w = np.asarray(w0, dtype=float).copy()
+    # The one feasibility check of the solve: every later point is a convex
+    # combination of w0 and projections, so it is evaluated unchecked, and
+    # its degrees serve both its value and, once accepted, its gradient.
     f_cur = obj.objective_value(ctx, w)
+    deg = ctx.degrees(w)
     if not math.isfinite(f_cur):
         raise obj.BarrierDomainError("infeasible start: objective not finite at w0")
     trace = [f_cur]
@@ -305,7 +308,7 @@ def ls_pgd_solve(
     moved = np.empty_like(w)
     for iters in range(1, opts.max_iters + 1):
         long_step = iters % 2 == 1
-        g = _finite_gradient(ctx, w)
+        g = _finite(obj._gradient(ctx, w, deg))
         if g_prev is None:
             eta = opts.eta_max
         else:
@@ -330,7 +333,8 @@ def ls_pgd_solve(
         for rejected in range(opts.max_backtracks + 1):
             trial = np.multiply(scale, v)
             trial += w
-            f_trial = obj.objective_value(ctx, trial)
+            trial_deg = ctx.degrees(trial)
+            f_trial = obj._value(ctx, trial, trial_deg)
             if f_trial <= f_cur + opts.beta * scale * predicted:
                 accepted = True
                 break
@@ -343,11 +347,11 @@ def ls_pgd_solve(
         backtracks += rejected
         step_inf = scale * max(float(v.max()), -float(v.min()))
         w_prev, g_prev = w, g
-        w = trial
+        w, deg = trial, trial_deg
         f_cur = f_trial
         trace.append(f_cur)
         if long_step and step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    residual, gap = _certificate(ctx, w, opts.eta_max)
+    residual, gap = _certificate(ctx, w, _finite(obj._gradient(ctx, w, deg)), opts.eta_max)
     return SolveReport(w, trace, iters, residual, termination, backtracks, gap)

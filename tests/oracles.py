@@ -45,6 +45,48 @@ def path_weights(m):
     return w
 
 
+def degrees_in_pair_order(w, m):
+    """Weighted degrees in plain Python floats: degree j is 0.0 plus node j's
+    pair weights, added one at a time in increasing pair index."""
+    rows, cols = pair_indices(m)
+    deg = [0.0] * m
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        deg[i] += float(w[k])
+        deg[j] += float(w[k])
+    return np.array(deg)
+
+
+def pair_sums_in_pair_order(d):
+    """d[cols[k]] + d[rows[k]] for every pair k, in plain Python floats."""
+    rows, cols = pair_indices(len(d))
+    return np.array([float(d[j]) + float(d[i]) for i, j in zip(rows.tolist(), cols.tolist())])
+
+
+def spread_weights(rng, n_pairs):
+    """Pair weights whose magnitudes span 1e-8 to 1e8, about a fifth of
+    them exactly zero."""
+    w = 10.0 ** rng.uniform(-8.0, 8.0, n_pairs)
+    w[rng.random(n_pairs) < 0.2] = 0.0
+    return w
+
+
+def connected_union_find(w, m):
+    """True when the positive-weight pairs connect all m nodes (union-find)."""
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    rows, cols = pair_indices(m)
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if w[k] > 0:
+            parent[find(i)] = find(j)
+    return len({find(i) for i in range(m)}) == 1
+
+
 def random_interior(rng, n_pairs, s):
     """A strictly interior point of the scale-s simplex."""
     u = rng.uniform(0.5, 1.5, n_pairs)

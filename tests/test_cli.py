@@ -346,12 +346,24 @@ def test_learn_solver_abort_writes_nothing(tmp_path, monkeypatch, capsys, preset
         write_signals_csv(signals, np.array([rng.permutation(10) for _ in range(5)], float))
     else:
         signals = run_generate(tmp_path) / "signals.csv"
-        monkeypatch.setattr(mugl.objective, "gradient", lambda ctx, w: np.full(w.size, math.nan))
+        monkeypatch.setattr(
+            mugl.objective, "_gradient", lambda ctx, w, deg: np.full(w.size, math.nan)
+        )
+    real_value = mugl.objective._value
+    evaluated = []
+
+    def counting_value(ctx, w, deg):
+        evaluated.append(w)
+        return real_value(ctx, w, deg)
+
+    monkeypatch.setattr(mugl.objective, "_value", counting_value)
     out = tmp_path / "fit"
     cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": preset}}, "learn.json")
     assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 5
     assert "solver abort" in capsys.readouterr().err
     assert not out.exists()
+    # both aborts come from the first gradient, before any trial point
+    assert len(evaluated) == 1
 
 
 def test_eval_perfect_prediction(tmp_path, capsys):

@@ -18,7 +18,7 @@ from mugl.datagen import (
     stream_rng,
 )
 from mugl.laplacian import expand, is_laplacian, pair_indices
-from oracles import path_weights
+from oracles import connected_union_find, path_weights
 
 # distance below which the default RBF weight reaches the 0.75 cutoff
 GAUSSIAN_CUTOFF = math.sqrt(-2.0 * 0.5**2 * math.log(0.75))
@@ -202,3 +202,28 @@ def test_connected_flag():
     assert gen_pa_graph(GraphSpec("pa", 12, seed=0)).connected
     two_components = gen_er_graph(GraphSpec("er", 4, seed=0, p=0.0))
     assert not two_components.connected
+    edgeless_pair = gen_er_graph(GraphSpec("er", 2, seed=0, p=0.0))
+    assert not edgeless_pair.connected
+    assert not connected_union_find(edgeless_pair.weights, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GraphSpec("er", 300, seed=0, p=0.02),
+        GraphSpec("er", 100, seed=0, p=0.05),
+        GraphSpec("er", 30, seed=0, p=0.2),
+        GraphSpec("pa", 30, seed=0),
+        GraphSpec("gaussian", 12, seed=0),
+    ],
+    ids=["er_p0.02", "er_p0.05", "er_p0.2", "pa", "gaussian"],
+)
+def test_connected_flag_matches_union_find(spec):
+    # every shape but pa (a tree by construction) draws both outcomes
+    flags = set()
+    for seed in range(20):
+        graph = gen_graph(GraphSpec(**{**vars(spec), "seed": seed}))
+        assert graph.connected == connected_union_find(graph.weights, graph.m)
+        flags.add(graph.connected)
+    assert flags == ({True} if spec.family == "pa" else {True, False})
+

@@ -256,16 +256,26 @@ def test_solver_failure_skips_one_seed_only(monkeypatch):
 
 
 def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
-    real_gradient = mugl.objective.gradient
+    real_gradient = mugl.objective._gradient
+    real_value = mugl.objective._value
+    barrier_values = []
 
-    def poisoned_gradient(ctx, w):
-        g = real_gradient(ctx, w)
+    def poisoned_gradient(ctx, w, deg):
+        g = real_gradient(ctx, w, deg)
         return np.full_like(g, np.nan) if ctx.config.regularizer == "log_barrier" else g
 
-    monkeypatch.setattr(mugl.objective, "gradient", poisoned_gradient)
+    def counting_value(ctx, w, deg):
+        if ctx.config.regularizer == "log_barrier":
+            barrier_values.append(w)
+        return real_value(ctx, w, deg)
+
+    monkeypatch.setattr(mugl.objective, "_gradient", poisoned_gradient)
+    monkeypatch.setattr(mugl.objective, "_value", counting_value)
     presets = [harness.ModelPreset("mugl_o"), harness.ModelPreset("mugl_l")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
     assert [(f["seed_index"], f["model"]) for f in summary.failures] == [(0, "mugl_l"), (1, "mugl_l")]
+    # each mugl_l fit aborts at its first gradient, having evaluated only w0
+    assert len(barrier_values) == 2
     assert all("non-finite gradient" in f["error"] for f in summary.failures)
     by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
     assert by_model[("mugl_o", "f_measure")] == 2

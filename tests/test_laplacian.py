@@ -6,18 +6,21 @@ from hypothesis.extra import numpy as hnp
 
 from mugl.laplacian import (
     adjoint,
+    degrees,
     edge_count,
     expand,
-    incidence,
     is_laplacian,
     linear_to_pair,
     node_count,
+    node_pairs,
     pair_indices,
+    pair_sums,
     pair_to_linear,
     read_edge_list,
     validate_simplex,
     write_edge_list,
 )
+from oracles import degrees_in_pair_order, pair_sums_in_pair_order, spread_weights
 
 
 def test_edge_count_and_inverse():
@@ -60,20 +63,24 @@ def test_pair_indices_are_column_major_and_read_only():
         rows[0] = 9
 
 
-def test_incidence_has_ones_at_each_pair_endpoint_and_is_read_only():
-    B, BT = incidence(4)
-    rows, cols = pair_indices(4)
-    dense = B.toarray()
-    assert dense.shape == (4, 6)
-    assert np.array_equal(dense.sum(axis=0), np.full(6, 2.0))
-    assert np.all(dense[rows, np.arange(6)] == 1.0)
-    assert np.all(dense[cols, np.arange(6)] == 1.0)
-    assert np.array_equal(BT.toarray(), dense.T)
-    assert incidence(4)[0] is B
-    for op in (B, BT):
-        for arr in (op.data, op.indices, op.indptr):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+def test_node_pairs_lists_each_nodes_pairs_in_increasing_order_and_is_read_only():
+    # pairs of m=4 in order: (2,1) (3,1) (4,1) (3,2) (4,2) (4,3), 1-based
+    table = node_pairs(4)
+    assert table.tolist() == [[0, 0, 1, 2], [1, 3, 3, 4], [2, 4, 5, 5]]
+    assert table.flags.c_contiguous
+    assert node_pairs(4) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 9
+
+
+@pytest.mark.parametrize("m", [2, 3, 20, 101, 300])
+def test_degrees_and_pair_sums_match_pair_order_oracle(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        w = spread_weights(rng, edge_count(m))
+        assert np.array_equal(degrees(w, m), degrees_in_pair_order(w, m))
+        d = spread_weights(rng, m) * rng.choice([-1.0, 1.0], m)
+        assert np.array_equal(pair_sums(d), pair_sums_in_pair_order(d))
 
 
 def test_expand_single_edge():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mugl.laplacian import adjoint, expand, pair_indices
+from mugl.laplacian import adjoint, expand
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
     BarrierDomainError,
@@ -66,22 +66,6 @@ def test_context_arrays_read_only():
         ctx.quad_coeff[0] = 0.0
     with pytest.raises(ValueError):
         ctx.sqrt_coeff[0] = 0.0
-
-
-@pytest.mark.parametrize("m", [2, 3, 20, 101])
-def test_incidence_kernels_match_gather_reference(m):
-    rng = np.random.default_rng(m)
-    ctx = context_from(rng.standard_normal(m), np.eye(m), rho2=0.5, s=float(m))
-    twin = context_from(rng.standard_normal(m), 2.0 * np.eye(m), s=1.0)
-    assert twin.incidence is ctx.incidence and twin.incidence_t is ctx.incidence_t
-    rows, cols = pair_indices(m)
-    w = random_interior(rng, ctx.n_pairs, float(m))
-    deg_ref = np.zeros(m)
-    np.add.at(deg_ref, rows, w)
-    np.add.at(deg_ref, cols, w)
-    assert np.allclose(ctx.degrees(w), deg_ref, rtol=1e-12, atol=0.0)
-    d = rng.uniform(0.5, 2.0, m)
-    assert np.allclose(ctx.pair_sums(d), d[rows] + d[cols], rtol=1e-12, atol=0.0)
 
 
 def test_build_context_validation():

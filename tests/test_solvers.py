@@ -341,15 +341,17 @@ def test_step_tol_fires_only_after_a_long_step():
 
 
 def test_backtracks_count_rejected_trial_points(monkeypatch):
+    # the solver evaluates w0 and every trial point through the unchecked
+    # evaluator objective._value, once each
     ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
-    real_value = mugl.objective.objective_value
+    real_value = mugl.objective._value
     evaluations = []
 
-    def counting_value(ctx_, w):
+    def counting_value(ctx_, w, deg):
         evaluations.append(1)
-        return real_value(ctx_, w)
+        return real_value(ctx_, w, deg)
 
-    monkeypatch.setattr(mugl.objective, "objective_value", counting_value)
+    monkeypatch.setattr(mugl.objective, "_value", counting_value)
     report = ls_pgd_solve(ctx, np.full(10, 0.4))
     accepted = len(report.objective_trace) - 1
     assert report.backtracks > 0
@@ -359,10 +361,21 @@ def test_backtracks_count_rejected_trial_points(monkeypatch):
 
 
 def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
+    # the first iteration's gradient is poisoned, so the solve aborts before
+    # it evaluates any trial point: the only value taken is the one at w0
     ctx = generic_context(113, rho2=0.5, s=1.0)
-    monkeypatch.setattr(mugl.objective, "gradient", lambda ctx_, w: np.full(10, math.nan))
+    real_value = mugl.objective._value
+    evaluated = []
+
+    def counting_value(ctx_, w, deg):
+        evaluated.append(w)
+        return real_value(ctx_, w, deg)
+
+    monkeypatch.setattr(mugl.objective, "_value", counting_value)
+    monkeypatch.setattr(mugl.objective, "_gradient", lambda ctx_, w, deg: np.full(10, math.nan))
     with pytest.raises(RuntimeError, match="non-finite gradient"):
         ls_pgd_solve(ctx, np.full(10, 0.1))
+    assert len(evaluated) == 1
 
 
 def test_ls_pgd_rejects_a_step_that_predicts_an_increase(monkeypatch):
@@ -438,16 +451,19 @@ def test_ls_pgd_nonsmooth_abort_on_constant_mean():
 
 
 def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
+    # every trial point sits above the value at w0, so the first iteration
+    # rejects all of them: w0 plus 1 + max_backtracks evaluations
     ctx = generic_context(113, rho2=0.5, s=1.0)
     calls = {"n": 0}
 
-    def stuck_value(ctx_, w):
+    def stuck_value(ctx_, w, deg):
         calls["n"] += 1
         return 0.0 if calls["n"] == 1 else 1.0
 
-    monkeypatch.setattr(mugl.objective, "objective_value", stuck_value)
-    with pytest.raises(LineSearchStallError, match="backtracks"):
+    monkeypatch.setattr(mugl.objective, "_value", stuck_value)
+    with pytest.raises(LineSearchStallError, match="backtracks at iteration 1$"):
         ls_pgd_solve(ctx, np.full(10, 0.1))
+    assert calls["n"] == SolverOptions().max_backtracks + 2
 
 
 def test_stationarity_residual_zero_at_linear_minimizer():

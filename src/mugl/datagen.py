@@ -28,7 +28,7 @@ in the provenance is how downstream consumers find out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +36,9 @@ import numpy as np
 from .laplacian import edge_count, expand, pair_indices, pair_to_linear
 
 GRAPH_FAMILIES = ("gaussian", "er", "pa")
+
+# The family that reads each family parameter of GraphSpec.
+PARAM_FAMILY = {"sigma": "gaussian", "threshold": "gaussian", "p": "er", "theta0": "pa", "theta": "pa"}
 
 # spawn_key values of the child generators (the stream-splitting rule).
 GRAPH_STREAM = 0
@@ -55,8 +58,8 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 class GraphSpec:
     """Family selector plus that family's parameters.
 
-    Only the parameters of the chosen family are consulted; the rest keep
-    their defaults and are ignored.
+    Only the parameters of the chosen family are read (PARAM_FAMILY); a
+    parameter of another family must keep its default.
     """
 
     family: str
@@ -77,6 +80,12 @@ class GraphSpec:
             raise ValueError(f"need at least two nodes, got m={self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for param in fields(self):
+            owner = PARAM_FAMILY.get(param.name, self.family)
+            if owner != self.family and getattr(self, param.name) != param.default:
+                raise ValueError(
+                    f"only the {owner} family reads {param.name}; omit it for {self.family}"
+                )
         if self.family == "gaussian":
             if not self.sigma > 0:
                 raise ValueError(f"sigma must be positive, got {self.sigma}")

@@ -100,9 +100,13 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
     if preset.name in ("vsgl", "log_model"):
         rho1 = rho2 = 0.0
     else:
-        params = calibrated(preset.radius_params, moments.cov)
+        params = preset.radius_params
         rho1 = preset.rho1 if preset.rho1 is not None else rho1_radius(params, moments.n)
-        rho2 = preset.rho2 if preset.rho2 is not None else rho2_radius(params, m, moments.n)
+        if preset.rho2 is not None:
+            rho2 = preset.rho2
+        else:
+            # only the covariance radius reads sigma, so only it calibrates
+            rho2 = rho2_radius(calibrated(params, moments.cov), m, moments.n)
     return ModelConfig(
         rho1=rho1,
         rho2=rho2,

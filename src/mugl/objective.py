@@ -106,15 +106,6 @@ class ObjectiveContext:
     def n_pairs(self) -> int:
         return self.quad_coeff.size
 
-    def degrees(self, w: np.ndarray) -> np.ndarray:
-        """Weighted degree of each node under pair weights w, i.e. B @ w for
-        the unsigned node-pair incidence matrix B."""
-        return degrees(w, self.m)
-
-    def pair_sums(self, d: np.ndarray) -> np.ndarray:
-        """d_i + d_j for every pair (i, j) of a node vector d, i.e. B.T @ d."""
-        return pair_sums(d)
-
 
 def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveContext:
     """Precompute the pair-space coefficients of the objective.
@@ -169,7 +160,7 @@ def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     Raises InfeasiblePointError outside the simplex.
     """
     w = _check_feasible(ctx, w)
-    return _value(ctx, w, ctx.degrees(w))
+    return _value(ctx, w, degrees(w, ctx.m))
 
 
 def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
@@ -182,12 +173,12 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     pair and raises BarrierDomainError off its domain.
     """
     w = _check_feasible(ctx, w)
-    return _gradient(ctx, w, ctx.degrees(w))
+    return _gradient(ctx, w, degrees(w, ctx.m))
 
 
 # _value and _gradient are the unchecked evaluators behind objective_value
 # and gradient: w must be a float array already known to be feasible, and
-# deg must be ctx.degrees(w).  A solver that checked its start and evaluates
+# deg must be degrees(w, ctx.m).  A solver that checked its start and evaluates
 # each point once through both of them passes the degrees along instead of
 # recomputing them.
 
@@ -239,7 +230,7 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarr
             )
         # -alpha * (1/deg_i + 1/deg_j) per pair.
         node_coeff -= cfg.alpha / deg
-    grad += ctx.pair_sums(node_coeff)
+    grad += pair_sums(node_coeff)
     return grad
 
 

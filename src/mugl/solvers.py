@@ -38,8 +38,9 @@ Every abort raises a RuntimeError: NonsmoothPointError where the
 square-root term has no gradient, BarrierDomainError at a start outside the
 barrier domain, LineSearchStallError when backtracking runs out, and a
 plain RuntimeError for a non-finite gradient or a projected step that
-predicts an increase.  A returned SolveReport is therefore always a
-finished fit (step_tol, kkt_tol or max_iters) with a finite kkt_residual.
+predicts an increase beyond round-off.  A returned SolveReport is
+therefore always a finished fit (step_tol, kkt_tol or max_iters) with a
+finite kkt_residual.
 """
 
 from __future__ import annotations
@@ -51,18 +52,29 @@ from functools import lru_cache
 import numpy as np
 
 from . import objective as obj
+from .laplacian import degrees
 
 TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
-
-# Armijo predicted-decrease quantities must be nonpositive up to round-off;
-# anything above this signals a corrupted gradient and aborts loudly.
-DECREASE_SLACK = 1e-12
-
-DEFAULT_RESIDUAL_PROBE = 1e-3
 
 # The spectral step is clamped to this interval.
 SPECTRAL_STEP_MIN = 1e-10
 SPECTRAL_STEP_MAX = 1e10
+
+# Fixed constants of the Armijo backtracking: a trial w + scale * v is
+# accepted once its value is at most f(w) + ARMIJO_SLOPE * scale * Gamma;
+# otherwise scale shrinks by BACKTRACK_RATIO, at most MAX_BACKTRACKS times.
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_RATIO = 0.5
+MAX_BACKTRACKS = 60
+
+# The predicted decrease Gamma is <= 0 in exact arithmetic.  Each computed
+# v_k passes through four roundings (forming w_k - eta * g_k, subtracting
+# the projection threshold, renormalizing the mass, subtracting w_k), each
+# of order eps * (|w_k| + |w_k - eta * g_k|).  A Gamma above that many
+# times eps * sum_k |g_k| * (|w_k| + |w_k - eta * g_k|) is not round-off
+# and aborts the solve; healthy fits stay below 0.9 times one rounding.
+DECREASE_ROUNDINGS = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 class LineSearchStallError(RuntimeError):
@@ -71,37 +83,28 @@ class LineSearchStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, step sizes, and stopping tolerances.
+    """Iteration budget, step size, and stopping tolerances.
 
     eta_max is the step of the first iteration and the fallback for both
     spectral steps wherever they are undefined (s @ y <= 0); it is also the
     probe step of the stationarity test, which stops once ||w - project(w -
-    eta_max * grad)|| / eta_max <= tol_kkt is guaranteed.  beta and gamma
-    are the Armijo acceptance slope and backtracking ratio; tol_step is the
-    step-size tolerance; max_backtracks caps the backtracking exponent.
+    eta_max * grad)|| / eta_max <= tol_kkt is guaranteed.  tol_step is the
+    step-size tolerance.  The Armijo constants are fixed (ARMIJO_SLOPE,
+    BACKTRACK_RATIO, MAX_BACKTRACKS).
     """
 
     max_iters: int = 10_000
     eta_max: float = 1.0
-    beta: float = 1e-4
-    gamma: float = 0.5
     tol_step: float = 1e-8
     tol_kkt: float = 1e-6
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not self.eta_max > 0:
             raise ValueError(f"eta_max must be positive, got {self.eta_max}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.tol_step < 0 or self.tol_kkt < 0:
             raise ValueError("tolerances must be nonnegative")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be positive, got {self.max_backtracks}")
 
 
 @dataclass
@@ -184,7 +187,7 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
 def stationarity_residual(
     ctx: obj.ObjectiveContext,
     w: np.ndarray,
-    probe_step: float = DEFAULT_RESIDUAL_PROBE,
+    probe_step: float = SolverOptions.eta_max,
 ) -> float:
     """||w - project(w - probe_step * grad)||_2 / probe_step.
 
@@ -235,33 +238,26 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)), DEFAULT_RESIDUAL_PROBE)
+    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)), SolverOptions.eta_max)
     return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap)
 
 
-def spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
-    """Long Barzilai-Borwein step (BB1) s @ s / s @ y, clamped to
-    [SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX].
+def spectral_step(s_k: np.ndarray, y_k: np.ndarray, long: bool, fallback: float) -> float:
+    """Barzilai-Borwein step from the last changes in iterate (s_k) and
+    gradient (y_k): the long step (BB1) s @ s / s @ y when long is true,
+    else the short step (BB2) s @ y / y @ y, clamped to [SPECTRAL_STEP_MIN,
+    SPECTRAL_STEP_MAX].  By Cauchy-Schwarz the short step never exceeds the
+    long one.
 
-    s_k and y_k are the last changes in iterate and gradient.  Where s @ y
-    <= 0 (no positive curvature along s, e.g. a linear objective) the step
-    is undefined and fallback is returned.
+    Where s @ y <= 0 (no positive curvature along s, e.g. a linear
+    objective; y = 0 included) both steps are undefined and fallback is
+    returned.
     """
     sy = float(s_k @ y_k)
     if not sy > 0.0:
         return fallback
-    return min(max(float(s_k @ s_k) / sy, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
-
-
-def short_spectral_step(s_k: np.ndarray, y_k: np.ndarray, fallback: float) -> float:
-    """Short Barzilai-Borwein step (BB2) s @ y / y @ y, clamped like
-    spectral_step and undefined under the same condition, s @ y <= 0, which
-    also covers y = 0.  By Cauchy-Schwarz it never exceeds the long step.
-    """
-    sy = float(s_k @ y_k)
-    if not sy > 0.0:
-        return fallback
-    return min(max(sy / float(y_k @ y_k), SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
+    step = float(s_k @ s_k) / sy if long else sy / float(y_k @ y_k)
+    return min(max(step, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
 
 
 def ls_pgd_solve(
@@ -270,15 +266,14 @@ def ls_pgd_solve(
     """Spectral projected gradient with monotone Armijo backtracking.
 
     Per iteration: pick eta, eta_max on the first iteration, then the short
-    Barzilai-Borwein step (short_spectral_step) on even iterations and the
-    long one (spectral_step) on odd ones, each falling back to eta_max
-    wherever it is undefined.  Take the projected step
-    v = project(w - eta * grad) - w, then accept w + gamma^t * v for the
-    smallest t whose objective sits below the Armijo line through the
-    predicted decrease Gamma = grad @ v + ||v||^2 / (2 eta).  Gamma <= 0 by
-    the projection theorem, so accepted objectives never increase.  Trial
-    points outside the log-barrier domain evaluate to +inf and are rejected
-    like any other insufficient decrease.  The iteration stops with
+    Barzilai-Borwein step on even iterations and the long one on odd ones
+    (spectral_step), each falling back to eta_max wherever it is undefined.
+    Take the projected step v = project(w - eta * grad) - w, then accept
+    w + BACKTRACK_RATIO^t * v for the smallest t whose objective sits below
+    the Armijo line through the predicted decrease Gamma = grad @ v +
+    ||v||^2 / (2 eta).  Gamma <= 0 by the projection theorem, so accepted
+    objectives never increase.  Trial points outside the log-barrier domain
+    evaluate to +inf and are rejected like any other insufficient decrease.  The iteration stops with
     kkt_tol once ||v|| / min(eta, eta_max) <= tol_kkt, which bounds the
     stationarity residual at probe step eta_max; the report's kkt_residual
     is measured at that probe step, so a kkt_tol return reports at most
@@ -296,7 +291,7 @@ def ls_pgd_solve(
     # combination of w0 and projections, so it is evaluated unchecked, and
     # its degrees serve both its value and, once accepted, its gradient.
     f_cur = obj.objective_value(ctx, w)
-    deg = ctx.degrees(w)
+    deg = degrees(w, ctx.m)
     if not math.isfinite(f_cur):
         raise obj.BarrierDomainError("infeasible start: objective not finite at w0")
     trace = [f_cur]
@@ -312,8 +307,7 @@ def ls_pgd_solve(
         if g_prev is None:
             eta = opts.eta_max
         else:
-            step_rule = spectral_step if long_step else short_spectral_step
-            eta = step_rule(w - w_prev, g - g_prev, opts.eta_max)
+            eta = spectral_step(w - w_prev, g - g_prev, long_step, opts.eta_max)
         np.multiply(eta, g, out=moved)
         np.subtract(w, moved, out=moved)
         v = project_simplex(moved, s)
@@ -323,25 +317,28 @@ def ls_pgd_solve(
             termination = "kkt_tol"
             break
         predicted = float(g @ v) + v_norm**2 / (2.0 * eta)
-        if predicted > DECREASE_SLACK:
-            raise RuntimeError(
-                f"projected step predicts increase ({predicted:.3g} > 0); "
-                "gradient and projection are inconsistent"
-            )
+        if predicted > 0.0:
+            round_off = DECREASE_ROUNDINGS * _EPS * float(np.abs(g) @ (np.abs(w) + np.abs(moved)))
+            if predicted > round_off:
+                raise RuntimeError(
+                    f"projected step predicts increase ({predicted:.3g} > 0) beyond "
+                    f"its round-off bound {round_off:.3g}; gradient and projection "
+                    "are inconsistent"
+                )
         accepted = False
         scale = 1.0
-        for rejected in range(opts.max_backtracks + 1):
+        for rejected in range(MAX_BACKTRACKS + 1):
             trial = np.multiply(scale, v)
             trial += w
-            trial_deg = ctx.degrees(trial)
+            trial_deg = degrees(trial, ctx.m)
             f_trial = obj._value(ctx, trial, trial_deg)
-            if f_trial <= f_cur + opts.beta * scale * predicted:
+            if f_trial <= f_cur + ARMIJO_SLOPE * scale * predicted:
                 accepted = True
                 break
-            scale *= opts.gamma
+            scale *= BACKTRACK_RATIO
         if not accepted:
             raise LineSearchStallError(
-                f"no sufficient decrease within {opts.max_backtracks} backtracks "
+                f"no sufficient decrease within {MAX_BACKTRACKS} backtracks "
                 f"at iteration {iters}"
             )
         backtracks += rejected

@@ -85,13 +85,24 @@ def test_unknown_key_is_named(tmp_path, capsys):
     code = cli.main(["generate", "--config", write_config(tmp_path, config)])
     assert code == 2
     assert "'prob'" in capsys.readouterr().err
-    learn_config = {
-        "signals": str(tmp_path / "signals.csv"),
-        "preset": {"name": "mugl_o", "solver": {"step": 0.01}},
-    }
-    code = cli.main(["learn", "--config", write_config(tmp_path, learn_config, "learn.json")])
-    assert code == 2
-    assert "'step'" in capsys.readouterr().err
+    # removed solver options (the Armijo settings are constants now)
+    for key in ("step", "beta", "gamma", "max_backtracks"):
+        learn_config = {
+            "signals": str(tmp_path / "signals.csv"),
+            "preset": {"name": "mugl_o", "solver": {key: 0.01}},
+        }
+        code = cli.main(["learn", "--config", write_config(tmp_path, learn_config, "learn.json")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_graph_parameter_of_another_family_is_config_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    config = {**GEN_CONFIG, "graph": {**GEN_CONFIG["graph"], "sigma": 0.3}}
+    cfg = write_config(tmp_path, config, "gen.json")
+    assert cli.main(["generate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "config.graph: only the gaussian family reads sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_learn_vsgl_finds_single_edge(tmp_path):

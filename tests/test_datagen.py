@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -47,6 +48,24 @@ def test_graph_spec_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             GraphSpec(**kwargs)
+
+
+def test_graph_spec_rejects_parameters_of_other_families():
+    for kwargs in [
+        dict(family="er", sigma=0.3),
+        dict(family="er", threshold=0.5),
+        dict(family="gaussian", p=0.5),
+        dict(family="gaussian", theta0=3),
+        dict(family="pa", p=0.5),
+        dict(family="er", theta=2),
+    ]:
+        family = kwargs.pop("family")
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=f"reads {name}; omit it for {family}$"):
+            GraphSpec(family, 20, seed=0, **kwargs)
+    # a provenance round-trip writes every field at its default
+    spec = GraphSpec("er", 20, seed=0, p=0.1)
+    assert GraphSpec(**asdict(spec)) == spec
 
 
 def test_signal_spec_validation():

@@ -93,6 +93,23 @@ def test_resolve_config_per_preset():
     assert auto.rho2 == rho2_radius(params, 8, mom.n)
 
 
+def test_explicit_rho2_skips_the_spectral_norm(monkeypatch):
+    # only the covariance radius reads sigma, so a preset with an explicit
+    # rho2 never calibrates, even where rho1 comes from the formula
+    def refuse(params, cov):
+        raise AssertionError("calibrated called")
+
+    monkeypatch.setattr(harness, "calibrated", refuse)
+    _, X = small_instance(11, 12, m=8)
+    for preset in (
+        harness.ModelPreset("mugl_l", rho1=0.5, rho2=1.0),
+        harness.ModelPreset("mugl_o", rho2=1.0),
+    ):
+        config, report = harness.learn(preset, X)
+        assert config.rho2 == 1.0
+        assert report.converged
+
+
 def test_zero_radius_robust_preset_matches_baseline():
     graph = gen_graph(GraphSpec("gaussian", 8, seed=11))
     X = gen_signals(graph.laplacian, SignalSpec(n=40, epsilon=0.1, seed=12))
@@ -311,12 +328,12 @@ def test_run_experiment_on_disconnected_truths():
 
 
 def test_run_experiment_with_fewer_signals_than_nodes():
-    # n < m: the sample covariance is singular.  Some fits may abort here
-    # (see the stopping-test item in ROADMAP); each abort fails one cell.
+    # n < m: the sample covariance is singular, yet every fit finishes
     graph = GraphSpec("er", 20, seed=0)
     few = SignalSpec(n=5, epsilon=0.1, seed=0)
     summary = harness.run_experiment(graph, few, ALL_PRESETS, n_seeds=6, master_seed=0)
     assert_every_cell_scored_or_failed(summary)
+    assert summary.failures == []
 
 
 def test_run_experiment_input_validation():

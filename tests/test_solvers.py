@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import mugl.solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from mugl.evaluation import binarize
 from mugl.harness import ModelPreset, learn, resolve_config, run_seeds
-from mugl.laplacian import validate_simplex
+from mugl.laplacian import degrees, validate_simplex
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
     BarrierDomainError,
@@ -23,6 +24,7 @@ from mugl.objective import (
     objective_value,
 )
 from mugl.solvers import (
+    MAX_BACKTRACKS,
     SPECTRAL_STEP_MAX,
     SPECTRAL_STEP_MIN,
     LineSearchStallError,
@@ -30,7 +32,6 @@ from mugl.solvers import (
     is_linear,
     ls_pgd_solve,
     project_simplex,
-    short_spectral_step,
     spectral_step,
     stationarity_residual,
     vertex_solve,
@@ -148,13 +149,13 @@ def test_solver_options_validation():
     for kwargs in [
         {"max_iters": 0},
         {"eta_max": 0.0},
-        {"beta": 1.0},
-        {"gamma": 0.0},
         {"tol_step": -1.0},
-        {"max_backtracks": 0},
+        {"tol_kkt": -1.0},
     ]:
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+    # the Armijo constants are module constants, not options
+    assert [f.name for f in fields(SolverOptions)] == ["max_iters", "eta_max", "tol_step", "tol_kkt"]
 
 
 def test_pgd_linear_objective_finds_argmin_vertex():
@@ -168,31 +169,31 @@ def test_pgd_linear_objective_finds_argmin_vertex():
 
 def test_spectral_step_rule():
     s_k = np.array([0.5, -0.5])
-    assert spectral_step(s_k, 2.0 * s_k, 1.0) == pytest.approx(0.5)
+    assert spectral_step(s_k, 2.0 * s_k, True, 1.0) == pytest.approx(0.5)
     # no curvature (linear objective) or negative curvature: fall back
-    assert spectral_step(s_k, np.zeros(2), 0.7) == 0.7
-    assert spectral_step(s_k, -s_k, 0.7) == 0.7
-    assert spectral_step(s_k, 1e-14 * s_k, 1.0) == SPECTRAL_STEP_MAX
-    assert spectral_step(s_k, 1e14 * s_k, 1.0) == SPECTRAL_STEP_MIN
+    assert spectral_step(s_k, np.zeros(2), True, 0.7) == 0.7
+    assert spectral_step(s_k, -s_k, True, 0.7) == 0.7
+    assert spectral_step(s_k, 1e-14 * s_k, True, 1.0) == SPECTRAL_STEP_MAX
+    assert spectral_step(s_k, 1e14 * s_k, True, 1.0) == SPECTRAL_STEP_MIN
 
 
 def test_short_spectral_step_rule():
     s_k = np.array([1.0, 0.0])
     y_k = np.array([1.0, 1.0])
     # s @ y = 1, y @ y = 2, s @ s = 1: the short step is half the long one
-    assert short_spectral_step(s_k, y_k, 1.0) == 0.5
-    assert spectral_step(s_k, y_k, 1.0) == 1.0
+    assert spectral_step(s_k, y_k, False, 1.0) == 0.5
+    assert spectral_step(s_k, y_k, True, 1.0) == 1.0
     # no, orthogonal or negative curvature (y = 0 included): fall back
-    assert short_spectral_step(s_k, np.zeros(2), 0.7) == 0.7
-    assert short_spectral_step(s_k, np.array([0.0, 1.0]), 0.7) == 0.7
-    assert short_spectral_step(s_k, -s_k, 0.7) == 0.7
-    assert short_spectral_step(s_k, 1e-14 * s_k, 1.0) == SPECTRAL_STEP_MAX
-    assert short_spectral_step(s_k, 1e14 * s_k, 1.0) == SPECTRAL_STEP_MIN
+    assert spectral_step(s_k, np.zeros(2), False, 0.7) == 0.7
+    assert spectral_step(s_k, np.array([0.0, 1.0]), False, 0.7) == 0.7
+    assert spectral_step(s_k, -s_k, False, 0.7) == 0.7
+    assert spectral_step(s_k, 1e-14 * s_k, False, 1.0) == SPECTRAL_STEP_MAX
+    assert spectral_step(s_k, 1e14 * s_k, False, 1.0) == SPECTRAL_STEP_MIN
     rng = np.random.default_rng(23)
     for _ in range(100):
         s_k, y_k = rng.standard_normal((2, 6))
         if s_k @ y_k > 0:
-            assert short_spectral_step(s_k, y_k, 1.0) <= spectral_step(s_k, y_k, 1.0)
+            assert spectral_step(s_k, y_k, False, 1.0) <= spectral_step(s_k, y_k, True, 1.0)
 
 
 def test_linear_instance_takes_fallback_step(monkeypatch):
@@ -200,9 +201,9 @@ def test_linear_instance_takes_fallback_step(monkeypatch):
     ctx = generic_context(101, s=1.0)
     steps = []
 
-    def spy(s_k, y_k, fallback):
+    def spy(s_k, y_k, long, fallback):
         assert not np.any(y_k)
-        steps.append(spectral_step(s_k, y_k, fallback))
+        steps.append(spectral_step(s_k, y_k, long, fallback))
         return steps[-1]
 
     monkeypatch.setattr(mugl.solvers, "spectral_step", spy)
@@ -406,7 +407,7 @@ def test_ls_pgd_keeps_barrier_domain():
     ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
     report = ls_pgd_solve(ctx, np.full(10, 0.4))
     assert np.isfinite(report.objective_trace).all()
-    assert ctx.degrees(report.w_final).min() > 0.0
+    assert degrees(report.w_final, ctx.m).min() > 0.0
 
 
 def test_ls_pgd_rejects_out_of_domain_start():
@@ -441,6 +442,36 @@ def test_ls_pgd_two_starts_agree_on_convex_instance():
     assert abs(first.objective_trace[-1] - second.objective_trace[-1]) <= 1e-6
 
 
+def test_ls_pgd_starts_agree_on_headline_draws():
+    # g is not convex when rho1 > 0, so agreement between starts is checked,
+    # not implied.  Two different minima on some draw would call for a
+    # difference-of-convex method.
+    for graph_seed, signal_seed in run_seeds(1234, 3):
+        graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=80, epsilon=0.1, seed=signal_seed))
+        moments = empirical_moments(X)
+        starts = np.random.default_rng(signal_seed).dirichlet(np.ones(190), size=4) * 20.0
+        for preset in (ModelPreset("mugl_o"), ModelPreset("mugl_l"),
+                       ModelPreset("mugl_o", rho2=1.0), ModelPreset("mugl_l", rho2=1.0)):
+            ctx = build_context(moments, resolve_config(preset, moments, 20))
+            best = ls_pgd_solve(ctx, np.full(190, 20.0 / 190)).objective_trace[-1]
+            for w0 in starts:
+                report = ls_pgd_solve(ctx, w0)
+                assert report.converged
+                assert abs(report.objective_trace[-1] - best) <= 1e-9 * abs(best)
+
+
+def test_ls_pgd_has_no_round_off_aborts_on_short_sparse_draws():
+    # ER p=0.05, m=20, n=5: predicted decreases of 1e-12 to 2e-12 are
+    # round-off at these radii (rho2 in the hundreds), and every fit returns
+    for seed in range(40):
+        graph = gen_graph(GraphSpec("er", 20, seed=seed, p=0.05))
+        X = gen_signals(graph.laplacian, SignalSpec(n=5, epsilon=0.1, seed=seed + 100))
+        for name in ("mugl_o", "mugl_l", "log_model"):
+            _, report = learn(ModelPreset(name), X)
+            assert report.termination in ("step_tol", "kkt_tol")
+
+
 def test_ls_pgd_nonsmooth_abort_on_constant_mean():
     # a constant mean zeroes the square-root term's coefficients, so the
     # first gradient already has no value and the solve aborts
@@ -452,7 +483,7 @@ def test_ls_pgd_nonsmooth_abort_on_constant_mean():
 
 def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
     # every trial point sits above the value at w0, so the first iteration
-    # rejects all of them: w0 plus 1 + max_backtracks evaluations
+    # rejects all of them: w0 plus 1 + MAX_BACKTRACKS evaluations
     ctx = generic_context(113, rho2=0.5, s=1.0)
     calls = {"n": 0}
 
@@ -463,7 +494,7 @@ def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
     monkeypatch.setattr(mugl.objective, "_value", stuck_value)
     with pytest.raises(LineSearchStallError, match="backtracks at iteration 1$"):
         ls_pgd_solve(ctx, np.full(10, 0.1))
-    assert calls["n"] == SolverOptions().max_backtracks + 2
+    assert calls["n"] == MAX_BACKTRACKS + 2
 
 
 def test_stationarity_residual_zero_at_linear_minimizer():

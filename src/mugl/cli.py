@@ -12,7 +12,8 @@ are deterministic functions of the config and master seed.
 Exit codes are part of the contract:
 
   0  success
-  2  config error (malformed JSON, unknown or invalid keys)
+  2  config error (malformed JSON, unknown or invalid keys, or a size that
+     cannot be allocated)
   3  I/O error (missing or unreadable/unwritable files)
   4  learn hit the iteration cap (result still written, flagged)
   5  solver abort (nonsmooth point, barrier domain, line-search stall, or
@@ -393,6 +394,10 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
+    except MemoryError as exc:
+        # nothing is written: each command makes its output directory after its data and fits
+        print(f"error: size too large: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,7 @@ outcome worth recording.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,28 +34,36 @@ class PrfScores:
     degenerate: bool
 
 
+def check_threshold(rel_threshold: float) -> None:
+    """Raise ValueError unless rel_threshold lies in [0, 1)."""
+    if not 0 <= rel_threshold < 1:
+        raise ValueError(f"relative threshold must lie in [0, 1), got {rel_threshold}")
+
+
 def binarize(w: np.ndarray, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.ndarray:
     """Edge indicators: True where w_k strictly exceeds rel_threshold * max(w).
 
     An all-zero vector yields no edges.
     """
     w = np.asarray(w, dtype=float)
-    if not 0 <= rel_threshold < 1:
-        raise ValueError(f"relative threshold must lie in [0, 1), got {rel_threshold}")
+    check_threshold(rel_threshold)
     return w > rel_threshold * float(w.max(initial=0.0))
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> EdgeConfusion:
-    """Pairwise confusion counts between boolean indicator vectors."""
+    """Pairwise confusion counts between boolean indicator vectors.
+
+    Three reductions count tp, |pred| and |truth|; fp, fn and tn follow by
+    subtraction.
+    """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    tp = int(np.sum(pred & truth))
-    fp = int(np.sum(pred & ~truth))
-    fn = int(np.sum(~pred & truth))
-    tn = int(np.sum(~pred & ~truth))
-    return EdgeConfusion(tp, fp, fn, tn)
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return EdgeConfusion(tp, fp, fn, pred.size - tp - fp - fn)
 
 
 def prf(c: EdgeConfusion) -> PrfScores:
@@ -82,21 +90,22 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     When either indicator has zero entropy the ratio is defined by
     convention: 1 if the vectors are identical, else 0.
     """
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    total = pred.size
+    return _nmi(confusion(pred, truth))
+
+
+def _nmi(c: EdgeConfusion) -> float:
+    """nmi from the confusion counts; the indicator vectors are identical
+    exactly when fp == fn == 0."""
+    total = c.tp + c.fp + c.fn + c.tn
     if total == 0:
         raise ValueError("empty indicator vectors")
-    c = confusion(pred, truth)
     joint = np.array([[c.tn, c.fn], [c.fp, c.tp]], dtype=float) / total
     p_pred = joint.sum(axis=1)
     p_truth = joint.sum(axis=0)
     h_pred = _entropy(p_pred)
     h_truth = _entropy(p_truth)
     if h_pred == 0.0 or h_truth == 0.0:
-        return 1.0 if bool(np.array_equal(pred, truth)) else 0.0
+        return 1.0 if c.fp == c.fn == 0 else 0.0
     mi = 0.0
     for a in range(2):
         for b in range(2):
@@ -115,17 +124,19 @@ def metric_record(
     truth_mask: np.ndarray,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
 ) -> dict:
-    """Flat record of every edge-recovery metric for a learned weight vector."""
-    pred_mask = binarize(w_pred, rel_threshold)
-    c = confusion(pred_mask, truth_mask)
+    """Flat record of every edge-recovery metric for a learned weight vector,
+    all from one confusion count."""
+    c = confusion(binarize(w_pred, rel_threshold), truth_mask)
     scores = prf(c)
-    record = {
+    return {
         "precision": scores.precision,
         "recall": scores.recall,
         "f_measure": scores.f_measure,
-        "nmi": nmi(pred_mask, truth_mask),
+        "nmi": _nmi(c),
+        "tp": c.tp,
+        "fp": c.fp,
+        "fn": c.fn,
+        "tn": c.tn,
+        "threshold": rel_threshold,
+        "degenerate": scores.degenerate,
     }
-    record.update(asdict(c))
-    record["threshold"] = rel_threshold
-    record["degenerate"] = scores.degenerate
-    return record

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import solvers
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
-from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
+from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
 from .laplacian import edge_count
 from .moments import EmpiricalMoments, RadiusParams, calibrated, empirical_moments, rho1_radius, rho2_radius
 from .objective import ModelConfig, build_context
@@ -224,6 +224,7 @@ def run_experiment(
         raise ValueError("need at least one preset")
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got n_seeds={n_seeds}")
+    check_threshold(rel_threshold)
     labels = [p.display_name for p in presets]
     if len(set(labels)) != len(labels):
         raise ValueError(f"preset labels must be unique, got {labels}")

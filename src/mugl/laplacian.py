@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# Tolerances for validation helpers.  Feasibility checks are relative to the
-# scale of the object being checked, never absolute.
-DEFAULT_TOL = 1e-9
+# Tolerance of validate_simplex and is_laplacian, relative to the scale of
+# the object being checked, never absolute.
+VALIDATION_TOL = 1e-9
 
 # Asymmetry beyond this (relative to max |entry|) triggers a warning in
 # adjoint(); smaller asymmetry is silently symmetrized since floating-point
@@ -178,31 +178,32 @@ def adjoint(M: np.ndarray) -> np.ndarray:
     return d[rows] + d[cols] - 2.0 * S[rows, cols]
 
 
-def validate_simplex(w: np.ndarray, s: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff w >= -tol entrywise and |sum(w) - s| <= tol * max(1, s)."""
+def validate_simplex(w: np.ndarray, s: float) -> bool:
+    """True iff w >= -VALIDATION_TOL entrywise and |sum(w) - s| <=
+    VALIDATION_TOL * max(1, s)."""
     w = np.asarray(w, dtype=float)
     if s <= 0:
         raise ValueError(f"simplex scale must be positive, got s={s}")
     if w.size == 0:
         return False
-    return bool(w.min() >= -tol and abs(w.sum() - s) <= tol * max(1.0, s))
+    return bool(w.min() >= -VALIDATION_TOL and abs(w.sum() - s) <= VALIDATION_TOL * max(1.0, s))
 
 
-def is_laplacian(L: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_laplacian(L: np.ndarray) -> bool:
     """Check symmetry, nonpositive off-diagonals, and zero row sums.
 
-    All comparisons are relative to max(1, ||L||_F).
+    All comparisons are to VALIDATION_TOL * max(1, ||L||_F).
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         return False
-    scale = max(1.0, float(np.linalg.norm(L)))
-    if np.abs(L - L.T).max() > tol * scale:
+    bound = VALIDATION_TOL * max(1.0, float(np.linalg.norm(L)))
+    if np.abs(L - L.T).max() > bound:
         return False
     off = L - np.diag(np.diag(L))
-    if off.max() > tol * scale:
+    if off.max() > bound:
         return False
-    return bool(np.abs(L.sum(axis=1)).max() <= tol * scale)
+    return bool(np.abs(L.sum(axis=1)).max() <= bound)
 
 
 def write_edge_list(path, w: np.ndarray, m: int) -> None:

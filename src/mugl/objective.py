@@ -39,9 +39,6 @@ from .moments import EmpiricalMoments
 
 REGULARIZERS = ("none", "log_barrier")
 
-# w is accepted as feasible when within this relative distance of the simplex.
-FEASIBILITY_TOL = 1e-9
-
 # The square-root term counts as nonsmooth where a @ w falls at or below this
 # fraction of max(a) * s.
 SQRT_FLOOR = 1e-12
@@ -139,7 +136,7 @@ def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
         raise InfeasiblePointError(
             f"weight vector has {w.size} entries, expected {ctx.n_pairs}"
         )
-    if not validate_simplex(w, ctx.config.s, tol=FEASIBILITY_TOL):
+    if not validate_simplex(w, ctx.config.s):
         raise InfeasiblePointError(
             f"w outside the scale-{ctx.config.s} simplex "
             f"(sum={w.sum():.6g}, min={w.min():.6g})"

@@ -22,7 +22,7 @@ Stationarity is measured by the projected-gradient residual
 ||w - project(w - t * grad)|| / t, which vanishes exactly at constrained
 stationary points.  ||project(w - t * grad) - w|| grows with t while its
 ratio to t shrinks, so the step the iteration already projected at bounds
-the residual at t = eta_max from above without a second projection.  The
+the residual at t = ETA_MAX from above without a second projection.  The
 iterative solver stops on the disjunction of a step-size tolerance
 (infinity norm of the update, tested after long steps only, since a short
 step moves w less and would fire it early) and that residual bound.
@@ -60,6 +60,12 @@ TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
 SPECTRAL_STEP_MIN = 1e-10
 SPECTRAL_STEP_MAX = 1e10
 
+# The step of the first iteration, the fallback for both spectral steps
+# wherever they are undefined (s @ y <= 0), and the probe step of the
+# stationarity residual.  Read at call time, never bound as a default
+# argument, so patching it changes every use.
+ETA_MAX = 1.0
+
 # Fixed constants of the Armijo backtracking: a trial w + scale * v is
 # accepted once its value is at most f(w) + ARMIJO_SLOPE * scale * Gamma;
 # otherwise scale shrinks by BACKTRACK_RATIO, at most MAX_BACKTRACKS times.
@@ -83,26 +89,21 @@ class LineSearchStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, step size, and stopping tolerances.
+    """Iteration budget and stopping tolerances.
 
-    eta_max is the step of the first iteration and the fallback for both
-    spectral steps wherever they are undefined (s @ y <= 0); it is also the
-    probe step of the stationarity test, which stops once ||w - project(w -
-    eta_max * grad)|| / eta_max <= tol_kkt is guaranteed.  tol_step is the
-    step-size tolerance.  The Armijo constants are fixed (ARMIJO_SLOPE,
+    The stationarity test stops once ||w - project(w - ETA_MAX * grad)|| /
+    ETA_MAX <= tol_kkt is guaranteed; tol_step is the step-size tolerance.
+    The steps and the Armijo constants are fixed (ETA_MAX, ARMIJO_SLOPE,
     BACKTRACK_RATIO, MAX_BACKTRACKS).
     """
 
     max_iters: int = 10_000
-    eta_max: float = 1.0
     tol_step: float = 1e-8
     tol_kkt: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not self.eta_max > 0:
-            raise ValueError(f"eta_max must be positive, got {self.eta_max}")
         if self.tol_step < 0 or self.tol_kkt < 0:
             raise ValueError("tolerances must be nonnegative")
 
@@ -184,29 +185,21 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def stationarity_residual(
-    ctx: obj.ObjectiveContext,
-    w: np.ndarray,
-    probe_step: float = SolverOptions.eta_max,
-) -> float:
-    """||w - project(w - probe_step * grad)||_2 / probe_step.
+def stationarity_residual(ctx: obj.ObjectiveContext, w: np.ndarray) -> float:
+    """||w - project(w - ETA_MAX * grad)||_2 / ETA_MAX.
 
-    Zero exactly at constrained stationary points, for any probe step.
-    Raises RuntimeError when the gradient has a non-finite entry.
+    Zero exactly at constrained stationary points.  Raises RuntimeError
+    when the gradient has a non-finite entry.
     """
-    return _certificate(ctx, w, _finite(obj.gradient(ctx, w)), probe_step)[0]
+    return _certificate(ctx, w, _finite(obj.gradient(ctx, w)))[0]
 
 
-def _certificate(
-    ctx: obj.ObjectiveContext, w: np.ndarray, g: np.ndarray, probe_step: float
-) -> tuple[float, float]:
-    """(stationarity residual at probe_step, Frank-Wolfe gap) at w, both
-    from its one gradient g."""
-    if not probe_step > 0:
-        raise ValueError(f"probe step must be positive, got {probe_step}")
+def _certificate(ctx: obj.ObjectiveContext, w: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """(stationarity residual at probe step ETA_MAX, Frank-Wolfe gap) at w,
+    both from its one gradient g."""
     s = ctx.config.s
-    moved = project_simplex(w - probe_step * g, s)
-    residual = float(np.linalg.norm(w - moved)) / probe_step
+    moved = project_simplex(w - ETA_MAX * g, s)
+    residual = float(np.linalg.norm(w - moved)) / ETA_MAX
     return residual, float(g @ w) - s * float(g.min())
 
 
@@ -238,11 +231,11 @@ def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
-    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)), SolverOptions.eta_max)
+    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)))
     return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap)
 
 
-def spectral_step(s_k: np.ndarray, y_k: np.ndarray, long: bool, fallback: float) -> float:
+def spectral_step(s_k: np.ndarray, y_k: np.ndarray, long: bool) -> float:
     """Barzilai-Borwein step from the last changes in iterate (s_k) and
     gradient (y_k): the long step (BB1) s @ s / s @ y when long is true,
     else the short step (BB2) s @ y / y @ y, clamped to [SPECTRAL_STEP_MIN,
@@ -250,12 +243,12 @@ def spectral_step(s_k: np.ndarray, y_k: np.ndarray, long: bool, fallback: float)
     long one.
 
     Where s @ y <= 0 (no positive curvature along s, e.g. a linear
-    objective; y = 0 included) both steps are undefined and fallback is
+    objective; y = 0 included) both steps are undefined and ETA_MAX is
     returned.
     """
     sy = float(s_k @ y_k)
     if not sy > 0.0:
-        return fallback
+        return ETA_MAX
     step = float(s_k @ s_k) / sy if long else sy / float(y_k @ y_k)
     return min(max(step, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
 
@@ -265,17 +258,17 @@ def ls_pgd_solve(
 ) -> SolveReport:
     """Spectral projected gradient with monotone Armijo backtracking.
 
-    Per iteration: pick eta, eta_max on the first iteration, then the short
+    Per iteration: pick eta, ETA_MAX on the first iteration, then the short
     Barzilai-Borwein step on even iterations and the long one on odd ones
-    (spectral_step), each falling back to eta_max wherever it is undefined.
+    (spectral_step), each falling back to ETA_MAX wherever it is undefined.
     Take the projected step v = project(w - eta * grad) - w, then accept
     w + BACKTRACK_RATIO^t * v for the smallest t whose objective sits below
     the Armijo line through the predicted decrease Gamma = grad @ v +
     ||v||^2 / (2 eta).  Gamma <= 0 by the projection theorem, so accepted
     objectives never increase.  Trial points outside the log-barrier domain
     evaluate to +inf and are rejected like any other insufficient decrease.  The iteration stops with
-    kkt_tol once ||v|| / min(eta, eta_max) <= tol_kkt, which bounds the
-    stationarity residual at probe step eta_max; the report's kkt_residual
+    kkt_tol once ||v|| / min(eta, ETA_MAX) <= tol_kkt, which bounds the
+    stationarity residual at probe step ETA_MAX; the report's kkt_residual
     is measured at that probe step, so a kkt_tol return reports at most
     tol_kkt up to round-off.  The step_tol stop (||scale * v||_inf <=
     tol_step) is tested only after a long step, so a step_tol return always
@@ -305,15 +298,15 @@ def ls_pgd_solve(
         long_step = iters % 2 == 1
         g = _finite(obj._gradient(ctx, w, deg))
         if g_prev is None:
-            eta = opts.eta_max
+            eta = ETA_MAX
         else:
-            eta = spectral_step(w - w_prev, g - g_prev, long_step, opts.eta_max)
+            eta = spectral_step(w - w_prev, g - g_prev, long_step)
         np.multiply(eta, g, out=moved)
         np.subtract(w, moved, out=moved)
         v = project_simplex(moved, s)
         v -= w
         v_norm = float(np.linalg.norm(v))
-        if v_norm / min(eta, opts.eta_max) <= opts.tol_kkt:
+        if v_norm / min(eta, ETA_MAX) <= opts.tol_kkt:
             termination = "kkt_tol"
             break
         predicted = float(g @ v) + v_norm**2 / (2.0 * eta)
@@ -350,5 +343,5 @@ def ls_pgd_solve(
         if long_step and step_inf <= opts.tol_step:
             termination = "step_tol"
             break
-    residual, gap = _certificate(ctx, w, _finite(obj._gradient(ctx, w, deg)), opts.eta_max)
+    residual, gap = _certificate(ctx, w, _finite(obj._gradient(ctx, w, deg)))
     return SolveReport(w, trace, iters, residual, termination, backtracks, gap)

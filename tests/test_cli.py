@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -85,8 +90,8 @@ def test_unknown_key_is_named(tmp_path, capsys):
     code = cli.main(["generate", "--config", write_config(tmp_path, config)])
     assert code == 2
     assert "'prob'" in capsys.readouterr().err
-    # removed solver options (the Armijo settings are constants now)
-    for key in ("step", "beta", "gamma", "max_backtracks"):
+    # removed solver options (the first step and the Armijo settings are constants now)
+    for key in ("step", "beta", "gamma", "max_backtracks", "eta_max"):
         learn_config = {
             "signals": str(tmp_path / "signals.csv"),
             "preset": {"name": "mugl_o", "solver": {key: 0.01}},
@@ -485,6 +490,16 @@ def test_bench_rejects_per_section_seeds(tmp_path, capsys):
     assert "master seed" in capsys.readouterr().err
 
 
+def test_bench_bad_threshold_rejected_before_first_draw(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "learn", lambda preset, X: calls.append(preset))
+    code, out = run_bench(tmp_path, {**BENCH_CONFIG, "threshold": 1.5})
+    assert code == 2
+    assert "relative threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("generate", GEN_CONFIG),
     ("bench", BENCH_CONFIG),
@@ -531,3 +546,74 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("mugl ")
+
+
+SRC = pathlib.Path(mugl.__file__).resolve().parent.parent
+
+# m(m-1)/2 pair weights at m = 10^9 need 3.47 EiB, which numpy refuses
+# without touching memory.  Only ER graphs and edge-list headers are used at
+# this size: a Gaussian graph first draws an m x 2 coordinate array (16 GB).
+TOO_LARGE_M = 1_000_000_000
+
+
+def _python_m_case(tmp_path, case):
+    """argv after ``python -m mugl`` for one exit-code case."""
+    out = str(tmp_path / "out")
+    if case == "version":
+        return ["--version"]
+    if case == "unknown_key":
+        config = {**GEN_CONFIG, "graph": {**GEN_CONFIG["graph"], "prob": 0.5}}
+        return ["generate", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "missing_signals":
+        config = {"signals": str(tmp_path / "absent.csv"), "preset": {"name": "vsgl"}}
+        return ["learn", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "m_mismatch":
+        truth, pred = tmp_path / "truth.edges", tmp_path / "pred.edges"
+        write_edge_list(truth, np.ones(3), 3)
+        write_edge_list(pred, np.ones(6), 4)
+        config = {"truth": str(truth), "predicted": str(pred)}
+        return ["eval", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "generate_too_large":
+        config = {**GEN_CONFIG, "graph": {"family": "er", "m": TOO_LARGE_M, "seed": 2}}
+        return ["generate", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "eval_too_large":
+        huge = tmp_path / "huge.edges"
+        huge.write_text(f"# m={TOO_LARGE_M}\n2 1 1.0\n")
+        config = {"truth": str(huge), "predicted": str(huge)}
+        return ["eval", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "bench_too_large":
+        config = {**BENCH_CONFIG, "graph": {"family": "er", "m": TOO_LARGE_M}}
+        return ["bench", "--config", write_config(tmp_path, config), "--out", out]
+    raise AssertionError(case)
+
+
+def _cap_address_space():
+    # a regression that really allocates fails here instead of on the machine
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("case, code", [
+    ("version", 0),
+    ("unknown_key", 2),
+    ("missing_signals", 3),
+    ("m_mismatch", 6),
+    ("generate_too_large", 2),
+    ("eval_too_large", 2),
+    ("bench_too_large", 2),
+])
+def test_python_m_mugl_exit_codes(tmp_path, case, code):
+    argv = _python_m_case(tmp_path, case)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "mugl", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()

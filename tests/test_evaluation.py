@@ -33,6 +33,22 @@ def test_confusion_examples():
     assert confusion(~truth, truth) == EdgeConfusion(tp=0, fp=1, fn=2, tn=0)
 
 
+def test_confusion_matches_four_reductions():
+    # fp, fn and tn come by subtraction from tp, |pred| and |truth|
+    rng = np.random.default_rng(3)
+    for p in (1, 10, 190, 4950):
+        for _ in range(20):
+            pred = rng.random(p) < rng.random()
+            truth = rng.random(p) < rng.random()
+            want = EdgeConfusion(
+                tp=int(np.sum(pred & truth)),
+                fp=int(np.sum(pred & ~truth)),
+                fn=int(np.sum(~pred & truth)),
+                tn=int(np.sum(~pred & ~truth)),
+            )
+            assert confusion(pred, truth) == want
+
+
 def test_confusion_length_mismatch():
     with pytest.raises(ValueError):
         confusion(np.ones(3, bool), np.ones(4, bool))
@@ -133,6 +149,9 @@ def test_metric_record_contents():
     w_true = np.array([1.0, 0.0, 0.8])
     w_learned = np.array([0.9, 0.2, 0.0])
     record = metric_record(w_learned, binarize(w_true))
+    assert list(record) == [
+        "precision", "recall", "f_measure", "nmi", "tp", "fp", "fn", "tn", "threshold", "degenerate",
+    ]
     assert record["tp"] == 1 and record["fp"] == 1 and record["fn"] == 1
     assert record["tn"] == 0
     assert record["threshold"] == pytest.approx(0.01)

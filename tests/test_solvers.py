@@ -148,14 +148,13 @@ def test_project_simplex_matches_reference_bitwise_at_scale():
 def test_solver_options_validation():
     for kwargs in [
         {"max_iters": 0},
-        {"eta_max": 0.0},
         {"tol_step": -1.0},
         {"tol_kkt": -1.0},
     ]:
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
-    # the Armijo constants are module constants, not options
-    assert [f.name for f in fields(SolverOptions)] == ["max_iters", "eta_max", "tol_step", "tol_kkt"]
+    # the steps and the Armijo constants are module constants, not options
+    assert [f.name for f in fields(SolverOptions)] == ["max_iters", "tol_step", "tol_kkt"]
 
 
 def test_pgd_linear_objective_finds_argmin_vertex():
@@ -167,47 +166,51 @@ def test_pgd_linear_objective_finds_argmin_vertex():
     assert report.converged
 
 
-def test_spectral_step_rule():
+def test_spectral_step_rule(monkeypatch):
+    # a fallback distinct from every computed step; ETA_MAX is read per call
+    monkeypatch.setattr(mugl.solvers, "ETA_MAX", 0.7)
     s_k = np.array([0.5, -0.5])
-    assert spectral_step(s_k, 2.0 * s_k, True, 1.0) == pytest.approx(0.5)
+    assert spectral_step(s_k, 2.0 * s_k, True) == pytest.approx(0.5)
     # no curvature (linear objective) or negative curvature: fall back
-    assert spectral_step(s_k, np.zeros(2), True, 0.7) == 0.7
-    assert spectral_step(s_k, -s_k, True, 0.7) == 0.7
-    assert spectral_step(s_k, 1e-14 * s_k, True, 1.0) == SPECTRAL_STEP_MAX
-    assert spectral_step(s_k, 1e14 * s_k, True, 1.0) == SPECTRAL_STEP_MIN
+    assert spectral_step(s_k, np.zeros(2), True) == 0.7
+    assert spectral_step(s_k, -s_k, True) == 0.7
+    assert spectral_step(s_k, 1e-14 * s_k, True) == SPECTRAL_STEP_MAX
+    assert spectral_step(s_k, 1e14 * s_k, True) == SPECTRAL_STEP_MIN
 
 
-def test_short_spectral_step_rule():
+def test_short_spectral_step_rule(monkeypatch):
+    monkeypatch.setattr(mugl.solvers, "ETA_MAX", 0.7)
     s_k = np.array([1.0, 0.0])
     y_k = np.array([1.0, 1.0])
     # s @ y = 1, y @ y = 2, s @ s = 1: the short step is half the long one
-    assert spectral_step(s_k, y_k, False, 1.0) == 0.5
-    assert spectral_step(s_k, y_k, True, 1.0) == 1.0
+    assert spectral_step(s_k, y_k, False) == 0.5
+    assert spectral_step(s_k, y_k, True) == 1.0
     # no, orthogonal or negative curvature (y = 0 included): fall back
-    assert spectral_step(s_k, np.zeros(2), False, 0.7) == 0.7
-    assert spectral_step(s_k, np.array([0.0, 1.0]), False, 0.7) == 0.7
-    assert spectral_step(s_k, -s_k, False, 0.7) == 0.7
-    assert spectral_step(s_k, 1e-14 * s_k, False, 1.0) == SPECTRAL_STEP_MAX
-    assert spectral_step(s_k, 1e14 * s_k, False, 1.0) == SPECTRAL_STEP_MIN
+    assert spectral_step(s_k, np.zeros(2), False) == 0.7
+    assert spectral_step(s_k, np.array([0.0, 1.0]), False) == 0.7
+    assert spectral_step(s_k, -s_k, False) == 0.7
+    assert spectral_step(s_k, 1e-14 * s_k, False) == SPECTRAL_STEP_MAX
+    assert spectral_step(s_k, 1e14 * s_k, False) == SPECTRAL_STEP_MIN
     rng = np.random.default_rng(23)
     for _ in range(100):
         s_k, y_k = rng.standard_normal((2, 6))
         if s_k @ y_k > 0:
-            assert spectral_step(s_k, y_k, False, 1.0) <= spectral_step(s_k, y_k, True, 1.0)
+            assert spectral_step(s_k, y_k, False) <= spectral_step(s_k, y_k, True)
 
 
 def test_linear_instance_takes_fallback_step(monkeypatch):
-    # the gradient is constant, so y = 0 and every step is eta_max
+    # the gradient is constant, so y = 0 and every step is ETA_MAX
     ctx = generic_context(101, s=1.0)
     steps = []
 
-    def spy(s_k, y_k, long, fallback):
+    def spy(s_k, y_k, long):
         assert not np.any(y_k)
-        steps.append(spectral_step(s_k, y_k, long, fallback))
+        steps.append(spectral_step(s_k, y_k, long))
         return steps[-1]
 
     monkeypatch.setattr(mugl.solvers, "spectral_step", spy)
-    report = ls_pgd_solve(ctx, np.full(10, 0.1), SolverOptions(eta_max=0.25))
+    monkeypatch.setattr(mugl.solvers, "ETA_MAX", 0.25)
+    report = ls_pgd_solve(ctx, np.full(10, 0.1))
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
     assert report.converged
@@ -286,22 +289,25 @@ def test_ls_pgd_fixed_point_terminates_immediately():
     assert len(report.objective_trace) == 1
 
 
-def test_ls_pgd_trace_non_increasing_and_descent():
+def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
     for kwargs in [
         dict(rho1=0.4, rho2=0.6, s=2.0),
         dict(rho1=0.4, rho2=0.6, s=5.0, regularizer="log_barrier", alpha=0.5),
         dict(rho2=1.0, s=3.0, quad_weight=0.5),
-        # nearly linear: spectral steps near 1 / (2 quad_weight) far exceed eta_max
+        # nearly linear: spectral steps near 1 / (2 quad_weight) far exceed ETA_MAX
         dict(s=1.0, quad_weight=1e-8),
     ]:
         ctx = generic_context(107, **kwargs)
         w0 = np.full(10, ctx.config.s / 10)
-        for opts in (
-            SolverOptions(),
-            SolverOptions(tol_step=0.0),
-            SolverOptions(eta_max=0.1, tol_step=0.0),
-            SolverOptions(eta_max=10.0, tol_step=0.0),
+        # the kkt_tol test divides by min(eta, ETA_MAX); other values of
+        # ETA_MAX keep both the step and the cap in that test exercised
+        for eta_max, opts in (
+            (1.0, SolverOptions()),
+            (1.0, SolverOptions(tol_step=0.0)),
+            (0.1, SolverOptions(tol_step=0.0)),
+            (10.0, SolverOptions(tol_step=0.0)),
         ):
+            monkeypatch.setattr(mugl.solvers, "ETA_MAX", eta_max)
             report = ls_pgd_solve(ctx, w0, opts)
             trace = np.array(report.objective_trace)
             assert np.all(np.diff(trace) <= 0.0)
@@ -310,13 +316,13 @@ def test_ls_pgd_trace_non_increasing_and_descent():
             if opts.tol_step == 0.0:
                 assert report.termination == "kkt_tol"
             if report.termination == "kkt_tol":
-                # the stopping test bounds the residual at probe step eta_max,
+                # the stopping test bounds the residual at probe step ETA_MAX,
                 # which is the residual the report carries
-                residual = stationarity_residual(ctx, report.w_final, probe_step=opts.eta_max)
+                residual = stationarity_residual(ctx, report.w_final)
                 assert report.kkt_residual == residual <= opts.tol_kkt
 
 
-def test_step_tol_fires_only_after_a_long_step():
+def test_step_tol_fires_only_after_a_long_step(monkeypatch):
     # a short step moves w less than the long one, so the step-size stop is
     # tested only after long steps, which are the odd iterations
     fired = []
@@ -328,12 +334,13 @@ def test_step_tol_fires_only_after_a_long_step():
         for seed in (101, 103, 107):
             ctx = generic_context(seed, **kwargs)
             w0 = np.full(10, ctx.config.s / 10)
-            for opts in (
-                SolverOptions(),
-                SolverOptions(tol_step=1e-4, tol_kkt=0.0),
-                SolverOptions(tol_step=1e-2, tol_kkt=0.0),
-                SolverOptions(eta_max=0.1, tol_step=1e-3, tol_kkt=0.0),
+            for eta_max, opts in (
+                (1.0, SolverOptions()),
+                (1.0, SolverOptions(tol_step=1e-4, tol_kkt=0.0)),
+                (1.0, SolverOptions(tol_step=1e-2, tol_kkt=0.0)),
+                (0.1, SolverOptions(tol_step=1e-3, tol_kkt=0.0)),
             ):
+                monkeypatch.setattr(mugl.solvers, "ETA_MAX", eta_max)
                 report = ls_pgd_solve(ctx, w0, opts)
                 if report.termination == "step_tol":
                     fired.append(report.iters)
@@ -518,8 +525,6 @@ def test_stationarity_residual_decreases_along_pgd():
     report = ls_pgd_solve(ctx, w0)
     assert start > 0.0
     assert report.kkt_residual < start
-    with pytest.raises(ValueError):
-        stationarity_residual(ctx, w0, probe_step=0.0)
 
 
 def test_objective_trace_records_start_value():

@@ -167,6 +167,13 @@ def resolve_out_dir(args, config: dict) -> str:
     return out
 
 
+def reject_section_seeds(config: dict) -> None:
+    """A master seed derives the section seeds, so the sections may not set their own."""
+    if "seed" in config["graph"] or "seed" in config["signals"]:
+        raise config_error("per-run seeds derive from the master seed; "
+                           "remove 'seed' from the graph/signals sections")
+
+
 def info(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -185,6 +192,8 @@ def cmd_generate(args) -> int:
         graph_fixed, signal_fixed = ({"seed": seed} for seed in harness.run_seeds(master, 1)[0])
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", **graph_fixed)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", **signal_fixed)
+    if master is not None:
+        reject_section_seeds(config)
     out = resolve_out_dir(args, config)
 
     graph = gen_graph(graph_spec)
@@ -285,11 +294,7 @@ def cmd_bench(args) -> int:
     # per-run seeds replace the placeholder 0 in run_experiment
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", seed=0)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", seed=0)
-    if "seed" in config["graph"] or "seed" in config["signals"]:
-        raise config_error(
-            "bench derives per-run seeds from the master seed; "
-            "remove 'seed' from the graph/signals sections"
-        )
+    reject_section_seeds(config)
     master = args.seed if args.seed is not None else config.get("seed", 0)
     master = parse_value(int, master, "config.seed")
     if not isinstance(config["presets"], list) or not config["presets"]:

@@ -2,19 +2,19 @@
 
 Four presets cover the model family:
 
-* mugl_o: robust objective, no regularizer.
+* mugl_o: robust objective, no barrier or penalty.
 * mugl_l: robust objective plus the log-degree barrier.
-* vsgl: both radii forced to zero, no regularizer; the plain smoothness
-  baseline, a linear objective minimized by a single pair.
+* vsgl: both radii forced to zero, no barrier or penalty; the plain
+  smoothness baseline, a linear objective minimized by a single pair.
 * log_model: radii zero, log-degree barrier plus the squared off-diagonal
   penalty; the classical non-robust log-degree model.
 
 Robust presets take their radii either explicitly or, by default, from the
 sample-size calibration with the covariance spectral norm plugged in.  The
 simplex scale is tied to the node count (s = m), matching how the synthetic
-benchmarks are run.  A resolved config that is linear (zero radii, no
-penalty: vsgl, or mugl_o with explicit zero radii) is solved in closed form
-at the argmin vertex; every other config goes to the line-search solver,
+benchmarks are run.  A resolved config with no convex term (rho2 = 0, no
+barrier or penalty: vsgl, or mugl_o at rho2 = 0) is solved in closed form
+at its best vertex; every other config goes to the line-search solver,
 whose rejection of +inf trials keeps iterates inside the barrier domain.
 
 run_experiment draws (graph, signals) pairs from per-run child seeds of a
@@ -54,10 +54,10 @@ class ModelPreset:
 
     rho1/rho2 left as None means calibrate from the data via radius_params
     (robust presets only; the non-robust presets pin both radii to zero and
-    reject explicit nonzero values).  alpha is read by the barrier presets
-    and quad_weight by log_model only; a field the preset never reads must
-    keep its default.  label distinguishes multiple presets of the same
-    name in one experiment, e.g. a grid over alpha.
+    reject explicit nonzero values).  alpha (> 0) is read by the barrier
+    presets and quad_weight (>= 0) by log_model only; a field the preset
+    never reads must keep its default.  label distinguishes multiple
+    presets of the same name in one experiment, e.g. a grid over alpha.
     """
 
     name: str
@@ -80,10 +80,14 @@ class ModelPreset:
                 raise ValueError(f"{self.name} is non-robust; radius_params must be omitted")
         if not self.uses_barrier and self.alpha != DEFAULT_ALPHA:
             raise ValueError(f"{self.name} has no barrier; alpha must be omitted")
+        if not self.alpha > 0:
+            raise ValueError(f"{self.name}'s log-degree barrier needs alpha > 0, got {self.alpha}")
         if self.name != "log_model" and self.quad_weight != DEFAULT_QUAD_WEIGHT:
             raise ValueError(f"only log_model reads quad_weight; omit it for {self.name}")
+        if not self.quad_weight >= 0:
+            raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
         for radius in (self.rho1, self.rho2):
-            if radius is not None and radius < 0:
+            if radius is not None and not radius >= 0:
                 raise ValueError(f"radii must be nonnegative, got {radius}")
 
     @property
@@ -111,8 +115,7 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
         rho1=rho1,
         rho2=rho2,
         s=float(m),
-        regularizer="log_barrier" if preset.uses_barrier else "none",
-        alpha=preset.alpha,
+        alpha=preset.alpha if preset.uses_barrier else 0.0,
         quad_weight=preset.quad_weight if preset.name == "log_model" else 0.0,
     )
 
@@ -120,16 +123,16 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
 def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.SolveReport]:
     """Fit the preset to signals X and return (resolved config, solve report).
 
-    Linear configs are solved exactly; the rest start the line search from
-    the simplex centroid.  The learned weights sit in report.w_final; their
-    Laplacian expand(report.w_final, m) has trace 2m.
+    Concave configs are solved exactly at their best vertex; the rest start
+    the line search from the simplex centroid.  The learned weights sit in
+    report.w_final; their Laplacian expand(report.w_final, m) has trace 2m.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     moments = empirical_moments(X)
     config = resolve_config(preset, moments, m)
     ctx = build_context(moments, config)
-    if solvers.is_linear(config):
+    if solvers.is_concave(config):
         report = solvers.vertex_solve(ctx)
     else:
         mbar = edge_count(m)

@@ -37,8 +37,6 @@ import numpy as np
 from .laplacian import adjoint, degrees, pair_indices, pair_sums, validate_simplex
 from .moments import EmpiricalMoments
 
-REGULARIZERS = ("none", "log_barrier")
-
 # The square-root term counts as nonsmooth where a @ w falls at or below this
 # fraction of max(a) * s.
 SQRT_FLOOR = 1e-12
@@ -62,7 +60,7 @@ class ModelConfig:
 
     rho1, rho2: uncertainty radii for mean and covariance (0 disables).
     s: simplex scale, i.e. half the Laplacian trace.
-    regularizer: "none" or "log_barrier"; alpha is the barrier weight.
+    alpha: weight of the log-degree barrier (0 disables it).
     quad_weight: coefficient of the squared off-diagonal penalty
         (quad_weight / 2) * sum_{i != j} L_ij^2, used by the non-robust
         log-degree model; 0 disables it.
@@ -71,22 +69,17 @@ class ModelConfig:
     rho1: float = 0.0
     rho2: float = 0.0
     s: float = 1.0
-    regularizer: str = "none"
-    alpha: float = 0.5
+    alpha: float = 0.0
     quad_weight: float = 0.0
 
     def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
+        if not (self.rho1 >= 0 and self.rho2 >= 0):
             raise ValueError(f"radii must be nonnegative, got rho1={self.rho1}, rho2={self.rho2}")
         if not self.s > 0:
             raise ValueError(f"simplex scale must be positive, got s={self.s}")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(
-                f"unknown regularizer {self.regularizer!r}, expected one of {REGULARIZERS}"
-            )
-        if self.regularizer == "log_barrier" and not self.alpha > 0:
-            raise ValueError(f"log_barrier needs alpha > 0, got {self.alpha}")
-        if self.quad_weight < 0:
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not self.quad_weight >= 0:
             raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
 
 
@@ -190,7 +183,7 @@ def _value(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
     if cfg.quad_weight > 0:
         # (quad_weight/2) * sum_{i!=j} L_ij^2 counts each pair twice.
         val += cfg.quad_weight * float(w @ w)
-    if cfg.regularizer == "log_barrier":
+    if cfg.alpha > 0:
         if deg.min() <= 0.0:
             return math.inf
         val -= cfg.alpha * float(np.log(deg).sum())
@@ -220,7 +213,7 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarr
         node_coeff += scale * deg
     if cfg.quad_weight > 0:
         grad += np.multiply(2.0 * cfg.quad_weight, w, out=term)
-    if cfg.regularizer == "log_barrier":
+    if cfg.alpha > 0:
         if deg.min() <= 0.0:
             raise BarrierDomainError(
                 f"log-barrier domain violated: min degree {deg.min():.3g} <= 0"

@@ -13,10 +13,11 @@
   they stay feasible, and because a rejected trial can return +inf
   (log-barrier) the backtracking also acts as the domain guard: iterates
   never leave the barrier domain.
-* vertex_solve: the closed form for a linear objective (no radii, no
-  penalty), whose minimum over the simplex sits at the vertex s * e_k with
-  k = argmin(quad_coeff).  Choosing the vertex is O(p) in the number of
-  node pairs p; the residual check on it costs one projection.
+* vertex_solve: the closed form when no term is convex (rho2 = alpha =
+  quad_weight = 0): g is linear plus the concave sqrt(a @ w), so its
+  minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
+  Cor. 32.3.2).  Choosing it is O(p) in the number of node pairs p; the
+  residual check on it costs one projection.
 
 Stationarity is measured by the projected-gradient residual
 ||w - project(w - t * grad)|| / t, which vanishes exactly at constrained
@@ -210,26 +211,23 @@ def _finite(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def is_linear(config: obj.ModelConfig) -> bool:
-    """True when the objective reduces to w @ quad_coeff (no radii, no penalty)."""
-    return (
-        config.rho1 == 0.0
-        and config.rho2 == 0.0
-        and config.regularizer == "none"
-        and config.quad_weight == 0.0
-    )
+def is_concave(config: obj.ModelConfig) -> bool:
+    """True when no term is convex: w @ quad_coeff plus the concave sqrt(a @ w)."""
+    return config.rho2 == config.alpha == config.quad_weight == 0.0
 
 
 def vertex_solve(ctx: obj.ObjectiveContext) -> SolveReport:
-    """Exact minimizer of a linear objective: all mass on argmin(quad_coeff).
+    """Exact minimizer of a concave objective: all mass s on the pair k
+    minimizing g(s * e_k) / s = quad_coeff_k + sqrt(sqrt_coeff_k / s).
 
-    The projection of w - t * grad returns w at that vertex for every t, so
-    the reported residual is zero and no iteration is taken.
+    The projection of w - t * grad returns w there for every t, so the
+    residual is zero; where sqrt has no gradient (e.g. constant means),
+    gradient raises NonsmoothPointError as in ls_pgd_solve.
     """
-    if not is_linear(ctx.config):
-        raise ValueError("vertex_solve needs a linear objective (zero radii, no penalty)")
+    if not is_concave(ctx.config):
+        raise ValueError("vertex_solve needs rho2 = alpha = quad_weight = 0")
     w = np.zeros(ctx.n_pairs)
-    w[int(np.argmin(ctx.quad_coeff))] = ctx.config.s
+    w[int(np.argmin(ctx.quad_coeff + np.sqrt(ctx.sqrt_coeff / ctx.config.s)))] = ctx.config.s
     trace = [obj.objective_value(ctx, w)]
     residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)))
     return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap)

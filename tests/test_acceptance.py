@@ -82,9 +82,9 @@ def test_criterion_03_gradient_finite_difference():
     from mugl.objective import gradient, objective_value
 
     configs = [
-        dict(rho1=0.6, rho2=0.8, s=6.0, regularizer="none"),
-        dict(rho1=0.6, rho2=0.8, s=6.0, regularizer="log_barrier", alpha=0.4),
-        dict(rho1=0.0, rho2=0.8, s=6.0, regularizer="none"),
+        dict(rho1=0.6, rho2=0.8, s=6.0),
+        dict(rho1=0.6, rho2=0.8, s=6.0, alpha=0.4),
+        dict(rho1=0.0, rho2=0.8, s=6.0),
     ]
     rng = np.random.default_rng(33)
     worst = 0.0
@@ -150,7 +150,7 @@ def test_criterion_05_line_search_descent_and_convexity():
         worst_resid = max(worst_resid, report.kkt_residual)
 
     rng = np.random.default_rng(55)
-    ctx = oracles.random_context(rng, 8, n=20, rho1=0.0, rho2=0.8, s=8.0, regularizer="none")
+    ctx = oracles.random_context(rng, 8, n=20, rho1=0.0, rho2=0.8, s=8.0)
     mbar = edge_count(8)
     a = solvers.ls_pgd_solve(ctx, np.full(mbar, 8.0 / mbar), opts)
     b = solvers.ls_pgd_solve(ctx, oracles.random_interior(rng, mbar, 8.0), opts)

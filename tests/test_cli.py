@@ -73,6 +73,18 @@ def test_generate_master_seed_derives_sections(tmp_path):
     assert prov["signal_spec"]["seed"] == s
 
 
+@pytest.mark.parametrize("extra, config", [
+    (("--seed", "5"), GEN_CONFIG),
+    ((), {**GEN_CONFIG, "seed": 5}),
+])
+def test_generate_rejects_section_seeds_beside_a_master_seed(tmp_path, capsys, extra, config):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, config, "gen.json")
+    assert cli.main(["generate", "--config", cfg, "--out", str(out), "--quiet", *extra]) == 2
+    assert "per-run seeds derive from the master seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_json_cites_location(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"graph": {,}}')
@@ -168,18 +180,22 @@ def test_learn_report_counts_backtracks(tmp_path):
 
 def test_learn_report_records_the_resolved_config(tmp_path):
     data = run_generate(tmp_path)
-    out = tmp_path / "fit"
-    preset = {"name": "mugl_l", "radius_params": {"delta": 0.01}}
-    cfg = write_config(tmp_path, {"signals": str(data / "signals.csv"), "preset": preset},
-                       "learn.json")
-    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "solve_report.json").read_text())
     X = read_signals_csv(data / "signals.csv")
-    resolved = harness.resolve_config(
-        cli.parse_fields(harness.ModelPreset, preset, "preset"), empirical_moments(X), 5
-    )
-    assert report["resolved"] == asdict(resolved)
-    assert (report["m"], report["n"]) == X.shape
+    for i, preset in enumerate([
+        {"name": "mugl_l", "radius_params": {"delta": 0.01}},
+        {"name": "mugl_o", "rho2": 0},
+    ]):
+        out = tmp_path / f"fit{i}"
+        cfg = write_config(tmp_path, {"signals": str(data / "signals.csv"), "preset": preset},
+                           f"learn{i}.json")
+        assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        parsed = cli.parse_fields(harness.ModelPreset, preset, "preset")
+        resolved = harness.resolve_config(parsed, empirical_moments(X), 5)
+        assert report["resolved"] == asdict(resolved)
+        assert (report["m"], report["n"]) == X.shape
+        # the recorded config rebuilds the one learn returns
+        assert mugl.objective.ModelConfig(**report["resolved"]) == harness.learn(parsed, X)[0]
 
 
 def test_config_schema_round_trips(tmp_path):
@@ -227,6 +243,26 @@ def test_preset_field_the_preset_never_reads_is_config_error(tmp_path, capsys, p
     err = capsys.readouterr().err
     assert "config.preset: " in err and preset["name"] in err
     assert not fit.exists()
+
+
+@pytest.mark.parametrize("preset, message", [
+    ({"name": "mugl_l", "alpha": 0}, "mugl_l's log-degree barrier needs alpha > 0, got 0.0"),
+    ({"name": "log_model", "quad_weight": -1}, "quad_weight must be nonnegative, got -1.0"),
+])
+def test_preset_weight_out_of_range_fails_before_any_input(tmp_path, monkeypatch, capsys,
+                                                         preset, message):
+    calls = []
+    monkeypatch.setattr(harness, "learn", lambda preset, X: calls.append(preset))
+    fit = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(tmp_path / "absent.csv"), "preset": preset},
+                       "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(fit), "--quiet"]) == 2
+    assert f"config.preset: {message}" in capsys.readouterr().err
+    code, out = run_bench(tmp_path, {**BENCH_CONFIG, "presets": [preset]})
+    assert code == 2
+    assert f"config.presets[0]: {message}" in capsys.readouterr().err
+    assert calls == []
+    assert not fit.exists() and not out.exists()
 
 
 def test_non_finite_config_numbers_are_rejected(tmp_path, capsys):
@@ -509,7 +545,7 @@ def test_negative_master_seed_is_named(tmp_path, command, config, capsys):
     cfg = write_config(tmp_path, config)
     code = cli.main([command, "--config", cfg, "--out", str(out), "--seed", "-1", "--quiet"])
     assert code == 2
-    assert "master seed" in capsys.readouterr().err
+    assert "master seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -567,6 +603,13 @@ def _python_m_case(tmp_path, case):
     if case == "missing_signals":
         config = {"signals": str(tmp_path / "absent.csv"), "preset": {"name": "vsgl"}}
         return ["learn", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "bad_alpha_missing_signals":
+        preset = {"name": "mugl_l", "alpha": 0}
+        config = {"signals": str(tmp_path / "absent.csv"), "preset": preset}
+        return ["learn", "--config", write_config(tmp_path, config), "--out", out]
+    if case == "generate_section_seeds":
+        return ["generate", "--config", write_config(tmp_path, GEN_CONFIG), "--out", out,
+                "--seed", "5"]
     if case == "m_mismatch":
         truth, pred = tmp_path / "truth.edges", tmp_path / "pred.edges"
         write_edge_list(truth, np.ones(3), 3)
@@ -596,6 +639,8 @@ def _cap_address_space():
     ("version", 0),
     ("unknown_key", 2),
     ("missing_signals", 3),
+    ("bad_alpha_missing_signals", 2),
+    ("generate_section_seeds", 2),
     ("m_mismatch", 6),
     ("generate_too_large", 2),
     ("eval_too_large", 2),

@@ -29,6 +29,8 @@ def test_preset_validation():
         harness.ModelPreset(name, rho1=0.0, rho2=0.0)  # explicit zeros are fine
     with pytest.raises(ValueError, match="nonnegative"):
         harness.ModelPreset("mugl_o", rho1=-0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        harness.ModelPreset("mugl_l", rho2=float("nan"))
 
 
 def test_preset_rejects_alpha_without_a_barrier():
@@ -38,6 +40,17 @@ def test_preset_rejects_alpha_without_a_barrier():
         harness.ModelPreset(name, alpha=harness.DEFAULT_ALPHA)
     for name in ("mugl_l", "log_model"):
         assert harness.ModelPreset(name, alpha=0.3).alpha == 0.3
+
+
+def test_preset_rejects_a_barrier_or_penalty_weight_out_of_range():
+    # a zero alpha would silently drop the barrier, since the coefficient is its switch
+    for name in ("mugl_l", "log_model"):
+        for alpha in (0.0, -0.5):
+            with pytest.raises(ValueError, match=f"{name}'s log-degree barrier needs alpha > 0"):
+                harness.ModelPreset(name, alpha=alpha)
+    with pytest.raises(ValueError, match="quad_weight must be nonnegative, got -1"):
+        harness.ModelPreset("log_model", quad_weight=-1.0)
+    assert harness.ModelPreset("log_model", quad_weight=0.0).quad_weight == 0.0
 
 
 def test_preset_rejects_quad_weight_outside_log_model():
@@ -73,19 +86,19 @@ def test_resolve_config_per_preset():
 
     plain = harness.resolve_config(harness.ModelPreset("vsgl"), mom, 8)
     assert plain.rho1 == 0.0 and plain.rho2 == 0.0
-    assert plain.regularizer == "none" and plain.quad_weight == 0.0
+    assert plain.alpha == 0.0 and plain.quad_weight == 0.0
     assert plain.s == 8.0
 
     log = harness.resolve_config(harness.ModelPreset("log_model"), mom, 8)
-    assert log.regularizer == "log_barrier"
+    assert log.alpha == harness.DEFAULT_ALPHA
     assert log.quad_weight == harness.DEFAULT_QUAD_WEIGHT
 
     barrier = harness.resolve_config(harness.ModelPreset("mugl_l"), mom, 8)
-    assert barrier.regularizer == "log_barrier"
+    assert barrier.alpha == harness.DEFAULT_ALPHA
     assert barrier.quad_weight == 0.0  # squared penalty belongs to log_model only
 
     explicit = harness.resolve_config(harness.ModelPreset("mugl_o", rho1=0.3, rho2=0.7), mom, 8)
-    assert explicit.rho1 == 0.3 and explicit.rho2 == 0.7
+    assert explicit.rho1 == 0.3 and explicit.rho2 == 0.7 and explicit.alpha == 0.0
 
     auto = harness.resolve_config(harness.ModelPreset("mugl_o"), mom, 8)
     params = calibrated(harness.ModelPreset("mugl_o").radius_params, mom.cov)
@@ -121,7 +134,7 @@ def test_zero_radius_robust_preset_matches_baseline():
 
 @pytest.mark.parametrize("graph_seed", [2, 3, 4])
 def test_vsgl_finds_linear_argmin_vertex(graph_seed):
-    # with both radii zero and no regularizer the objective is linear in w,
+    # with both radii zero and no barrier or penalty the objective is linear in w,
     # so the simplex minimizer is the vertex of the smallest coefficient
     _, X = small_instance(graph_seed, graph_seed + 100)
     resolved, report = harness.learn(harness.ModelPreset("vsgl"), X)
@@ -132,6 +145,37 @@ def test_vsgl_finds_linear_argmin_vertex(graph_seed):
     vertex = np.zeros(edge_count(5))
     vertex[np.argmin(ctx.quad_coeff)] = config.s
     assert np.array_equal(report.w_final, vertex)
+
+
+@pytest.mark.parametrize("n", [80, 320, 1280])
+def test_mugl_o_without_rho2_is_solved_at_its_best_vertex(n):
+    # rho2 = 0 and no barrier or penalty leave a linear plus concave
+    # objective, minimized over the simplex at a vertex; the line search
+    # from five starts ends no lower (and on 2 of these 30 draws, higher)
+    for graph_seed, signal_seed in harness.run_seeds(1234, 10):
+        graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=n, epsilon=0.1, seed=signal_seed))
+        config, report = harness.learn(harness.ModelPreset("mugl_o", rho2=0.0), X)
+        assert config.rho1 > 0.0
+        assert (report.iters, report.kkt_residual, report.gap) == (0, 0.0, 0.0)
+        assert np.count_nonzero(report.w_final) == 1
+        ctx = build_context(empirical_moments(X), config)
+        starts = np.random.default_rng(signal_seed).dirichlet(np.ones(190), size=4) * 20.0
+        best = min(
+            solvers.ls_pgd_solve(ctx, w0).objective_trace[-1]
+            for w0 in (np.full(190, 20.0 / 190), *starts)
+        )
+        assert report.objective_trace[-1] <= best
+
+
+def test_constant_means_without_rho2_are_nonsmooth_at_the_vertex():
+    # integer rows that sum to zero have means of exactly 0.0, so the
+    # square-root term vanishes everywhere and has no gradient at any vertex
+    X = np.random.default_rng(5).integers(-5, 6, size=(6, 30)).astype(float)
+    X[:, -1] = -X[:, :-1].sum(axis=1)
+    assert not empirical_moments(X).mean.any()
+    with pytest.raises(mugl.objective.NonsmoothPointError):
+        harness.learn(harness.ModelPreset("mugl_o", rho2=0.0), X)
 
 
 def test_log_model_starts_agree():
@@ -279,10 +323,10 @@ def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
 
     def poisoned_gradient(ctx, w, deg):
         g = real_gradient(ctx, w, deg)
-        return np.full_like(g, np.nan) if ctx.config.regularizer == "log_barrier" else g
+        return np.full_like(g, np.nan) if ctx.config.alpha > 0 else g
 
     def counting_value(ctx, w, deg):
-        if ctx.config.regularizer == "log_barrier":
+        if ctx.config.alpha > 0:
             barrier_values.append(w)
         return real_value(ctx, w, deg)
 

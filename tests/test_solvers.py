@@ -29,7 +29,7 @@ from mugl.solvers import (
     SPECTRAL_STEP_MIN,
     LineSearchStallError,
     SolverOptions,
-    is_linear,
+    is_concave,
     ls_pgd_solve,
     project_simplex,
     spectral_step,
@@ -262,7 +262,7 @@ def test_pgd_nonsmooth_abort_on_constant_mean():
 
 def test_vertex_solve_matches_line_search_on_linear_instance():
     ctx = generic_context(101, s=2.0)
-    assert is_linear(ctx.config)
+    assert is_concave(ctx.config)
     report = vertex_solve(ctx)
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 2.0
@@ -292,7 +292,7 @@ def test_ls_pgd_fixed_point_terminates_immediately():
 def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
     for kwargs in [
         dict(rho1=0.4, rho2=0.6, s=2.0),
-        dict(rho1=0.4, rho2=0.6, s=5.0, regularizer="log_barrier", alpha=0.5),
+        dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
         dict(rho2=1.0, s=3.0, quad_weight=0.5),
         # nearly linear: spectral steps near 1 / (2 quad_weight) far exceed ETA_MAX
         dict(s=1.0, quad_weight=1e-8),
@@ -328,7 +328,7 @@ def test_step_tol_fires_only_after_a_long_step(monkeypatch):
     fired = []
     for kwargs in [
         dict(rho1=0.4, rho2=0.6, s=2.0),
-        dict(rho1=0.4, rho2=0.6, s=5.0, regularizer="log_barrier", alpha=0.5),
+        dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
         dict(rho2=1.0, s=3.0, quad_weight=0.5),
     ]:
         for seed in (101, 103, 107):
@@ -351,7 +351,7 @@ def test_step_tol_fires_only_after_a_long_step(monkeypatch):
 def test_backtracks_count_rejected_trial_points(monkeypatch):
     # the solver evaluates w0 and every trial point through the unchecked
     # evaluator objective._value, once each
-    ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
+    ctx = generic_context(109, rho2=0.5, s=4.0, alpha=0.6)
     real_value = mugl.objective._value
     evaluations = []
 
@@ -390,7 +390,7 @@ def test_ls_pgd_rejects_a_step_that_predicts_an_increase(monkeypatch):
     # v and Gamma share one gradient, so no corrupted gradient can make the
     # predicted decrease positive; a projection that returns the uphill point
     # project(w + eta * grad) instead of project(w - eta * grad) does.
-    ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
+    ctx = generic_context(109, rho2=0.5, s=4.0, alpha=0.6)
     w0 = np.full(10, 0.4)
     original = mugl.solvers.project_simplex
     monkeypatch.setattr(
@@ -411,14 +411,14 @@ def test_mugl_l_on_er_draw_converges_within_iteration_guard():
 
 
 def test_ls_pgd_keeps_barrier_domain():
-    ctx = generic_context(109, rho2=0.5, s=4.0, regularizer="log_barrier", alpha=0.6)
+    ctx = generic_context(109, rho2=0.5, s=4.0, alpha=0.6)
     report = ls_pgd_solve(ctx, np.full(10, 0.4))
     assert np.isfinite(report.objective_trace).all()
     assert degrees(report.w_final, ctx.m).min() > 0.0
 
 
 def test_ls_pgd_rejects_out_of_domain_start():
-    ctx = generic_context(109, s=1.0, regularizer="log_barrier", alpha=0.6)
+    ctx = generic_context(109, s=1.0, alpha=0.6)
     vertex = np.zeros(10)
     vertex[0] = 1.0
     with pytest.raises(BarrierDomainError):
@@ -439,7 +439,7 @@ def test_ls_pgd_seeded_barrier_instance_converges():
 
 
 def test_ls_pgd_two_starts_agree_on_convex_instance():
-    ctx = generic_context(101, rho2=0.8, s=5.0, regularizer="log_barrier", alpha=0.4)
+    ctx = generic_context(101, rho2=0.8, s=5.0, alpha=0.4)
     first = ls_pgd_solve(ctx, np.full(10, 0.5))
     w0 = np.full(10, 0.5)
     w0[0] = 2.0
@@ -539,9 +539,9 @@ def test_objective_trace_records_start_value():
 
 def test_gap_is_nonnegative_and_zero_at_the_vertex():
     for kwargs in (
-        {"rho2": 0.5, "s": 4.0, "regularizer": "log_barrier", "alpha": 0.6},
+        {"rho2": 0.5, "s": 4.0, "alpha": 0.6},
         {"rho1": 0.3, "rho2": 0.5, "s": 2.0},
-        {"s": 3.0, "regularizer": "log_barrier", "quad_weight": 0.5},
+        {"s": 3.0, "alpha": 0.5, "quad_weight": 0.5},
     ):
         report = ls_pgd_solve(generic_context(109, **kwargs), np.full(10, kwargs["s"] / 10))
         assert report.gap >= -1e-12

@@ -84,18 +84,14 @@ def prf(c: EdgeConfusion) -> PrfScores:
     return PrfScores(precision, recall, f_measure, degenerate)
 
 
-def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Normalized mutual information 2 I / (H(truth) + H(pred)), natural log.
+def nmi(c: EdgeConfusion) -> float:
+    """Normalized mutual information 2 I / (H(truth) + H(pred)), natural log,
+    between the indicator vectors behind the confusion counts c.
 
     When either indicator has zero entropy the ratio is defined by
-    convention: 1 if the vectors are identical, else 0.
+    convention: 1 if the vectors are identical (exactly when fp == fn == 0),
+    else 0.
     """
-    return _nmi(confusion(pred, truth))
-
-
-def _nmi(c: EdgeConfusion) -> float:
-    """nmi from the confusion counts; the indicator vectors are identical
-    exactly when fp == fn == 0."""
     total = c.tp + c.fp + c.fn + c.tn
     if total == 0:
         raise ValueError("empty indicator vectors")
@@ -132,7 +128,7 @@ def metric_record(
         "precision": scores.precision,
         "recall": scores.recall,
         "f_measure": scores.f_measure,
-        "nmi": _nmi(c),
+        "nmi": nmi(c),
         "tp": c.tp,
         "fp": c.fp,
         "fn": c.fn,

@@ -1,21 +1,15 @@
 """Model presets and the seeded benchmark loop.
 
-Four presets cover the model family:
-
-* mugl_o: robust objective, no barrier or penalty.
-* mugl_l: robust objective plus the log-degree barrier.
-* vsgl: both radii forced to zero, no barrier or penalty; the plain
-  smoothness baseline, a linear objective minimized by a single pair.
-* log_model: radii zero, log-degree barrier plus the squared off-diagonal
-  penalty; the classical non-robust log-degree model.
-
-Robust presets take their radii either explicitly or, by default, from the
-sample-size calibration with the covariance spectral norm plugged in.  The
-simplex scale is tied to the node count (s = m), matching how the synthetic
-benchmarks are run.  A resolved config with no convex term (rho2 = 0, no
-barrier or penalty: vsgl, or mugl_o at rho2 = 0) is solved in closed form
-at its best vertex; every other config goes to the line-search solver,
-whose rejection of +inf trials keeps iterates inside the barrier domain.
+PRESETS is the model family, one row per preset name: whether the preset
+is robust (it takes rho1 and rho2 explicitly or, by default, from the
+sample-size calibration with the covariance spectral norm plugged in;
+otherwise both are 0), and whether it reads alpha (the log-degree barrier)
+and quad_weight (the squared off-diagonal penalty).  The simplex scale is
+tied to the node count (s = m), matching how the synthetic benchmarks are
+run.  A resolved config with no convex term (rho2 = 0, no barrier or
+penalty: vsgl, or mugl_o at rho2 = 0) is solved in closed form at its best
+vertex; every other config goes to the line-search solver, whose rejection
+of +inf trials keeps iterates inside the barrier domain.
 
 run_experiment draws (graph, signals) pairs from per-run child seeds of a
 master seed, learns every preset on every draw, scores edge recovery
@@ -30,6 +24,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +36,22 @@ from .moments import EmpiricalMoments, RadiusParams, calibrated, empirical_momen
 from .objective import ModelConfig, build_context
 from .serialize import format_float
 
-PRESET_NAMES = ("mugl_o", "mugl_l", "vsgl", "log_model")
+
+class PresetRow(NamedTuple):
+    """What a preset reads: the radii (robust), alpha, quad_weight."""
+
+    robust: bool
+    alpha: bool
+    quad_weight: bool
+
+
+PRESETS = {
+    "mugl_o": PresetRow(robust=True, alpha=False, quad_weight=False),
+    "mugl_l": PresetRow(robust=True, alpha=True, quad_weight=False),
+    "vsgl": PresetRow(robust=False, alpha=False, quad_weight=False),
+    "log_model": PresetRow(robust=False, alpha=True, quad_weight=True),
+}
+PRESET_NAMES = tuple(PRESETS)
 SUMMARY_METRICS = ("precision", "recall", "f_measure", "nmi")
 
 DEFAULT_ALPHA = 0.5
@@ -52,12 +62,12 @@ DEFAULT_QUAD_WEIGHT = 0.5
 class ModelPreset:
     """A named model with its radii source, penalties, and solver options.
 
-    rho1/rho2 left as None means calibrate from the data via radius_params
-    (robust presets only; the non-robust presets pin both radii to zero and
-    reject explicit nonzero values).  alpha (> 0) is read by the barrier
-    presets and quad_weight (>= 0) by log_model only; a field the preset
-    never reads must keep its default.  label distinguishes multiple
-    presets of the same name in one experiment, e.g. a grid over alpha.
+    PRESETS[name] says which fields the preset reads; a field it never
+    reads must keep its default (non-robust presets accept explicit zero
+    radii).  rho1/rho2 left as None means calibrate from the data via
+    radius_params.  alpha must be > 0 and quad_weight >= 0.  label
+    distinguishes multiple presets of the same name in one experiment,
+    e.g. a grid over alpha.
     """
 
     name: str
@@ -72,18 +82,20 @@ class ModelPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}, expected one of {PRESET_NAMES}")
-        if self.name in ("vsgl", "log_model"):
+        row = PRESETS[self.name]
+        if not row.robust:
             for radius in (self.rho1, self.rho2):
                 if radius is not None and radius != 0.0:
                     raise ValueError(f"{self.name} is non-robust; radii must be 0 or omitted")
             if self.radius_params != RadiusParams():
                 raise ValueError(f"{self.name} is non-robust; radius_params must be omitted")
-        if not self.uses_barrier and self.alpha != DEFAULT_ALPHA:
+        if not row.alpha and self.alpha != DEFAULT_ALPHA:
             raise ValueError(f"{self.name} has no barrier; alpha must be omitted")
         if not self.alpha > 0:
             raise ValueError(f"{self.name}'s log-degree barrier needs alpha > 0, got {self.alpha}")
-        if self.name != "log_model" and self.quad_weight != DEFAULT_QUAD_WEIGHT:
-            raise ValueError(f"only log_model reads quad_weight; omit it for {self.name}")
+        if not row.quad_weight and self.quad_weight != DEFAULT_QUAD_WEIGHT:
+            readers = ", ".join(name for name, r in PRESETS.items() if r.quad_weight)
+            raise ValueError(f"only {readers} reads quad_weight; omit it for {self.name}")
         if not self.quad_weight >= 0:
             raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
         for radius in (self.rho1, self.rho2):
@@ -96,12 +108,14 @@ class ModelPreset:
 
     @property
     def uses_barrier(self) -> bool:
-        return self.name in ("mugl_l", "log_model")
+        """True when the preset reads alpha, i.e. its objective has the barrier."""
+        return PRESETS[self.name].alpha
 
 
 def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> ModelConfig:
     """Concrete objective config for this preset on this data (s = m)."""
-    if preset.name in ("vsgl", "log_model"):
+    row = PRESETS[preset.name]
+    if not row.robust:
         rho1 = rho2 = 0.0
     else:
         params = preset.radius_params
@@ -115,8 +129,8 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
         rho1=rho1,
         rho2=rho2,
         s=float(m),
-        alpha=preset.alpha if preset.uses_barrier else 0.0,
-        quad_weight=preset.quad_weight if preset.name == "log_model" else 0.0,
+        alpha=preset.alpha if row.alpha else 0.0,
+        quad_weight=preset.quad_weight if row.quad_weight else 0.0,
     )
 
 

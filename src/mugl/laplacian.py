@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Tolerance of validate_simplex and is_laplacian, relative to the scale of
-# the object being checked, never absolute.
+# Tolerance of validate_simplex: on each entry's sign, and on the sum
+# relative to max(1, s).
 VALIDATION_TOL = 1e-9
 
 # Asymmetry beyond this (relative to max |entry|) triggers a warning in
@@ -122,15 +122,6 @@ def pair_to_linear(i: int, j: int, m: int) -> int:
     return i - j + (j - 1) * (2 * m - j) // 2
 
 
-def linear_to_pair(k: int, m: int) -> tuple[int, int]:
-    """1-based (i, j) of linear index k; inverse of pair_to_linear."""
-    mbar = edge_count(m)
-    if not (1 <= k <= mbar):
-        raise ValueError(f"linear index {k} out of range 1..{mbar} for m={m}")
-    rows, cols = pair_indices(m)
-    return int(rows[k - 1]) + 1, int(cols[k - 1]) + 1
-
-
 def expand(w: np.ndarray, m: int | None = None) -> np.ndarray:
     """Laplacian L = D - W of the graph with pair weights w.
 
@@ -187,23 +178,6 @@ def validate_simplex(w: np.ndarray, s: float) -> bool:
     if w.size == 0:
         return False
     return bool(w.min() >= -VALIDATION_TOL and abs(w.sum() - s) <= VALIDATION_TOL * max(1.0, s))
-
-
-def is_laplacian(L: np.ndarray) -> bool:
-    """Check symmetry, nonpositive off-diagonals, and zero row sums.
-
-    All comparisons are to VALIDATION_TOL * max(1, ||L||_F).
-    """
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        return False
-    bound = VALIDATION_TOL * max(1.0, float(np.linalg.norm(L)))
-    if np.abs(L - L.T).max() > bound:
-        return False
-    off = L - np.diag(np.diag(L))
-    if off.max() > bound:
-        return False
-    return bool(np.abs(L.sum(axis=1)).max() <= bound)
 
 
 def write_edge_list(path, w: np.ndarray, m: int) -> None:

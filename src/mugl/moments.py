@@ -82,18 +82,6 @@ def empirical_moments(X: np.ndarray) -> EmpiricalMoments:
     return EmpiricalMoments(mean=mean, cov=cov, n=n)
 
 
-def expected_risk(mean: np.ndarray, cov: np.ndarray, L: np.ndarray) -> float:
-    """Laplacian quadratic risk trace(cov @ L) + mean @ L @ mean."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if cov.shape != L.shape or mean.size != L.shape[0]:
-        raise ValueError(
-            f"shape mismatch: mean {mean.shape}, cov {cov.shape}, L {L.shape}"
-        )
-    return float(np.sum(cov * L) + mean @ L @ mean)
-
-
 def rho1_radius(params: RadiusParams, n: int) -> float:
     """Confidence radius for the mean estimate after n observations.
 

@@ -248,11 +248,3 @@ def worst_case_cov_risk(L: np.ndarray, cov: np.ndarray, rho2: float) -> float:
     L = np.asarray(L, dtype=float)
     return float(np.sum(np.asarray(cov) * L)) + rho2 * float(np.linalg.norm(L))
 
-
-def worst_case_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
-    """Full worst-case risk at w, i.e. g(w) plus the constant rho1^2.
-
-    The constant is irrelevant to the minimization but belongs in any
-    reported risk value.
-    """
-    return objective_value(ctx, w) + ctx.config.rho1**2

@@ -11,9 +11,10 @@ import itertools
 import mpmath
 import numpy as np
 
+from mugl import solvers
 from mugl.laplacian import edge_count, pair_indices
 from mugl.moments import empirical_moments
-from mugl.objective import ModelConfig, build_context
+from mugl.objective import ModelConfig, build_context, gradient, objective_value
 
 mpmath.mp.dps = 50
 
@@ -35,6 +36,58 @@ def rho2_mp(c1, c2, sigma, delta, m, n):
     )
     fast = 4 * mpmath.mpf(c2) * e**2 * mpmath.log(2 / delta) ** 2 / n
     return slow + fast
+
+
+def expected_risk(mean, cov, L):
+    """Laplacian quadratic risk trace(cov @ L) + mean @ L @ mean."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    L = np.asarray(L, dtype=float)
+    if cov.shape != L.shape or mean.size != L.shape[0]:
+        raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}, L {L.shape}")
+    return float(np.sum(cov * L) + mean @ L @ mean)
+
+
+def linear_to_pair(k, m):
+    """1-based (i, j) of linear index k; inverse of pair_to_linear."""
+    mbar = edge_count(m)
+    if not 1 <= k <= mbar:
+        raise ValueError(f"linear index {k} out of range 1..{mbar} for m={m}")
+    rows, cols = pair_indices(m)
+    return int(rows[k - 1]) + 1, int(cols[k - 1]) + 1
+
+
+def is_laplacian(L):
+    """Check symmetry, nonpositive off-diagonals, and zero row sums, each to
+    1e-9 * max(1, ||L||_F)."""
+    L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        return False
+    bound = 1e-9 * max(1.0, float(np.linalg.norm(L)))
+    if np.abs(L - L.T).max() > bound:
+        return False
+    off = L - np.diag(np.diag(L))
+    if off.max() > bound:
+        return False
+    return bool(np.abs(L.sum(axis=1)).max() <= bound)
+
+
+def worst_case_value(ctx, w):
+    """Full worst-case risk at w, i.e. g(w) plus the constant rho1^2 that the
+    minimized objective drops."""
+    return objective_value(ctx, w) + ctx.config.rho1**2
+
+
+def stationarity_residual(ctx, w):
+    """||w - project(w - ETA_MAX * grad)||_2 / ETA_MAX, zero exactly at
+    constrained stationary points.
+
+    solvers.ETA_MAX is read at call time, so a test that patches it gets the
+    residual at the patched probe step, the one a solve's report carries.
+    """
+    eta = solvers.ETA_MAX
+    moved = solvers.project_simplex(w - eta * gradient(ctx, w), ctx.config.s)
+    return float(np.linalg.norm(w - moved)) / eta
 
 
 def path_weights(m):

@@ -233,6 +233,8 @@ def test_null_only_where_a_field_is_optional(tmp_path, capsys):
     {"name": "mugl_o", "alpha": 0.3},
     {"name": "mugl_l", "quad_weight": 1.0},
     {"name": "log_model", "radius_params": {"delta": 0.01}},
+    {"name": "vsgl", "rho2": 0.5},
+    {"name": "log_model", "rho1": 0.5},
 ])
 def test_preset_field_the_preset_never_reads_is_config_error(tmp_path, capsys, preset):
     data = run_generate(tmp_path)

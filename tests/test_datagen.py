@@ -18,8 +18,8 @@ from mugl.datagen import (
     rbf_weights,
     stream_rng,
 )
-from mugl.laplacian import expand, is_laplacian, pair_indices
-from oracles import connected_union_find, path_weights
+from mugl.laplacian import expand, pair_indices
+from oracles import connected_union_find, is_laplacian, path_weights
 
 # distance below which the default RBF weight reaches the 0.75 cutoff
 GAUSSIAN_CUTOFF = math.sqrt(-2.0 * 0.5**2 * math.log(0.75))

@@ -85,24 +85,24 @@ def test_prf_harmonic_identity():
 
 def test_nmi_identical_labelings():
     both = np.array([True, True, False, False, True])
-    assert nmi(both, both) == pytest.approx(1.0)
+    assert nmi(confusion(both, both)) == pytest.approx(1.0)
     # zero-entropy convention: identical constant labelings score 1
     flat = np.zeros(6, bool)
-    assert nmi(flat, flat) == 1.0
-    assert nmi(~flat, flat) == 0.0
+    assert nmi(confusion(flat, flat)) == 1.0
+    assert nmi(confusion(~flat, flat)) == 0.0
 
 
 def test_nmi_independent_labelings():
     pred = np.array([True, True, False, False])
     truth = np.array([True, False, True, False])
-    assert nmi(pred, truth) == pytest.approx(0.0, abs=1e-12)
+    assert nmi(confusion(pred, truth)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nmi_balanced_uniform_table_is_zero():
     pred = np.array([True] * 8 + [False] * 8)
     truth = np.array(([True] * 4 + [False] * 4) * 2)
     # joint counts are [[4, 4], [4, 4]], so the labelings share nothing
-    assert nmi(pred, truth) == pytest.approx(0.0, abs=1e-12)
+    assert nmi(confusion(pred, truth)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nmi_matches_direct_formula():
@@ -123,7 +123,7 @@ def test_nmi_matches_direct_formula():
             for i in range(2) for j in range(2) if p[i, j] > 0
         )
         if hx > 0 and hy > 0:
-            assert nmi(pred, truth) == pytest.approx(2 * mi / (hx + hy), abs=1e-12)
+            assert nmi(confusion(pred, truth)) == pytest.approx(2 * mi / (hx + hy), abs=1e-12)
 
 
 def test_nmi_symmetry():
@@ -131,7 +131,7 @@ def test_nmi_symmetry():
     for _ in range(50):
         pred = rng.random(25) < 0.4
         truth = rng.random(25) < 0.6
-        assert abs(nmi(pred, truth) - nmi(truth, pred)) <= 1e-12
+        assert abs(nmi(confusion(pred, truth)) - nmi(confusion(truth, pred))) <= 1e-12
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=40),
@@ -141,8 +141,8 @@ def test_nmi_permutation_invariant(pairs, rand):
     truth = np.array([b for _, b in pairs])
     order = list(range(len(pairs)))
     rand.shuffle(order)
-    base = nmi(pred, truth)
-    assert nmi(pred[order], truth[order]) == pytest.approx(base, abs=1e-12)
+    base = nmi(confusion(pred, truth))
+    assert nmi(confusion(pred[order], truth[order])) == pytest.approx(base, abs=1e-12)
 
 
 def test_metric_record_contents():

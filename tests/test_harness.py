@@ -4,9 +4,10 @@ import pytest
 import mugl.objective
 from mugl import harness, serialize, solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
-from mugl.laplacian import edge_count, expand, is_laplacian
+from mugl.laplacian import edge_count, expand
 from mugl.moments import calibrated, empirical_moments, rho1_radius, rho2_radius
 from mugl.objective import build_context, objective_value
+from oracles import is_laplacian
 
 SMALL_GRAPH = GraphSpec("er", 5, seed=0, p=0.5)
 SMALL_SIGNALS = SignalSpec(n=20, epsilon=0.1, seed=0)

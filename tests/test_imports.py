@@ -1,5 +1,7 @@
-"""The package runs on numpy alone: importing its entry points loads no scipy."""
+"""The package's shape: it runs on numpy alone, importing its entry points
+loads no scipy, and every public function is reached from the package."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -25,3 +27,27 @@ def test_entry_points_import_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# criterion 2 checks the two worst-case closed forms against numerical
+# suprema; nothing else needs them
+REACHED_FROM_TESTS_ONLY = {"worst_case_mean_risk", "worst_case_cov_risk"}
+
+
+def test_every_public_function_is_named_in_the_package():
+    # a function only tests call belongs in tests/oracles.py
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "mugl").glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert REACHED_FROM_TESTS_ONLY <= defined
+    assert sorted(defined - named - REACHED_FROM_TESTS_ONLY) == []

@@ -9,8 +9,6 @@ from mugl.laplacian import (
     degrees,
     edge_count,
     expand,
-    is_laplacian,
-    linear_to_pair,
     node_count,
     node_pairs,
     pair_indices,
@@ -20,7 +18,13 @@ from mugl.laplacian import (
     validate_simplex,
     write_edge_list,
 )
-from oracles import degrees_in_pair_order, pair_sums_in_pair_order, spread_weights
+from oracles import (
+    degrees_in_pair_order,
+    is_laplacian,
+    linear_to_pair,
+    pair_sums_in_pair_order,
+    spread_weights,
+)
 
 
 def test_edge_count_and_inverse():

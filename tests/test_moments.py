@@ -10,14 +10,13 @@ from mugl.moments import (
     RadiusParams,
     calibrated,
     empirical_moments,
-    expected_risk,
     read_signals_csv,
     rho1_radius,
     rho2_radius,
     write_signals_csv,
 )
 
-from oracles import rho1_mp, rho2_mp
+from oracles import expected_risk, rho1_mp, rho2_mp
 
 
 def test_identical_columns_give_zero_covariance():

@@ -15,13 +15,13 @@ from mugl.objective import (
     objective_value,
     worst_case_cov_risk,
     worst_case_mean_risk,
-    worst_case_value,
 )
 from oracles import (
     fd_directional,
     random_cov_in_ball,
     random_interior,
     random_tangent,
+    worst_case_value,
     worst_mean_risk_ascent,
 )
 

@@ -33,10 +33,14 @@ from mugl.solvers import (
     ls_pgd_solve,
     project_simplex,
     spectral_step,
-    stationarity_residual,
     vertex_solve,
 )
-from oracles import project_simplex_bruteforce, project_simplex_reference, random_interior
+from oracles import (
+    project_simplex_bruteforce,
+    project_simplex_reference,
+    random_interior,
+    stationarity_residual,
+)
 
 
 def generic_context(seed=101, m=5, n=12, **config_kwargs):
@@ -399,6 +403,22 @@ def test_ls_pgd_rejects_a_step_that_predicts_an_increase(monkeypatch):
     with pytest.raises(RuntimeError, match=r"projected step predicts increase \(.+ > 0\)") as info:
         ls_pgd_solve(ctx, w0)
     assert type(info.value) is RuntimeError  # not a stall or a domain error
+
+
+def test_ls_pgd_has_no_round_off_aborts_on_tight_headline_draws():
+    # With tol_kkt=1e-10 these three headline draws reach steps whose Gamma
+    # (4e-13 to 1.1e-12) sits just above its round-off bound.  The mean of
+    # the gradient adds nothing to Gamma but that round-off, so the centered
+    # Gamma stays below the bound and every fit returns.
+    tight = SolverOptions(tol_step=0.0, tol_kkt=1e-10, max_iters=1000)
+    seeds = run_seeds(1234, 10)
+    for draw in (3, 6, 9):
+        graph_seed, signal_seed = seeds[draw]
+        graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=80, epsilon=0.1, seed=signal_seed))
+        _, report = learn(ModelPreset("mugl_o", solver=tight), X)
+        assert report.termination in ("kkt_tol", "max_iters")
+        assert np.all(np.diff(report.objective_trace) <= 0.0)
 
 
 def test_mugl_l_on_er_draw_converges_within_iteration_guard():

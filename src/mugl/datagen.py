@@ -126,13 +126,10 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class GeneratedGraph:
-    """Pair weights of a sampled graph plus its provenance facts."""
+    """Pair weights of a sampled graph on m nodes."""
 
     weights: np.ndarray
     m: int
-    family: str
-    seed: int
-    coords: np.ndarray | None = None
 
     @property
     def laplacian(self) -> np.ndarray:
@@ -161,12 +158,9 @@ class GeneratedGraph:
 
 
 def gen_graph(spec: GraphSpec) -> GeneratedGraph:
-    """Dispatch to the generator of spec.family."""
-    return {
-        "gaussian": gen_gaussian_graph,
-        "er": gen_er_graph,
-        "pa": gen_pa_graph,
-    }[spec.family](spec)
+    """Sample the graph of spec.family from the graph stream of spec.seed."""
+    sample = {"gaussian": _gaussian_weights, "er": _er_weights, "pa": _pa_weights}[spec.family]
+    return GeneratedGraph(sample(spec, stream_rng(spec.seed, GRAPH_STREAM)), spec.m)
 
 
 def rbf_weights(coords: np.ndarray, sigma: float) -> np.ndarray:
@@ -178,50 +172,38 @@ def rbf_weights(coords: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-dist_sq / (2.0 * sigma**2))
 
 
-def gen_gaussian_graph(spec: GraphSpec) -> GeneratedGraph:
+def _gaussian_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Random geometric graph with RBF weights, thresholded."""
-    if spec.family != "gaussian":
-        raise ValueError(f"spec is for family {spec.family!r}")
-    rng = stream_rng(spec.seed, GRAPH_STREAM)
-    coords = rng.random((spec.m, 2))
-    w = rbf_weights(coords, spec.sigma)
-    w = np.where(w >= spec.threshold, w, 0.0)
-    return GeneratedGraph(w, spec.m, spec.family, spec.seed, coords=coords)
+    w = rbf_weights(rng.random((spec.m, 2)), spec.sigma)
+    return np.where(w >= spec.threshold, w, 0.0)
 
 
-def gen_er_graph(spec: GraphSpec) -> GeneratedGraph:
+def _er_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Independent unit-weight edges with probability p."""
-    if spec.family != "er":
-        raise ValueError(f"spec is for family {spec.family!r}")
-    rng = stream_rng(spec.seed, GRAPH_STREAM)
-    w = (rng.random(edge_count(spec.m)) < spec.p).astype(float)
-    return GeneratedGraph(w, spec.m, spec.family, spec.seed)
+    return (rng.random(edge_count(spec.m)) < spec.p).astype(float)
 
 
-def gen_pa_graph(spec: GraphSpec) -> GeneratedGraph:
+def _pa_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Preferential attachment with unit weights.
 
     The urn holds one token per edge endpoint, so drawing uniformly from it
     is degree-proportional sampling.  Each arrival redraws until it has
     theta distinct targets, then its edges join the urn.
     """
-    if spec.family != "pa":
-        raise ValueError(f"spec is for family {spec.family!r}")
-    rng = stream_rng(spec.seed, GRAPH_STREAM)
-    m = spec.m
     edges = [(t, t - 1) for t in range(1, spec.theta0)]  # 0-based path seed
     urn = [node for e in edges for node in e]
-    for arrival in range(spec.theta0, m):
+    for arrival in range(spec.theta0, spec.m):
         targets: set[int] = set()
         while len(targets) < spec.theta:
             targets.add(urn[rng.integers(len(urn))])
         for t in sorted(targets):
             edges.append((arrival, t))
             urn.extend((arrival, t))
-    w = np.zeros(edge_count(m))
-    for i, j in edges:
-        w[pair_to_linear(max(i, j) + 1, min(i, j) + 1, m) - 1] = 1.0
-    return GeneratedGraph(w, m, spec.family, spec.seed)
+    # every edge is (later node, earlier node), as pair_to_linear requires
+    i, j = np.array(edges).T + 1
+    w = np.zeros(edge_count(spec.m))
+    w[pair_to_linear(i, j, spec.m) - 1] = 1.0
+    return w
 
 
 def gen_signals(

@@ -114,10 +114,13 @@ def pair_sums(d: np.ndarray) -> np.ndarray:
     return np.repeat(d[:-1], _column_lengths(d.size)) + d[rows]
 
 
-def pair_to_linear(i: int, j: int, m: int) -> int:
+def pair_to_linear(i, j, m: int):
     """1-based linear index of the pair (i, j), j < i, under the column-major
-    lower-triangle ordering: k = i - j + (j-1)(2m-j)/2."""
-    if not (1 <= j < i <= m):
+    lower-triangle ordering: k = i - j + (j-1)(2m-j)/2.
+
+    i and j are ints or equal-length integer arrays; every pair must be in range.
+    """
+    if not np.all((1 <= j) & (j < i) & (i <= m)):
         raise ValueError(f"pair ({i},{j}) invalid for m={m}: need 1 <= j < i <= m")
     return i - j + (j - 1) * (2 * m - j) // 2
 
@@ -240,12 +243,10 @@ def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     if not body or body.isspace():
         return w, m
     edges = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
-    i, j, weight = edges["i"], edges["j"], edges["w"]
-    if not np.all((1 <= j) & (j < i) & (i <= m)):
-        raise ValueError("pair out of range")
+    k = pair_to_linear(edges["i"], edges["j"], m)
+    weight = edges["w"]
     if not np.all((0 <= weight) & (weight < math.inf)):
         raise ValueError("weight out of range")
-    k = i - j + (j - 1) * (2 * m - j) // 2  # pair_to_linear on arrays
     if np.unique(k).size != k.size:
         raise ValueError("duplicate pair")
     w[k - 1] = weight

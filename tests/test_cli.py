@@ -389,6 +389,23 @@ def test_generate_wrong_length_mu_star_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("generate", {**GEN_CONFIG, "out": 5}),
+    ("learn", {"signals": "absent.csv", "preset": {"name": "vsgl"}, "out": 5}),
+    ("eval", {"truth": "absent.edges", "predicted": "absent.edges", "out": 0}),
+], ids=["generate", "learn", "eval"])
+def test_non_string_out_is_config_error(tmp_path, monkeypatch, capsys, command, config):
+    # learn's and eval's inputs do not exist, so a command that read them
+    # before checking 'out' would exit 3
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config)
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config.out must be a string" in captured.err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("preset", ["mugl_o", "mugl_l"],
                          ids=["nonsmooth_point", "non_finite_gradient"])
 def test_learn_solver_abort_writes_nothing(tmp_path, monkeypatch, capsys, preset):
@@ -618,6 +635,16 @@ def _python_m_case(tmp_path, case):
         write_edge_list(pred, np.ones(6), 4)
         config = {"truth": str(truth), "predicted": str(pred)}
         return ["eval", "--config", write_config(tmp_path, config), "--out", out]
+    if case in ("out_is_a_file", "out_under_a_file", "config_under_a_file"):
+        # a plain file where a directory is expected
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = write_config(tmp_path, GEN_CONFIG)
+        if case == "out_is_a_file":
+            return ["generate", "--config", config, "--out", str(blocker)]
+        if case == "out_under_a_file":
+            return ["generate", "--config", config, "--out", str(blocker / "sub")]
+        return ["generate", "--config", str(blocker / "x.json"), "--out", out]
     if case == "generate_too_large":
         config = {**GEN_CONFIG, "graph": {"family": "er", "m": TOO_LARGE_M, "seed": 2}}
         return ["generate", "--config", write_config(tmp_path, config), "--out", out]
@@ -641,6 +668,9 @@ def _cap_address_space():
     ("version", 0),
     ("unknown_key", 2),
     ("missing_signals", 3),
+    ("out_is_a_file", 3),
+    ("out_under_a_file", 3),
+    ("config_under_a_file", 3),
     ("bad_alpha_missing_signals", 2),
     ("generate_section_seeds", 2),
     ("m_mismatch", 6),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import asdict
 
@@ -10,10 +11,7 @@ from mugl.datagen import (
     SIGNAL_STREAM,
     GraphSpec,
     SignalSpec,
-    gen_er_graph,
-    gen_gaussian_graph,
     gen_graph,
-    gen_pa_graph,
     gen_signals,
     rbf_weights,
     stream_rng,
@@ -91,9 +89,10 @@ def test_rbf_weight_one_at_identical_coords():
 
 def test_gaussian_graph_edges_match_distance_cutoff():
     for seed in range(20):
-        graph = gen_gaussian_graph(GraphSpec("gaussian", 12, seed=seed))
+        graph = gen_graph(GraphSpec("gaussian", 12, seed=seed))
+        coords = stream_rng(seed, GRAPH_STREAM).random((12, 2))
         rows, cols = pair_indices(12)
-        diff = graph.coords[rows] - graph.coords[cols]
+        diff = coords[rows] - coords[cols]
         dist = np.sqrt(np.sum(diff * diff, axis=1))
         present = graph.weights > 0
         assert np.all(dist[present] <= GAUSSIAN_CUTOFF + 1e-12)
@@ -106,41 +105,41 @@ def test_gaussian_graph_edges_match_distance_cutoff():
 
 
 def test_gaussian_graph_threshold_one_is_empty():
-    graph = gen_gaussian_graph(GraphSpec("gaussian", 15, seed=3, threshold=1.0))
+    graph = gen_graph(GraphSpec("gaussian", 15, seed=3, threshold=1.0))
     assert graph.n_edges == 0
 
 
 def test_er_degenerate_probabilities():
-    empty = gen_er_graph(GraphSpec("er", 6, seed=0, p=0.0))
+    empty = gen_graph(GraphSpec("er", 6, seed=0, p=0.0))
     assert empty.n_edges == 0
     assert not empty.connected
-    full = gen_er_graph(GraphSpec("er", 6, seed=0, p=1.0))
+    full = gen_graph(GraphSpec("er", 6, seed=0, p=1.0))
     assert full.n_edges == 15
     assert np.allclose(np.diag(full.laplacian), 5.0)
     assert full.connected
 
 
 def test_er_edge_count_matches_binomial_mean():
-    counts = [gen_er_graph(GraphSpec("er", 20, seed=s)).n_edges for s in range(10_000)]
+    counts = [gen_graph(GraphSpec("er", 20, seed=s)).n_edges for s in range(10_000)]
     se = math.sqrt(190 * 0.2 * 0.8 / 10_000)
     assert abs(np.mean(counts) - 38.0) <= 3 * se
 
 
 def test_pa_tree_shape():
     for m in (3, 10, 40):
-        graph = gen_pa_graph(GraphSpec("pa", m, seed=m))
+        graph = gen_graph(GraphSpec("pa", m, seed=m))
         assert graph.n_edges == m - 1
         assert graph.connected
         assert np.trace(graph.laplacian) == pytest.approx(2.0 * (m - 1))
 
 
 def test_pa_three_nodes_degree_sum():
-    graph = gen_pa_graph(GraphSpec("pa", 3, seed=5))
+    graph = gen_graph(GraphSpec("pa", 3, seed=5))
     assert np.diag(graph.laplacian).sum() == pytest.approx(4.0)
 
 
 def test_pa_general_theta_edge_count():
-    graph = gen_pa_graph(GraphSpec("pa", 8, seed=2, theta0=3, theta=2))
+    graph = gen_graph(GraphSpec("pa", 8, seed=2, theta0=3, theta=2))
     # path seed contributes theta0 - 1 edges, each arrival theta more
     assert graph.n_edges == 2 + 5 * 2
     assert graph.connected
@@ -149,7 +148,7 @@ def test_pa_general_theta_edge_count():
 def test_pa_initial_nodes_attract_attachments():
     combined = []
     for seed in range(5000):
-        L = gen_pa_graph(GraphSpec("pa", 50, seed=seed)).laplacian
+        L = gen_graph(GraphSpec("pa", 50, seed=seed)).laplacian
         combined.append(L[0, 0] + L[1, 1])
     # under uniform (degree-blind) attachment the two seed nodes would
     # collect 2 * H_49 expected degree; degree-proportional must beat that
@@ -165,6 +164,50 @@ def test_generators_are_deterministic():
     spec = SignalSpec(n=7, epsilon=0.2, seed=31)
     L = expand(path_weights(6))
     assert np.array_equal(gen_signals(L, spec), gen_signals(L, spec))
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# sha256 of the float64 bytes of each draw, recorded with numpy 2.4 on
+# x86-64.  A change means the seeded draw itself changed: the stream split,
+# a family's sampling rule or, for signals, the eigendecomposition.
+PINNED_GRAPH_DIGESTS = {
+    GraphSpec("gaussian", 20, seed=0):
+        "754d3bd9ca2d432fea8c21354feb60a39859fadaa5a215f826e4c1638be044ee",
+    GraphSpec("gaussian", 20, seed=7):
+        "e7fefd9ae4cfdde500f5bc5bd17a0b5bcdb55f062d8682d4afaeb1a9efc7e92d",
+    GraphSpec("er", 20, seed=0):
+        "00cc8493554153c65d9394242a40e106976e7227d9751d3aa8d67fd87c7ef3fe",
+    GraphSpec("er", 20, seed=7):
+        "3289f4aa8837e6557f173bb66469f4fd2a5a2da0efb3ca496f3a7971017817d7",
+    GraphSpec("pa", 20, seed=0):
+        "6d6d18b7ef5e5ab4c92a01f34136200d4e1b15eab712e77cc539a0d0b340b3f3",
+    GraphSpec("pa", 20, seed=7):
+        "336917b85e0eaae9a8dd2c03a07a71efb0953e46d49ce9ba5c203338575a718c",
+    GraphSpec("gaussian", 15, seed=3, sigma=0.3, threshold=0.5):
+        "42aea7e31a47ec30cb733199d57f2cf488f8cda53544c20b853c895f332955b1",
+    GraphSpec("er", 15, seed=3, p=0.5):
+        "1cdaaedbf71f83956ba468193d3e1d250bb80746b38e4947a9c9f1ea3fb907bc",
+    GraphSpec("pa", 15, seed=3, theta0=4, theta=3):
+        "9907dc892c20ce97d5a1a3361c488bce8abae87a1e8604ed21a162979f8eb301",
+}
+PINNED_SIGNAL_DIGESTS = {
+    None: "d96bd570d0a1f6ac8289d6defd17b74226e9a1cf675391a4e5001f72a2f9405a",
+    "arange": "fde6a6396dd60c140da26b8f598725ca686cf4536165eca06b5e56393fb65f0c",
+}
+
+
+def test_draws_match_pinned_digests():
+    got = {spec: digest(gen_graph(spec).weights) for spec in PINNED_GRAPH_DIGESTS}
+    assert got == PINNED_GRAPH_DIGESTS
+    L = gen_graph(GraphSpec("gaussian", 8, seed=11)).laplacian
+    got = {
+        key: digest(gen_signals(L, SignalSpec(n=6, epsilon=0.1, seed=5, mu_star=mu)))
+        for key, mu in [(None, None), ("arange", np.arange(8.0))]
+    }
+    assert got == PINNED_SIGNAL_DIGESTS
 
 
 def test_signals_zero_draws_return_mu_star():
@@ -218,10 +261,10 @@ def test_generated_signals_are_smoother_than_iid():
 
 
 def test_connected_flag():
-    assert gen_pa_graph(GraphSpec("pa", 12, seed=0)).connected
-    two_components = gen_er_graph(GraphSpec("er", 4, seed=0, p=0.0))
+    assert gen_graph(GraphSpec("pa", 12, seed=0)).connected
+    two_components = gen_graph(GraphSpec("er", 4, seed=0, p=0.0))
     assert not two_components.connected
-    edgeless_pair = gen_er_graph(GraphSpec("er", 2, seed=0, p=0.0))
+    edgeless_pair = gen_graph(GraphSpec("er", 2, seed=0, p=0.0))
     assert not edgeless_pair.connected
     assert not connected_union_find(edgeless_pair.weights, 2)
 

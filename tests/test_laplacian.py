@@ -40,12 +40,16 @@ def test_pair_to_linear_examples():
     assert pair_to_linear(2, 1, 3) == 1
     assert pair_to_linear(3, 2, 3) == 3
     assert pair_to_linear(3, 1, 4) == 2
+    k = pair_to_linear(np.array([2, 3, 3]), np.array([1, 2, 1]), 4)
+    assert k.tolist() == [1, 4, 2]
 
 
 def test_pair_to_linear_rejects_bad_pairs():
     for i, j in [(1, 1), (2, 3), (5, 1)]:
         with pytest.raises(ValueError):
             pair_to_linear(i, j, 4)
+        with pytest.raises(ValueError):
+            pair_to_linear(np.array([3, i]), np.array([1, j]), 4)
 
 
 def test_index_bijection_round_trip():

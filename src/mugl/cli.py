@@ -25,6 +25,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -166,7 +167,29 @@ def resolve_out_dir(args, config: dict) -> str:
         out = args.out
     if not out:
         raise config_error("no output directory: set 'out' in the config or pass --out")
+    check_makedirs(out)
     return out
+
+
+def check_makedirs(path: str) -> None:
+    """Raise now the FileExistsError or NotADirectoryError that
+    os.makedirs(path, exist_ok=True) would raise, for the same path, because
+    path or its nearest existing ancestor is not a directory.
+
+    Walks the path as os.makedirs does: up through missing ancestors, then
+    one mkdir's checks on the lowest missing one.  A dangling symlink on the
+    path passes here and fails in os.makedirs itself.
+    """
+    head, tail = os.path.split(path)
+    if not tail:
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.exists(head):
+        check_makedirs(head)
+    elif not os.path.isdir(path):
+        if not os.path.isdir(head or os.curdir):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        if os.path.exists(os.path.join(head, tail)):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 
 def reject_section_seeds(config: dict) -> None:

@@ -22,7 +22,6 @@ master seed, including under seed-level threading.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -251,6 +250,10 @@ def run_experiment(
         for r, (g, s) in enumerate(seeds)
     ]
     if threads > 1:
+        # imported here: it and the logging it loads cost every process
+        # start several ms, and only a threaded bench uses them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(lambda args: _run_one(*args), jobs))
     else:

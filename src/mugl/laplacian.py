@@ -98,9 +98,11 @@ def degrees(w: np.ndarray, m: int) -> np.ndarray:
     numpy reduces axis 0 of a C-contiguous array one row at a time, so each
     degree adds its pair weights one by one in increasing pair index: the
     same additions, in the same order, as the row sums of the unsigned
-    node-pair incidence matrix stored as CSR.
+    node-pair incidence matrix stored as CSR.  np.add.reduce(axis=0) is the
+    routine behind ndarray.sum(axis=0), called without the method's Python
+    wrapper; the order is the same.
     """
-    return w[node_pairs(m)].sum(axis=0)
+    return np.add.reduce(w[node_pairs(m)], axis=0)
 
 
 def pair_sums(d: np.ndarray) -> np.ndarray:
@@ -111,7 +113,7 @@ def pair_sums(d: np.ndarray) -> np.ndarray:
     the column lengths is d[cols] without the gather.
     """
     rows, _ = pair_indices(d.size)
-    return np.repeat(d[:-1], _column_lengths(d.size)) + d[rows]
+    return d[:-1].repeat(_column_lengths(d.size)) + d[rows]
 
 
 def pair_to_linear(i, j, m: int):

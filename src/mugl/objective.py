@@ -184,9 +184,9 @@ def _value(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
         # (quad_weight/2) * sum_{i!=j} L_ij^2 counts each pair twice.
         val += cfg.quad_weight * float(w @ w)
     if cfg.alpha > 0:
-        if deg.min() <= 0.0:
+        if np.minimum.reduce(deg) <= 0.0:
             return math.inf
-        val -= cfg.alpha * float(np.log(deg).sum())
+        val -= cfg.alpha * float(np.add.reduce(np.log(deg)))
     return val
 
 
@@ -197,7 +197,7 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarr
     if cfg.rho1 > 0:
         a = ctx.sqrt_coeff
         aw = float(a @ w)
-        if aw <= SQRT_FLOOR * float(a.max()) * cfg.s:
+        if aw <= SQRT_FLOOR * float(np.maximum.reduce(a)) * cfg.s:
             raise NonsmoothPointError(
                 f"square-root term nonsmooth: a @ w = {aw:.3g} at or below the "
                 f"floor {SQRT_FLOOR:.3g} * max(a) * s"
@@ -214,10 +214,9 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarr
     if cfg.quad_weight > 0:
         grad += np.multiply(2.0 * cfg.quad_weight, w, out=term)
     if cfg.alpha > 0:
-        if deg.min() <= 0.0:
-            raise BarrierDomainError(
-                f"log-barrier domain violated: min degree {deg.min():.3g} <= 0"
-            )
+        min_deg = np.minimum.reduce(deg)
+        if min_deg <= 0.0:
+            raise BarrierDomainError(f"log-barrier domain violated: min degree {min_deg:.3g} <= 0")
         # -alpha * (1/deg_i + 1/deg_j) per pair.
         node_coeff -= cfg.alpha / deg
     grad += pair_sums(node_coeff)

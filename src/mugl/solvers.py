@@ -160,7 +160,10 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     ascending sort of -v negated back, ranks are exact floats, and the
     scatter on the support is written as w += (w > 0) * c: off the support w
     is +0.0 (maximum(x, 0.0) returns +0.0 for x = -0.0) and +0.0 + (+-0.0)
-    is +0.0, while on it 1.0 * c is c.
+    is +0.0, while on it 1.0 * c is c.  cumsum and sum are np.add.accumulate
+    (left to right) and np.add.reduce (numpy's pairwise sum), the routines
+    behind np.cumsum and ndarray.sum, called without their Python wrappers,
+    so every addition keeps its order.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -168,7 +171,7 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     if not s > 0:
         raise ValueError(f"simplex scale must be positive, got s={s}")
     finite = np.isfinite(v)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         bad = np.flatnonzero(~finite)
         shown = ", ".join(f"v[{k}]={v[k]}" for k in bad[:5])
         more = f" and {bad.size - 5} more" if bad.size > 5 else ""
@@ -176,17 +179,17 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     u = np.negative(v)
     u.sort()
     np.negative(u, out=u)
-    css = np.cumsum(u)
+    css = np.add.accumulate(u)
     margin = np.subtract(css, s)
     np.divide(margin, _ranks(v.size), out=margin)
     np.subtract(u, margin, out=margin)
     support = np.greater(margin, 0.0)
-    rho = v.size - int(np.argmax(support[::-1]))
+    rho = v.size - int(support[::-1].argmax())
     tau = (css[rho - 1] - s) / rho
     w = np.subtract(v, tau, out=u)
     np.maximum(w, 0.0, out=w)
     pos = np.greater(w, 0.0, out=support)
-    w += np.multiply(pos, (s - w.sum()) / np.count_nonzero(pos), out=margin)
+    w += np.multiply(pos, (s - np.add.reduce(w)) / np.count_nonzero(pos), out=margin)
     return w
 
 
@@ -194,14 +197,14 @@ def _certificate(ctx: obj.ObjectiveContext, w: np.ndarray, g: np.ndarray) -> tup
     """(stationarity residual at probe step ETA_MAX, Frank-Wolfe gap) at w,
     both from its one gradient g."""
     s = ctx.config.s
-    moved = project_simplex(w - ETA_MAX * g, s)
-    residual = float(np.linalg.norm(w - moved)) / ETA_MAX
-    return residual, float(g @ w) - s * float(g.min())
+    step = w - project_simplex(w - ETA_MAX * g, s)
+    residual = math.sqrt(float(step @ step)) / ETA_MAX
+    return residual, float(g @ w) - s * float(np.minimum.reduce(g))
 
 
 def _finite(g: np.ndarray) -> np.ndarray:
     """g itself; raises RuntimeError when the gradient g has a non-finite entry."""
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise RuntimeError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(g))} entries)")
     return g
 
@@ -298,7 +301,8 @@ def ls_pgd_solve(
         np.subtract(w, moved, out=moved)
         v = project_simplex(moved, s)
         v -= w
-        v_norm = float(np.linalg.norm(v))
+        # np.linalg.norm's own 1-D formula, sqrt(v @ v), without its wrapper
+        v_norm = math.sqrt(float(v @ v))
         if v_norm / min(eta, ETA_MAX) <= opts.tol_kkt:
             termination = "kkt_tol"
             break
@@ -330,7 +334,7 @@ def ls_pgd_solve(
                 f"at iteration {iters}"
             )
         backtracks += rejected
-        step_inf = scale * max(float(v.max()), -float(v.min()))
+        step_inf = scale * max(float(np.maximum.reduce(v)), -float(np.minimum.reduce(v)))
         w_prev, g_prev = w, g
         w, deg = trial, trial_deg
         f_cur = f_trial

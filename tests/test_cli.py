@@ -406,6 +406,56 @@ def test_non_string_out_is_config_error(tmp_path, monkeypatch, capsys, command, 
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("input read or work done before the output path was checked")
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("generate", (cli, "gen_graph")),
+    ("learn", (cli, "read_signals_csv")),
+    ("bench", (harness, "run_experiment")),
+])
+@pytest.mark.parametrize("out, error", [
+    ("taken", "file exists: taken"),
+    ("taken/fit", "not a directory: taken/fit"),
+    ("taken/a/b", "not a directory: taken/a"),
+], ids=["file", "under_file", "deep_under_file"])
+def test_unusable_out_fails_before_any_input(tmp_path, monkeypatch, capsys, command, patched,
+                                             out, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(*patched, _must_not_run)
+    config = {
+        "generate": GEN_CONFIG,
+        "learn": {"signals": "signals.csv", "preset": {"name": "vsgl"}},
+        "bench": BENCH_CONFIG,
+    }[command]
+    cfg = write_config(tmp_path, config)
+    assert cli.main([command, "--config", cfg, "--out", out, "--quiet"]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+
+
+@pytest.mark.parametrize("path", [
+    "taken", "taken/", "./taken", "taken/fit", "taken/a/b", "taken/a/b/", "taken/.",
+    "dir", "dir/new/deeper", "new", ".",
+])
+def test_out_dir_check_raises_what_makedirs_raises(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir").mkdir()
+
+    def outcome(check):
+        try:
+            check(path)
+        except OSError as exc:
+            return type(exc), exc.errno, exc.strerror, exc.filename
+        return None
+
+    expected = outcome(cli.check_makedirs)
+    assert outcome(lambda p: os.makedirs(p, exist_ok=True)) == expected
+
+
 @pytest.mark.parametrize("preset", ["mugl_o", "mugl_l"],
                          ids=["nonsmooth_point", "non_finite_gradient"])
 def test_learn_solver_abort_writes_nothing(tmp_path, monkeypatch, capsys, preset):

@@ -1,5 +1,6 @@
 """The package's shape: it runs on numpy alone, importing its entry points
-loads no scipy, and every public function is reached from the package."""
+loads neither scipy nor concurrent.futures, and every public function is
+reached from the package."""
 
 import ast
 import os
@@ -13,10 +14,12 @@ SRC = pathlib.Path(mugl.__file__).resolve().parent.parent
 
 
 def test_entry_points_import_no_scipy():
+    # concurrent.futures is imported only where a threaded bench needs it
     code = (
         "import sys\n"
         "import mugl.cli, mugl.harness, mugl.datagen, mugl.evaluation\n"
-        "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))\n"
+        "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')\n"
+        "             or n == 'concurrent.futures'))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

@@ -621,6 +621,33 @@ def test_solves_match_pinned_digests():
     assert got == PINNED_DIGESTS
 
 
+# float.hex of (kkt_residual, gap) on the PINNED_DIGESTS draws, vsgl's
+# vertex_solve included.  solve_digest covers neither: both come from the
+# gradient at the returned point, through the projection, a 2-norm and a
+# minimum, so any change to those reductions shows here first.
+PINNED_CERTIFICATES = {
+    (0, "mugl_o"): ("0x1.41cca69bb59fep-26", "0x1.b581080000000p-23"),
+    (0, "mugl_l"): ("0x1.264b90fe46f37p-20", "0x1.2317ae6000000p-17"),
+    (0, "log_model"): ("0x1.3b321db0c3423p-21", "0x1.148c7b7740000p-17"),
+    (0, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
+    (1, "mugl_o"): ("0x1.6f24212eac372p-19", "0x1.280892c000000p-18"),
+    (1, "mugl_l"): ("0x1.2af09276c0238p-22", "0x1.4395d00000000p-21"),
+    (1, "log_model"): ("0x1.6a0598ee3ffc8p-21", "0x1.1204a1a580000p-18"),
+    (1, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
+}
+
+
+def test_solve_certificates_match_pinned_bits():
+    got = {}
+    for draw, (graph_seed, signal_seed) in enumerate(run_seeds(2024, 2)):
+        graph = gen_graph(GraphSpec("gaussian", 30, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=120, epsilon=0.1, seed=signal_seed))
+        for name in ("mugl_o", "mugl_l", "log_model", "vsgl"):
+            report = learn(ModelPreset(name), X)[1]
+            got[draw, name] = (report.kkt_residual.hex(), report.gap.hex())
+    assert got == PINNED_CERTIFICATES
+
+
 def test_alternating_steps_match_a_tight_solve():
     # A default fit must land where a solve without the step stop and with
     # tol_kkt=1e-10 lands: the same objective up to round-off and the same

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, harness, serialize
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
-from .evaluation import DEFAULT_REL_THRESHOLD, metric_record
+from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
 from .laplacian import read_edge_list, write_edge_list
 from .moments import read_signals_csv, write_signals_csv
 
@@ -289,6 +289,7 @@ def cmd_eval(args) -> int:
     threshold = parse_value(
         float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
     )
+    check_threshold(threshold)
     # metrics.json is written only when an output directory is given
     out = None
     if args.out is not None or config.get("out") is not None:

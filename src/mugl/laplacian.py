@@ -228,6 +228,14 @@ _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _OTHER_LINE_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
+def _has_other_line_break(text: str) -> bool:
+    """True when text holds one of _OTHER_LINE_BREAKS.  ASCII text (a
+    constant-time test) can hold only the first five, found by ``in``."""
+    if text.isascii():
+        return "\v" in text or "\f" in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
+    return _OTHER_LINE_BREAKS.search(text) is not None
+
+
 def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     """Parse a well-formed edge list with one ``np.loadtxt`` call.
 
@@ -237,7 +245,7 @@ def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     with open(path) as fh:
         text = fh.read()
     header, _, body = text.partition("\n")
-    if not header.startswith("# m=") or _OTHER_LINE_BREAKS.search(text):
+    if not header.startswith("# m=") or _has_other_line_break(text):
         raise ValueError("not a plain edge list")
     m = int(header[len("# m=") :])
     w = np.zeros(edge_count(m))
@@ -245,13 +253,17 @@ def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     if not body or body.isspace():
         return w, m
     edges = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
-    k = pair_to_linear(edges["i"], edges["j"], m)
+    k = pair_to_linear(edges["i"], edges["j"], m) - 1
     weight = edges["w"]
     if not np.all((0 <= weight) & (weight < math.inf)):
         raise ValueError("weight out of range")
-    if np.unique(k).size != k.size:
+    # O(p) duplicate test: k repeats a pair exactly when it marks fewer
+    # distinct pairs than it has entries
+    seen = np.zeros(w.size, dtype=bool)
+    seen[k] = True
+    if np.count_nonzero(seen) != k.size:
         raise ValueError("duplicate pair")
-    w[k - 1] = weight
+    w[k] = weight
     return w, m
 
 

@@ -25,6 +25,12 @@ g is convex only when rho1 = 0.  a @ w is linear in w, so sqrt(a @ w) is
 concave, and for rho1 > 0 g is a difference of convex functions.  g is not
 smooth where a @ w = 0; gradient() refuses to evaluate there rather than
 returning garbage, and callers are expected to treat that as a hard stop.
+
+Value and gradient at one w share three pieces: the node degrees, ||expand(w)||_F
+(when rho2 > 0) and a @ w (when rho1 > 0).  point(ctx, w) computes them once
+as a per-point record, and the unchecked evaluators _value(ctx, w, pt) and
+_gradient(ctx, w, pt) read them from it, so a solver that evaluates a point
+and later its gradient builds the record once.
 """
 
 from __future__ import annotations
@@ -91,6 +97,7 @@ class ObjectiveContext:
     m: int
     quad_coeff: np.ndarray  # adjoint(cov + outer(mean, mean))
     sqrt_coeff: np.ndarray  # a = 4 rho1^2 * mean_gap_sq
+    sqrt_floor: float  # SQRT_FLOOR * max(a) * s, the nonsmooth threshold of a @ w
 
     @property
     def n_pairs(self) -> int:
@@ -120,7 +127,10 @@ def build_context(moments: EmpiricalMoments, config: ModelConfig) -> ObjectiveCo
     sqrt_coeff = 4.0 * config.rho1**2 * mean_gap_sq
     for arr in (quad_coeff, sqrt_coeff):
         arr.flags.writeable = False
-    return ObjectiveContext(config=config, m=m, quad_coeff=quad_coeff, sqrt_coeff=sqrt_coeff)
+    sqrt_floor = SQRT_FLOOR * float(np.maximum.reduce(sqrt_coeff)) * config.s
+    return ObjectiveContext(
+        config=config, m=m, quad_coeff=quad_coeff, sqrt_coeff=sqrt_coeff, sqrt_floor=sqrt_floor
+    )
 
 
 def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
@@ -137,9 +147,18 @@ def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _frobenius(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
+def point(ctx: ObjectiveContext, w: np.ndarray) -> tuple:
+    """The per-point record (deg, frob, aw) of a feasible float array w.
+
+    deg is degrees(w, ctx.m); frob is ||expand(w)||_F when rho2 > 0 and aw
+    is a @ w when rho1 > 0, each None when its term is off.
+    """
+    cfg = ctx.config
+    deg = degrees(w, ctx.m)
     # ||expand(w)||_F^2 = sum(deg^2) + 2 sum(w^2), no matrix needed.
-    return math.sqrt(float(deg @ deg + 2.0 * (w @ w)))
+    frob = math.sqrt(float(deg @ deg + 2.0 * (w @ w))) if cfg.rho2 > 0 else None
+    aw = float(ctx.sqrt_coeff @ w) if cfg.rho1 > 0 else None
+    return deg, frob, aw
 
 
 def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
@@ -150,36 +169,37 @@ def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     Raises InfeasiblePointError outside the simplex.
     """
     w = _check_feasible(ctx, w)
-    return _value(ctx, w, degrees(w, ctx.m))
+    return _value(ctx, w, point(ctx, w))
 
 
 def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     """Gradient of g at a feasible w.
 
     The square-root term contributes a / (2 sqrt(a @ w)); when a @ w falls at
-    or below SQRT_FLOOR * max(a) * s this raises NonsmoothPointError, which
-    also catches the degenerate constant-mean case where a vanishes
-    identically.  The log-barrier contributes -alpha (1/deg_i + 1/deg_j) per
-    pair and raises BarrierDomainError off its domain.
+    or below ctx.sqrt_floor = SQRT_FLOOR * max(a) * s this raises
+    NonsmoothPointError, which also catches the degenerate constant-mean
+    case where a vanishes identically.  The log-barrier contributes
+    -alpha (1/deg_i + 1/deg_j) per pair and raises BarrierDomainError off
+    its domain.
     """
     w = _check_feasible(ctx, w)
-    return _gradient(ctx, w, degrees(w, ctx.m))
+    return _gradient(ctx, w, point(ctx, w))
 
 
 # _value and _gradient are the unchecked evaluators behind objective_value
 # and gradient: w must be a float array already known to be feasible, and
-# deg must be degrees(w, ctx.m).  A solver that checked its start and evaluates
-# each point once through both of them passes the degrees along instead of
-# recomputing them.
+# pt must be point(ctx, w).  A solver that checked its start evaluates each
+# later point through them, passing one record to both.
 
 
-def _value(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
+def _value(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> float:
+    deg, frob, aw = pt
     cfg = ctx.config
     val = float(w @ ctx.quad_coeff)
     if cfg.rho2 > 0:
-        val += cfg.rho2 * _frobenius(ctx, w, deg)
+        val += cfg.rho2 * frob
     if cfg.rho1 > 0:
-        val += math.sqrt(max(float(ctx.sqrt_coeff @ w), 0.0))
+        val += math.sqrt(max(aw, 0.0))
     if cfg.quad_weight > 0:
         # (quad_weight/2) * sum_{i!=j} L_ij^2 counts each pair twice.
         val += cfg.quad_weight * float(w @ w)
@@ -190,36 +210,41 @@ def _value(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> float:
     return val
 
 
-def _gradient(ctx: ObjectiveContext, w: np.ndarray, deg: np.ndarray) -> np.ndarray:
+def _gradient(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> np.ndarray:
+    deg, frob, aw = pt
     cfg = ctx.config
     grad = ctx.quad_coeff.copy()
     term = np.empty_like(grad)  # each pair-space term, added in a fixed order
     if cfg.rho1 > 0:
-        a = ctx.sqrt_coeff
-        aw = float(a @ w)
-        if aw <= SQRT_FLOOR * float(np.maximum.reduce(a)) * cfg.s:
+        if aw <= ctx.sqrt_floor:
             raise NonsmoothPointError(
                 f"square-root term nonsmooth: a @ w = {aw:.3g} at or below the "
                 f"floor {SQRT_FLOOR:.3g} * max(a) * s"
             )
-        grad += np.divide(a, 2.0 * math.sqrt(aw), out=term)
+        grad += np.divide(ctx.sqrt_coeff, 2.0 * math.sqrt(aw), out=term)
     # The degree-dependent terms are pair sums d_i + d_j of one node vector d,
-    # so they share a single pair_sums call.
-    node_coeff = np.zeros(ctx.m)
+    # so they share a single pair_sums call.  The first of them starts d.
+    node_coeff = None
     if cfg.rho2 > 0:
-        scale = cfg.rho2 / _frobenius(ctx, w, deg)
+        scale = cfg.rho2 / frob
         # adjoint(expand(w)) = deg_i + deg_j + 2 w_k per pair.
         grad += np.multiply(2.0 * scale, w, out=term)
-        node_coeff += scale * deg
+        node_coeff = scale * deg
     if cfg.quad_weight > 0:
         grad += np.multiply(2.0 * cfg.quad_weight, w, out=term)
     if cfg.alpha > 0:
         min_deg = np.minimum.reduce(deg)
         if min_deg <= 0.0:
             raise BarrierDomainError(f"log-barrier domain violated: min degree {min_deg:.3g} <= 0")
-        # -alpha * (1/deg_i + 1/deg_j) per pair.
-        node_coeff -= cfg.alpha / deg
-    grad += pair_sums(node_coeff)
+        # -alpha * (1/deg_i + 1/deg_j) per pair.  (-alpha) / d is -(alpha / d)
+        # and x + (-y) is x - y, both exactly.
+        barrier = np.divide(-cfg.alpha, deg)
+        if node_coeff is None:
+            node_coeff = barrier
+        else:
+            node_coeff += barrier
+    if node_coeff is not None:
+        grad += pair_sums(node_coeff)
     return grad
 
 

@@ -53,7 +53,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import objective as obj
-from .laplacian import degrees
 
 TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
 
@@ -156,7 +155,11 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
         w = max(v - (css_rho - s) / rho, 0); w[w > 0] += (s - sum(w)) / count
 
     operation for operation and in the same order, so the result is the same
-    to the last bit; only the buffers differ.  The descending sort is an
+    to the last bit; only the buffers differ, and the support test
+    u_k - m_k > 0, m_k = (css_k - s) / k, is made as u_k > m_k.  For finite
+    u_k and any m_k, +-inf included, fl(u_k - m_k) > 0 exactly when u_k > m_k:
+    the difference of two distinct floats never rounds to zero (gradual
+    underflow), and a NaN m_k fails both tests.  The descending sort is an
     ascending sort of -v negated back, ranks are exact floats, and the
     scatter on the support is written as w += (w > 0) * c: off the support w
     is +0.0 (maximum(x, 0.0) returns +0.0 for x = -0.0) and +0.0 + (+-0.0)
@@ -182,8 +185,7 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     css = np.add.accumulate(u)
     margin = np.subtract(css, s)
     np.divide(margin, _ranks(v.size), out=margin)
-    np.subtract(u, margin, out=margin)
-    support = np.greater(margin, 0.0)
+    support = np.greater(u, margin)
     rho = v.size - int(support[::-1].argmax())
     tau = (css[rho - 1] - s) / rho
     w = np.subtract(v, tau, out=u)
@@ -278,9 +280,9 @@ def ls_pgd_solve(
     w = np.asarray(w0, dtype=float).copy()
     # The one feasibility check of the solve: every later point is a convex
     # combination of w0 and projections, so it is evaluated unchecked, and
-    # its degrees serve both its value and, once accepted, its gradient.
+    # its record serves both its value and, once accepted, its gradient.
     f_cur = obj.objective_value(ctx, w)
-    deg = degrees(w, ctx.m)
+    pt = obj.point(ctx, w)
     if not math.isfinite(f_cur):
         raise obj.BarrierDomainError("infeasible start: objective not finite at w0")
     trace = [f_cur]
@@ -292,7 +294,7 @@ def ls_pgd_solve(
     moved = np.empty_like(w)
     for iters in range(1, opts.max_iters + 1):
         long_step = iters % 2 == 1
-        g = _finite(obj._gradient(ctx, w, deg))
+        g = _finite(obj._gradient(ctx, w, pt))
         if g_prev is None:
             eta = ETA_MAX
         else:
@@ -322,8 +324,8 @@ def ls_pgd_solve(
         for rejected in range(MAX_BACKTRACKS + 1):
             trial = np.multiply(scale, v)
             trial += w
-            trial_deg = degrees(trial, ctx.m)
-            f_trial = obj._value(ctx, trial, trial_deg)
+            trial_pt = obj.point(ctx, trial)
+            f_trial = obj._value(ctx, trial, trial_pt)
             if f_trial <= f_cur + ARMIJO_SLOPE * scale * predicted:
                 accepted = True
                 break
@@ -334,13 +336,17 @@ def ls_pgd_solve(
                 f"at iteration {iters}"
             )
         backtracks += rejected
-        step_inf = scale * max(float(np.maximum.reduce(v)), -float(np.minimum.reduce(v)))
         w_prev, g_prev = w, g
-        w, deg = trial, trial_deg
+        w, pt = trial, trial_pt
         f_cur = f_trial
         trace.append(f_cur)
-        if long_step and step_inf <= opts.tol_step:
-            termination = "step_tol"
-            break
-    residual, gap = _certificate(ctx, w, _finite(obj._gradient(ctx, w, deg)))
+        if long_step:
+            step_inf = scale * max(float(np.maximum.reduce(v)), -float(np.minimum.reduce(v)))
+            if step_inf <= opts.tol_step:
+                termination = "step_tol"
+                break
+    # a kkt_tol stop already holds the gradient at w
+    if termination != "kkt_tol":
+        g = _finite(obj._gradient(ctx, w, pt))
+    residual, gap = _certificate(ctx, w, g)
     return SolveReport(w, trace, iters, residual, termination, backtracks, gap)

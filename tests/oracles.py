@@ -7,6 +7,8 @@ that shares no code with the implementation under test.
 """
 
 import itertools
+import json
+import math
 
 import mpmath
 import numpy as np
@@ -260,3 +262,57 @@ def random_cov_in_ball(cov, rho2, rng):
     D = rng.standard_normal((m, m))
     D = 0.5 * (D + D.T)
     return cov + D * (rho2 * rng.random() / np.linalg.norm(D))
+
+
+# The JSON writer as it was before it dispatched on exact types: one
+# isinstance chain per value and json.dumps per string.  The package's
+# serialize.dumps must produce the same bytes and raise the same errors.
+REFERENCE_INDENT = "  "
+
+
+def format_float_reference(x: float) -> str:
+    """%.17g with a guaranteed decimal point or exponent, so the token reads
+    back as a float."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    s = format(float(x), ".17g")
+    if "." not in s and "e" not in s and "n" not in s:
+        s += ".0"
+    return s
+
+
+def dumps_reference(doc, indent: int = 0) -> str:
+    """JSON text of a document of dicts/lists/strs/numbers/bools/None."""
+    if isinstance(doc, np.ndarray):
+        doc = doc.tolist()
+    elif isinstance(doc, np.bool_):
+        doc = bool(doc)
+    elif isinstance(doc, np.integer):
+        doc = int(doc)
+    elif isinstance(doc, np.floating):
+        doc = float(doc)
+    pad = REFERENCE_INDENT * indent
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [
+            f"{pad}{REFERENCE_INDENT}{json.dumps(str(k))}: {dumps_reference(v, indent + 1)}"
+            for k, v in doc.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [f"{pad}{REFERENCE_INDENT}{dumps_reference(v, indent + 1)}" for v in doc]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if doc is None:
+        return "null"
+    if isinstance(doc, float):
+        return format_float_reference(doc)
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, str):
+        return json.dumps(doc)
+    raise TypeError(f"cannot serialize {type(doc).__name__}")

@@ -538,6 +538,19 @@ def test_eval_writes_metrics_file(tmp_path, capsys):
     assert on_disk == json.loads(capsys.readouterr().out)
 
 
+def test_eval_bad_threshold_rejected_before_any_input(tmp_path, monkeypatch, capsys):
+    # learn and bench exit 2 on this threshold; eval must not exit 3 on the
+    # missing truth file first
+    monkeypatch.setattr(cli, "read_edge_list", _must_not_run)
+    cfg = write_config(tmp_path, {
+        "truth": str(tmp_path / "missing.edges"),
+        "predicted": str(tmp_path / "missing.edges"),
+        "threshold": 1.5,
+    }, "eval.json")
+    assert cli.main(["eval", "--config", cfg]) == 2
+    assert "relative threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
+
+
 BENCH_CONFIG = {
     "graph": {"family": "er", "m": 5, "p": 0.5},
     "signals": {"n": 20, "epsilon": 0.1},

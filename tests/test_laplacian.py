@@ -236,6 +236,17 @@ def test_read_edge_list_errors(tmp_path):
             read_edge_list(path)
 
 
+@pytest.mark.parametrize("pad", ["", "\xa0"], ids=["ascii", "non_ascii"])
+@pytest.mark.parametrize("brk", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_read_edge_list_splits_lines_at_every_line_break(tmp_path, brk, pad):
+    # str.splitlines() ends the line at brk, leaving two short lines; the
+    # whitespace split of the bulk parser alone would see one valid edge
+    path = tmp_path / "g.edges"
+    path.write_text(f"# m=3\n2 1{brk}0.5{pad}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: expected 'i j weight'"):
+        read_edge_list(path)
+
+
 def test_read_edge_list_cites_line_numbers(tmp_path):
     path = tmp_path / "dup.edges"
     path.write_text("# m=3\n2 1 0.5\n\n2 1 0.25\n")

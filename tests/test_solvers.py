@@ -372,6 +372,41 @@ def test_backtracks_count_rejected_trial_points(monkeypatch):
     assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
 
 
+@pytest.mark.parametrize("kwargs, opts, termination", [
+    (dict(rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),
+    (dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),
+    (dict(rho1=0.4, rho2=0.6, s=2.0), SolverOptions(tol_step=1e-2, tol_kkt=0.0), "step_tol"),
+    (dict(rho2=0.5, s=4.0, alpha=0.6), SolverOptions(max_iters=7, tol_step=0.0, tol_kkt=0.0),
+     "max_iters"),
+])
+def test_ls_pgd_evaluates_one_gradient_per_point(monkeypatch, kwargs, opts, termination):
+    # one gradient per iteration; the certificate reuses the last one on a
+    # kkt_tol stop, which tests the point the iteration started from, and
+    # takes one more at the accepted point otherwise
+    ctx = generic_context(103, **kwargs)
+    real_gradient = mugl.objective._gradient
+    calls = []
+
+    def counting_gradient(ctx_, w, pt):
+        calls.append(w)
+        return real_gradient(ctx_, w, pt)
+
+    monkeypatch.setattr(mugl.objective, "_gradient", counting_gradient)
+    report = ls_pgd_solve(ctx, np.full(10, ctx.config.s / 10), opts)
+    assert report.termination == termination
+    assert len(calls) == report.iters + (termination != "kkt_tol")
+    assert np.array_equal(calls[-1], report.w_final)
+
+
+def test_context_without_its_sqrt_floor_is_rejected():
+    # the nonsmooth threshold of a @ w has no default: a context built by
+    # hand without it must fail rather than get floor 0
+    ctx = generic_context(101, rho1=0.5)
+    assert ctx.sqrt_floor == mugl.objective.SQRT_FLOOR * float(ctx.sqrt_coeff.max()) * ctx.config.s
+    with pytest.raises(TypeError):
+        mugl.objective.ObjectiveContext(ctx.config, ctx.m, ctx.quad_coeff, ctx.sqrt_coeff)
+
+
 def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
     # the first iteration's gradient is poisoned, so the solve aborts before
     # it evaluates any trial point: the only value taken is the one at w0

@@ -6,7 +6,7 @@ vector ``w`` ordered column-by-column over the strictly-lower triangle:
 (2,1), (3,1), ..., (m,1), (3,2), ..., (m,m-1) with 1-based node labels.
 ``expand`` turns such a vector into the combinatorial Laplacian
 L = D - W, and ``adjoint`` is the transpose of that linear map, so that
-trace(expand(w) @ M) == w @ adjoint(M) for every symmetric M.
+trace(expand(w, m) @ M) == w @ adjoint(M) for every symmetric m x m M.
 
 Constraining w to the scaled simplex {w >= 0, sum(w) = s} is equivalent to
 constraining L to the set of Laplacians with trace 2s, which is how the
@@ -38,14 +38,6 @@ def edge_count(m: int) -> int:
     if m < 1:
         raise ValueError(f"need at least one node, got m={m}")
     return m * (m - 1) // 2
-
-
-def node_count(n_pairs: int) -> int:
-    """Inverse of edge_count; raises if n_pairs is not a triangular number."""
-    m = int(round((1 + np.sqrt(1 + 8 * n_pairs)) / 2))
-    if m < 1 or m * (m - 1) // 2 != n_pairs:
-        raise ValueError(f"{n_pairs} is not m(m-1)/2 for any node count m")
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +119,8 @@ def pair_to_linear(i, j, m: int):
     return i - j + (j - 1) * (2 * m - j) // 2
 
 
-def expand(w: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Laplacian L = D - W of the graph with pair weights w.
+def expand(w: np.ndarray, m: int) -> np.ndarray:
+    """Laplacian L = D - W of the graph on m nodes with pair weights w.
 
     Off-diagonals are -w_k at the corresponding pair, diagonals are the
     weighted degrees.  The result is symmetric by construction and its rows
@@ -137,8 +129,6 @@ def expand(w: np.ndarray, m: int | None = None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"weight vector must be 1-d, got shape {w.shape}")
-    if m is None:
-        m = node_count(w.size)
     if w.size != edge_count(m):
         raise ValueError(
             f"weight vector has {w.size} entries, expected {edge_count(m)} for m={m}"

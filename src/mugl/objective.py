@@ -10,10 +10,10 @@ PSD cone).  Both inner maximizations have closed forms:
     sup over covariances:  trace(cov @ L) + rho2 * ||L||_F
 
 attained at a rescaled lift of the mean and at cov + rho2 * L / ||L||_F.
-Dropping the constant rho1^2 and writing L = expand(w) gives the objective
+Dropping the constant rho1^2 and writing L = expand(w, m) gives the objective
 actually minimized over the simplex:
 
-    g(w) = w @ quad_coeff + rho2 * ||expand(w)||_F + sqrt(a @ w) + h(expand(w))
+    g(w) = w @ quad_coeff + rho2 * ||expand(w, m)||_F + sqrt(a @ w) + h(expand(w, m))
 
 with quad_coeff = adjoint(cov + outer(mean, mean)) and
 a_k = 4 rho1^2 (mean_i - mean_j)^2 >= 0.  h is an optional penalty: a
@@ -26,7 +26,7 @@ concave, and for rho1 > 0 g is a difference of convex functions.  g is not
 smooth where a @ w = 0; gradient() refuses to evaluate there rather than
 returning garbage, and callers are expected to treat that as a hard stop.
 
-Value and gradient at one w share three pieces: the node degrees, ||expand(w)||_F
+Value and gradient at one w share three pieces: the node degrees, ||expand(w, m)||_F
 (when rho2 > 0) and a @ w (when rho1 > 0).  point(ctx, w) computes them once
 as a per-point record, and the unchecked evaluators _value(ctx, w, pt) and
 _gradient(ctx, w, pt) read them from it, so a solver that evaluates a point
@@ -150,12 +150,12 @@ def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
 def point(ctx: ObjectiveContext, w: np.ndarray) -> tuple:
     """The per-point record (deg, frob, aw) of a feasible float array w.
 
-    deg is degrees(w, ctx.m); frob is ||expand(w)||_F when rho2 > 0 and aw
+    deg is degrees(w, ctx.m); frob is ||expand(w, m)||_F when rho2 > 0 and aw
     is a @ w when rho1 > 0, each None when its term is off.
     """
     cfg = ctx.config
     deg = degrees(w, ctx.m)
-    # ||expand(w)||_F^2 = sum(deg^2) + 2 sum(w^2), no matrix needed.
+    # ||expand(w, m)||_F^2 = sum(deg^2) + 2 sum(w^2), no matrix needed.
     frob = math.sqrt(float(deg @ deg + 2.0 * (w @ w))) if cfg.rho2 > 0 else None
     aw = float(ctx.sqrt_coeff @ w) if cfg.rho1 > 0 else None
     return deg, frob, aw
@@ -227,7 +227,7 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> np.ndarray:
     node_coeff = None
     if cfg.rho2 > 0:
         scale = cfg.rho2 / frob
-        # adjoint(expand(w)) = deg_i + deg_j + 2 w_k per pair.
+        # adjoint(expand(w, m)) = deg_i + deg_j + 2 w_k per pair.
         grad += np.multiply(2.0 * scale, w, out=term)
         node_coeff = scale * deg
     if cfg.quad_weight > 0:

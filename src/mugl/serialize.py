@@ -40,9 +40,9 @@ def format_float(x: float) -> str:
     return text + ".0"
 
 
-def dumps(doc, indent: int = 0) -> str:
+def dumps(doc) -> str:
     """JSON text of a document of dicts/lists/strs/numbers/bools/None."""
-    return _dump(doc, INDENT * indent)
+    return _dump(doc, "")
 
 
 def _dump(doc, pad: str) -> str:

@@ -277,12 +277,12 @@ def ls_pgd_solve(
     """
     opts = opts or SolverOptions()
     s = ctx.config.s
-    w = np.asarray(w0, dtype=float).copy()
     # The one feasibility check of the solve: every later point is a convex
-    # combination of w0 and projections, so it is evaluated unchecked, and
-    # its record serves both its value and, once accepted, its gradient.
-    f_cur = obj.objective_value(ctx, w)
+    # combination of w0 and projections, so it is evaluated unchecked.  Each
+    # point's one record serves its value and, once accepted, its gradient.
+    w = obj._check_feasible(ctx, w0).copy()
     pt = obj.point(ctx, w)
+    f_cur = obj._value(ctx, w, pt)
     if not math.isfinite(f_cur):
         raise obj.BarrierDomainError("infeasible start: objective not finite at w0")
     trace = [f_cur]

@@ -35,7 +35,7 @@ def test_criterion_01_adjoint_identity():
             w = rng.standard_normal(mbar)
             M = rng.standard_normal((m, m))
             M = 0.5 * (M + M.T)
-            lhs = float(np.trace(expand(w) @ M))
+            lhs = float(np.trace(expand(w, m) @ M))
             rhs = float(w @ adjoint(M))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     dt = time.perf_counter() - t0
@@ -50,7 +50,7 @@ def test_criterion_02_worst_case_closed_forms():
     for _ in range(200):
         m = int(rng.integers(2, 7))
         w = oracles.random_interior(rng, edge_count(m), s=float(m))
-        L = expand(w)
+        L = expand(w, m)
         mean = rng.standard_normal(m)
         rho1 = float(rng.uniform(0.1, 2.0))
         rho2 = float(rng.uniform(0.1, 2.0))
@@ -179,7 +179,7 @@ def test_criterion_06_sqrt_coefficients_positive():
 
 def test_criterion_07_signal_model_moments():
     budget, t0 = 10.0, time.perf_counter()
-    L = expand(oracles.path_weights(5))
+    L = expand(oracles.path_weights(5), 5)
     eps = 0.3
     X = gen_signals(L, SignalSpec(n=50_000, epsilon=eps, seed=77))
     cov = empirical_moments(X).cov

@@ -23,6 +23,14 @@ GEN_CONFIG = {
     "signals": {"n": 30, "epsilon": 0.1, "seed": 102},
 }
 
+BENCH_CONFIG = {
+    "graph": {"family": "er", "m": 5, "p": 0.5},
+    "signals": {"n": 20, "epsilon": 0.1},
+    "presets": [{"name": "vsgl"}, {"name": "mugl_o"}],
+    "n_seeds": 2,
+    "seed": 7,
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     tmp_path.mkdir(parents=True, exist_ok=True)
@@ -389,6 +397,83 @@ def test_generate_wrong_length_mu_star_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+LEARN_CONFIG = {"signals": "signals.csv", "preset": {"name": "vsgl"}}
+EVAL_CONFIG = {"truth": "truth.edges", "predicted": "pred.edges"}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("generate", [GEN_CONFIG], "config.json: top-level config must be a JSON object"),
+    ("generate", {"graph": GEN_CONFIG["graph"]}, "missing required key 'signals' in config"),
+    ("generate", {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "mu_star": 1.0}},
+     "config.signals.mu_star must be a list of numbers, got 1.0"),
+    ("bench", {**BENCH_CONFIG, "n_seeds": 2.5}, "config.n_seeds must be an integer, got 2.5"),
+    ("generate", {**GEN_CONFIG, "graph": "er"}, "config.graph must be an object"),
+    ("bench", {**BENCH_CONFIG, "presets": ["vsgl"]}, "config.presets[0] must be an object"),
+    ("learn", {**LEARN_CONFIG, "signals": 5}, "'signals' must be a path string"),
+    ("learn", {**LEARN_CONFIG, "trace": 1}, "'trace' must be a boolean"),
+    ("eval", {**EVAL_CONFIG, "truth": 1}, "'truth' must be a path string"),
+    ("eval", {**EVAL_CONFIG, "predicted": None}, "'predicted' must be a path string"),
+], ids=["top_level_list", "missing_key", "mu_star_scalar", "n_seeds_fraction", "graph_string",
+        "preset_string", "signals_number", "trace_number", "truth_number", "predicted_null"])
+def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, command, config,
+                                          message):
+    # no input file exists, so a command that read one first would exit 3
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config)
+    assert cli.main([command, "--config", cfg, "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("generate", GEN_CONFIG), ("learn", LEARN_CONFIG), ("bench", BENCH_CONFIG),
+])
+def test_missing_output_directory_is_config_error(tmp_path, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: no output directory: set 'out' in the config or pass --out\n"
+    )
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_generate_reports_what_it_wrote(tmp_path, capsys):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, GEN_CONFIG)
+    assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote graph.edges, signals.csv, provenance.json to {out}\n"
+    )
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("generate", (cli, "gen_graph")),
+    ("learn", (cli, "read_signals_csv")),
+    ("eval", (cli, "read_edge_list")),
+    ("bench", (harness, "run_experiment")),
+])
+def test_allocation_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command,
+                                                       patched):
+    # the generator or reader fails as numpy does on an impossible size,
+    # without allocating anything
+    def unable_to_allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.47 EiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*patched, unable_to_allocate)
+    config = {"generate": GEN_CONFIG, "learn": LEARN_CONFIG, "eval": EVAL_CONFIG,
+              "bench": BENCH_CONFIG}[command]
+    cfg = write_config(tmp_path, config)
+    assert cli.main([command, "--config", cfg, "--out", "out", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: size too large: Unable to allocate 3.47 EiB for an array\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("command, config", [
     ("generate", {**GEN_CONFIG, "out": 5}),
     ("learn", {"signals": "absent.csv", "preset": {"name": "vsgl"}, "out": 5}),
@@ -427,7 +512,7 @@ def test_unusable_out_fails_before_any_input(tmp_path, monkeypatch, capsys, comm
     monkeypatch.setattr(*patched, _must_not_run)
     config = {
         "generate": GEN_CONFIG,
-        "learn": {"signals": "signals.csv", "preset": {"name": "vsgl"}},
+        "learn": LEARN_CONFIG,
         "bench": BENCH_CONFIG,
     }[command]
     cfg = write_config(tmp_path, config)
@@ -549,15 +634,6 @@ def test_eval_bad_threshold_rejected_before_any_input(tmp_path, monkeypatch, cap
     }, "eval.json")
     assert cli.main(["eval", "--config", cfg]) == 2
     assert "relative threshold must lie in [0, 1), got 1.5" in capsys.readouterr().err
-
-
-BENCH_CONFIG = {
-    "graph": {"family": "er", "m": 5, "p": 0.5},
-    "signals": {"n": 20, "epsilon": 0.1},
-    "presets": [{"name": "vsgl"}, {"name": "mugl_o"}],
-    "n_seeds": 2,
-    "seed": 7,
-}
 
 
 def run_bench(tmp_path, config=BENCH_CONFIG, threads="1"):

@@ -162,7 +162,7 @@ def test_generators_are_deterministic():
         a, b = gen_graph(spec), gen_graph(spec)
         assert np.array_equal(a.weights, b.weights)
     spec = SignalSpec(n=7, epsilon=0.2, seed=31)
-    L = expand(path_weights(6))
+    L = expand(path_weights(6), 6)
     assert np.array_equal(gen_signals(L, spec), gen_signals(L, spec))
 
 
@@ -211,29 +211,34 @@ def test_draws_match_pinned_digests():
 
 
 def test_signals_zero_draws_return_mu_star():
-    L = expand(path_weights(4))
+    L = expand(path_weights(4), 4)
     mu = np.array([1.0, -2.0, 0.5, 3.0])
     X = gen_signals(L, SignalSpec(n=3, epsilon=0.0, seed=0, mu_star=mu), rng=ZeroRng())
     assert np.array_equal(X, np.column_stack([mu] * 3))
 
 
 def test_signals_mu_star_size_checked():
-    L = expand(path_weights(4))
+    L = expand(path_weights(4), 4)
     with pytest.raises(ValueError, match="mu_star"):
         gen_signals(L, SignalSpec(n=3, epsilon=0.0, seed=0, mu_star=np.ones(3)))
+
+
+def test_signals_need_a_square_laplacian():
+    with pytest.raises(ValueError, match=r"must be square, got shape \(3, 4\)"):
+        gen_signals(np.zeros((3, 4)), SignalSpec(n=3, epsilon=0.0, seed=0))
 
 
 def test_signals_have_no_kernel_direction_variance():
     # the all-ones eigenvector of a connected Laplacian gets zero latent
     # variance, so noiseless signals are flat along it
-    L = expand(path_weights(5))
+    L = expand(path_weights(5), 5)
     X = gen_signals(L, SignalSpec(n=2000, epsilon=0.0, seed=8))
     kernel_component = X.sum(axis=0) / math.sqrt(5)
     assert kernel_component.var() <= 1e-20
 
 
 def test_signal_covariance_matches_model():
-    L = expand(path_weights(5))
+    L = expand(path_weights(5), 5)
     eps = 0.3
     X = gen_signals(L, SignalSpec(n=10_000, epsilon=eps, seed=4))
     lam, U = np.linalg.eigh(L)

@@ -92,6 +92,11 @@ def test_nmi_identical_labelings():
     assert nmi(confusion(~flat, flat)) == 0.0
 
 
+def test_nmi_rejects_an_empty_confusion():
+    with pytest.raises(ValueError, match="empty indicator vectors"):
+        nmi(EdgeConfusion(0, 0, 0, 0))
+
+
 def test_nmi_independent_labelings():
     pred = np.array([True, True, False, False])
     truth = np.array([True, False, True, False])

@@ -9,7 +9,6 @@ from mugl.laplacian import (
     degrees,
     edge_count,
     expand,
-    node_count,
     node_pairs,
     pair_indices,
     pair_sums,
@@ -27,11 +26,8 @@ from oracles import (
 )
 
 
-def test_edge_count_and_inverse():
-    for m in range(1, 30):
-        assert node_count(edge_count(m)) == m
-    with pytest.raises(ValueError):
-        node_count(2)  # not m(m-1)/2 for any m
+def test_edge_count():
+    assert [edge_count(m) for m in range(1, 6)] == [0, 1, 3, 6, 10]
     with pytest.raises(ValueError):
         edge_count(0)
 
@@ -92,24 +88,26 @@ def test_degrees_and_pair_sums_match_pair_order_oracle(m):
 
 
 def test_expand_single_edge():
-    L = expand(np.array([1.0, 0.0, 0.0]))
+    L = expand(np.array([1.0, 0.0, 0.0]), 3)
     assert np.array_equal(L, [[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 
 
 def test_expand_empty_graph():
-    assert np.array_equal(expand(np.zeros(3)), np.zeros((3, 3)))
+    assert np.array_equal(expand(np.zeros(3), 3), np.zeros((3, 3)))
 
 
 def test_expand_weighted_triangle():
-    L = expand(np.array([1.0, 2.0, 3.0]))
+    L = expand(np.array([1.0, 2.0, 3.0]), 3)
     assert np.array_equal(L, [[3, -1, -2], [-1, 4, -3], [-2, -3, 5]])
 
 
 def test_expand_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        expand(np.zeros(4))  # 4 is not triangular
-    with pytest.raises(ValueError):
-        expand(np.zeros(3), m=4)
+    with pytest.raises(ValueError, match="4 entries, expected 3 for m=3"):
+        expand(np.zeros(4), 3)
+    with pytest.raises(ValueError, match="3 entries, expected 6 for m=4"):
+        expand(np.zeros(3), 4)
+    with pytest.raises(ValueError, match=r"must be 1-d, got shape \(3, 1\)"):
+        expand(np.zeros((3, 1)), 3)
 
 
 def test_adjoint_identity():
@@ -128,6 +126,13 @@ def test_adjoint_warns_on_material_asymmetry():
     assert np.allclose(out, [-1.0])
 
 
+def test_adjoint_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+        adjoint(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(3,\)"):
+        adjoint(np.zeros(3))
+
+
 def test_adjointness_identity_random():
     rng = np.random.default_rng(7)
     for m in range(2, 11):
@@ -135,23 +140,18 @@ def test_adjointness_identity_random():
             w = rng.standard_normal(edge_count(m))
             M = rng.standard_normal((m, m))
             M = M + M.T
-            lhs = float(np.trace(expand(w) @ M))
+            lhs = float(np.trace(expand(w, m) @ M))
             rhs = float(w @ adjoint(M))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-@given(
-    w=hnp.arrays(
-        np.float64,
-        st.sampled_from([1, 3, 6, 10]),
-        elements=st.floats(-5, 5, allow_nan=False),
-    )
-)
-def test_expand_linearity_and_trace(w):
+@given(m=st.sampled_from([2, 3, 4, 5]), data=st.data())
+def test_expand_linearity_and_trace(m, data):
+    w = data.draw(hnp.arrays(np.float64, edge_count(m), elements=st.floats(-5, 5, allow_nan=False)))
     a, b = 0.7, -1.3
     w2 = np.ones_like(w)
-    assert np.allclose(expand(a * w + b * w2), a * expand(w) + b * expand(w2), atol=1e-12)
-    assert np.isclose(np.trace(expand(w)), 2.0 * w.sum(), atol=1e-9 * max(1.0, abs(w).sum()))
+    assert np.allclose(expand(a * w + b * w2, m), a * expand(w, m) + b * expand(w2, m), atol=1e-12)
+    assert np.isclose(np.trace(expand(w, m)), 2.0 * w.sum(), atol=1e-9 * max(1.0, abs(w).sum()))
 
 
 def test_membership_equivalence():
@@ -160,14 +160,14 @@ def test_membership_equivalence():
     for _ in range(50):
         w = rng.random(6)
         w *= s / w.sum()
-        L = expand(w)
+        L = expand(w, 4)
         assert validate_simplex(w, s)
         assert is_laplacian(L)
         assert np.isclose(np.trace(L), 2 * s)
     # negative weight breaks both sides
     w_bad = np.array([3.0, -0.5, 0.0, 0.0, 0.0, 0.0])
     assert not validate_simplex(w_bad, s)
-    assert not is_laplacian(expand(w_bad))
+    assert not is_laplacian(expand(w_bad, 4))
 
 
 def test_frobenius_lower_bound_on_simplex():
@@ -177,7 +177,7 @@ def test_frobenius_lower_bound_on_simplex():
         for _ in range(50):
             w = rng.random(edge_count(m))
             w *= s / w.sum()
-            assert np.linalg.norm(expand(w)) >= 2 * s / np.sqrt(m) - 1e-12
+            assert np.linalg.norm(expand(w, m)) >= 2 * s / np.sqrt(m) - 1e-12
 
 
 def test_validate_simplex_examples():
@@ -186,6 +186,7 @@ def test_validate_simplex_examples():
     assert not validate_simplex(np.array([1.0, -1e-3, 0.0]), 0.999)
     with pytest.raises(ValueError):
         validate_simplex(np.array([1.0]), 0.0)
+    assert not validate_simplex(np.zeros(0), 1.0)
 
 
 def test_is_laplacian_rejects_positive_off_diagonal():
@@ -216,6 +217,13 @@ def test_edge_list_format(tmp_path):
     assert lines[0] == "# m=3"
     assert lines[1].split() == ["2", "1", "0.25"]
     assert lines[2].split() == ["3", "2", "1"]
+
+
+def test_write_edge_list_rejects_a_size_mismatch(tmp_path):
+    path = tmp_path / "g.edges"
+    with pytest.raises(ValueError, match="4 entries, expected 3 for m=3"):
+        write_edge_list(path, np.zeros(4), 3)
+    assert not path.exists()
 
 
 def test_read_edge_list_errors(tmp_path):

@@ -77,7 +77,7 @@ def test_translation_shifts_mean_only():
 
 
 def test_expected_risk_closed_cases():
-    L = expand(np.array([1.0, 2.0, 3.0]))
+    L = expand(np.array([1.0, 2.0, 3.0]), 3)
     assert expected_risk(np.zeros(3), np.eye(3), L) == pytest.approx(np.trace(L))
     assert expected_risk(np.ones(3), np.eye(3), np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_expected_risk_matches_trace_identity():
     for _ in range(20):
         X = rng.standard_normal((4, 6))
         w = rng.random(6)
-        L = expand(w)
+        L = expand(w, 4)
         mom = empirical_moments(X)
         direct = np.trace(X.T @ L @ X) / X.shape[1]
         value = expected_risk(mom.mean, mom.cov, L)
@@ -113,6 +113,21 @@ def test_rho1_rejects_delta_outside_range():
             RadiusParams(delta=delta)
     with pytest.raises(ValueError, match="sample count"):
         rho1_radius(RadiusParams(), 0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("field", ["c0", "c1", "c2", "sigma_norm"])
+def test_radius_params_reject_a_nonpositive_constant(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        RadiusParams(**{field: value})
+
+
+def test_rho2_rejects_empty_sizes():
+    params = RadiusParams(sigma_norm=1.0)
+    with pytest.raises(ValueError, match="sample count must be positive, got n=0"):
+        rho2_radius(params, m=3, n=0)
+    with pytest.raises(ValueError, match="node count must be positive, got m=0"):
+        rho2_radius(params, m=0, n=10)
 
 
 def test_rho1_matches_arbitrary_precision():
@@ -192,6 +207,13 @@ def test_signals_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "node_1,node_2,node_3,node_4"
     assert np.array_equal(read_signals_csv(path), X)
+
+
+def test_write_signals_csv_rejects_a_non_matrix(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"must be 2-d, got shape \(3,\)"):
+        write_signals_csv(path, np.zeros(3))
+    assert not path.exists()
 
 
 def test_signals_csv_errors(tmp_path):

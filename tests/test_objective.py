@@ -99,7 +99,7 @@ def test_objective_reduces_to_empirical_risk():
     mom = empirical_moments(X)
     ctx = build_context(mom, ModelConfig(s=2.0))
     w = random_interior(rng, 6, 2.0)
-    L = expand(w)
+    L = expand(w, 4)
     direct = np.trace(X.T @ L @ X) / X.shape[1]
     assert objective_value(ctx, w) == pytest.approx(direct, rel=1e-10)
 
@@ -118,7 +118,7 @@ def test_objective_matches_matrix_form():
             cfg = ModelConfig(rho1=0.4, rho2=0.9, s=3.0, alpha=alpha)
             ctx = build_context(mom, cfg)
             w = random_interior(rng, 10, cfg.s)
-            L = expand(w)
+            L = expand(w, 5)
             matrix_form = (
                 np.trace(X.T @ L @ X) / X.shape[1]
                 + 2.0 * cfg.rho1 * math.sqrt(mom.mean @ L @ mom.mean)
@@ -185,7 +185,7 @@ def test_gradient_frobenius_term_only():
     ctx = context_from(np.zeros(4), np.zeros((4, 4)), rho2=1.0, s=1.0)
     for _ in range(10):
         w = random_interior(rng, 6, 1.0)
-        L = expand(w)
+        L = expand(w, 4)
         want = adjoint(L) / np.linalg.norm(L)
         assert np.allclose(gradient(ctx, w), want, atol=1e-12)
 
@@ -235,7 +235,7 @@ def test_worst_case_mean_risk_examples():
 
 def test_worst_case_mean_risk_kernel_mean():
     # a constant mean sits in the Laplacian nullspace; only rho1 survives
-    L = expand(np.array([1.0, 1.0, 1.0]))
+    L = expand(np.array([1.0, 1.0, 1.0]), 3)
     assert worst_case_mean_risk(L, np.full(3, 2.0), 1.0) == pytest.approx(1.0, abs=1e-9)
     assert worst_mean_risk_ascent(L, np.full(3, 2.0), 1.0) == pytest.approx(1.0, rel=1e-6)
 
@@ -245,7 +245,7 @@ def test_worst_case_mean_risk_matches_ascent_oracle():
     for trial in range(10):
         m = int(rng.integers(2, 6))
         w = random_interior(rng, m * (m - 1) // 2, 2.0)
-        L = expand(w)
+        L = expand(w, m)
         mean = rng.standard_normal(m)
         rho1 = float(rng.uniform(0.1, 2.0))
         closed = worst_case_mean_risk(L, mean, rho1)
@@ -254,7 +254,7 @@ def test_worst_case_mean_risk_matches_ascent_oracle():
 
 
 def test_worst_case_cov_risk_examples():
-    L = expand(np.array([1.0, 0.0, 0.0]))
+    L = expand(np.array([1.0, 0.0, 0.0]), 3)
     assert worst_case_cov_risk(L, np.zeros((3, 3)), 1.0) == pytest.approx(2.0)
     cov = np.diag([1.0, 2.0, 3.0])
     assert worst_case_cov_risk(L, cov, 0.0) == pytest.approx(np.sum(cov * L))
@@ -267,7 +267,7 @@ def test_worst_case_cov_risk_attained_never_exceeded():
     for _ in range(10):
         m = int(rng.integers(2, 6))
         w = random_interior(rng, m * (m - 1) // 2, 1.5)
-        L = expand(w)
+        L = expand(w, m)
         A = rng.standard_normal((m, m + 2))
         cov = A @ A.T / (m + 2)
         rho2 = float(rng.uniform(0.1, 1.5))
@@ -287,7 +287,7 @@ def test_worst_case_value_adds_constant():
     cfg = ModelConfig(rho1=0.7, rho2=0.3, s=2.0)
     ctx = build_context(mom, cfg)
     w = random_interior(rng, 6, 2.0)
-    L = expand(w)
+    L = expand(w, 4)
     via_closed_forms = worst_case_mean_risk(L, mom.mean, cfg.rho1) + worst_case_cov_risk(
         L, mom.cov, cfg.rho2
     )

@@ -153,10 +153,18 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("indent", [0, 1, 3])
+def _nested(doc, depth):
+    """doc as the one item of depth nested lists, so the writer renders it
+    at that depth's indentation."""
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
 @pytest.mark.parametrize("doc", CORPUS, ids=range(len(CORPUS)))
-def test_dumps_matches_reference_writer_on_corpus(doc, indent):
-    assert dumps(doc, indent) == dumps_reference(doc, indent)
+def test_dumps_matches_reference_writer_on_corpus(doc, depth):
+    assert dumps(_nested(doc, depth)) == dumps_reference(_nested(doc, depth))
 
 
 def test_dumps_matches_reference_writer_on_a_headline_summary():
@@ -165,7 +173,7 @@ def test_dumps_matches_reference_writer_on_a_headline_summary():
                                      SignalSpec(n=80, epsilon=0.1, seed=0), presets, 20)
     doc = harness.summary_doc(summary)
     assert dumps(doc) == dumps_reference(doc)
-    assert dumps(doc, 2) == dumps_reference(doc, 2)
+    assert dumps(_nested(doc, 2)) == dumps_reference(_nested(doc, 2))
 
 
 @pytest.mark.parametrize("doc", [
@@ -195,5 +203,5 @@ def test_dumps_raises_what_the_reference_writer_raises(doc):
     ),
     max_leaves=16,
 ), st.integers(0, 3))
-def test_dumps_matches_reference_writer_on_random_documents(doc, indent):
-    assert dumps(doc, indent) == dumps_reference(doc, indent)
+def test_dumps_matches_reference_writer_on_random_documents(doc, depth):
+    assert dumps(_nested(doc, depth)) == dumps_reference(_nested(doc, depth))

@@ -372,6 +372,27 @@ def test_backtracks_count_rejected_trial_points(monkeypatch):
     assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(rho2=0.5, s=4.0, alpha=0.6),
+    dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
+    dict(s=3.0, alpha=0.5, quad_weight=0.5),
+])
+def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
+    # w0 and every trial point, accepted or rejected, get one record each;
+    # the start point is not evaluated twice
+    ctx = generic_context(109, **kwargs)
+    real_point = mugl.objective.point
+    records = []
+
+    def counting_point(ctx_, w):
+        records.append(1)
+        return real_point(ctx_, w)
+
+    monkeypatch.setattr(mugl.objective, "point", counting_point)
+    report = ls_pgd_solve(ctx, np.full(10, ctx.config.s / 10))
+    assert len(records) == len(report.objective_trace) + report.backtracks
+
+
 @pytest.mark.parametrize("kwargs, opts, termination", [
     (dict(rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),
     (dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),

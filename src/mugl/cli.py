@@ -33,8 +33,6 @@ import sys
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 
-import numpy as np
-
 from . import __version__, harness, serialize
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
@@ -108,7 +106,7 @@ def _schema(cls) -> dict:
 
 def parse_value(hint, val, where: str):
     """Decode one JSON value as `hint`: int, float, str, a config dataclass,
-    np.ndarray (from a list of numbers), or a union of one of them with None.
+    tuple[float, ...] (from a list of numbers), or a union of one of them with None.
     Numbers must be finite; null is accepted only where the hint admits None."""
     kinds = typing.get_args(hint) or (hint,)
     if val is None and type(None) in kinds:
@@ -120,10 +118,10 @@ def parse_value(hint, val, where: str):
         if not isinstance(val, str):
             raise config_error(f"{where} must be a string, got {val!r}")
         return val
-    if kind is np.ndarray:
+    if typing.get_origin(kind) is tuple:
         if not isinstance(val, list):
             raise config_error(f"{where} must be a list of numbers, got {val!r}")
-        return np.array([parse_value(float, x, f"{where}[{i}]") for i, x in enumerate(val)])
+        return tuple(parse_value(float, x, f"{where}[{i}]") for i, x in enumerate(val))
     # the bound also rejects NaN, and ints too large for a float
     if (
         isinstance(val, bool)
@@ -265,13 +263,7 @@ def cmd_learn(args) -> int:
         "n": n,
         "preset": harness.preset_doc(preset),
         "resolved": asdict(resolved),
-        "iters": report.iters,
-        "backtracks": report.backtracks,
-        "termination": report.termination,
-        "converged": report.converged,
-        "kkt_residual": report.kkt_residual,
-        "gap": report.gap,
-        "objective": report.objective_trace[-1],
+        **report.record(),
     }
     if want_trace:
         doc["objective_trace"] = list(report.objective_trace)

@@ -113,9 +113,12 @@ class SignalSpec:
     n: int
     epsilon: float
     seed: int
-    mu_star: np.ndarray | None = None
+    mu_star: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.mu_star is not None:
+            # a tuple keeps the spec a value: equal specs compare and hash equal
+            object.__setattr__(self, "mu_star", tuple(map(float, self.mu_star)))
         if self.n < 1:
             raise ValueError(f"need at least one observation, got n={self.n}")
         if self.epsilon < 0:
@@ -220,10 +223,8 @@ def gen_signals(
     m = L.shape[0]
     if L.shape != (m, m):
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")
-    if spec.mu_star is not None and np.asarray(spec.mu_star).size != m:
-        raise ValueError(
-            f"mu_star has {np.asarray(spec.mu_star).size} entries, expected {m}"
-        )
+    if spec.mu_star is not None and len(spec.mu_star) != m:
+        raise ValueError(f"mu_star has {len(spec.mu_star)} entries, expected {m}")
     if rng is None:
         rng = stream_rng(spec.seed, SIGNAL_STREAM)
     lam, U = np.linalg.eigh(L)

@@ -212,11 +212,7 @@ def _run_one(
             record["models"][preset.display_name] = {"error": str(exc)}
             continue
         entry = metric_record(report.w_final, truth_mask, rel_threshold)
-        entry["iters"] = report.iters
-        entry["termination"] = report.termination
-        entry["backtracks"] = report.backtracks
-        entry["gap"] = report.gap
-        entry["objective"] = report.objective_trace[-1]
+        entry.update(report.record())
         record["models"][preset.display_name] = entry
     return record
 

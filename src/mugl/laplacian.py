@@ -238,6 +238,8 @@ def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
     if not header.startswith("# m=") or _has_other_line_break(text):
         raise ValueError("not a plain edge list")
     m = int(header[len("# m=") :])
+    if m < 2:
+        raise ValueError("fewer than two nodes")
     w = np.zeros(edge_count(m))
     # loadtxt warns on a body without data; an edgeless graph has none.
     if not body or body.isspace():
@@ -277,8 +279,8 @@ def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
         raise ValueError(
             f"{path}: unparseable node count in header {_excerpt(raw[0])}"
         ) from None
-    if m < 1:
-        raise ValueError(f"{path}: node count must be positive, got {m}")
+    if m < 2:
+        raise ValueError(f"{path}: node count must be at least 2, got {m}")
     w = np.zeros(edge_count(m))
     seen = set()
     for lineno, line in enumerate(raw[1:], start=2):

@@ -27,10 +27,12 @@ smooth where a @ w = 0; gradient() refuses to evaluate there rather than
 returning garbage, and callers are expected to treat that as a hard stop.
 
 Value and gradient at one w share three pieces: the node degrees, ||expand(w, m)||_F
-(when rho2 > 0) and a @ w (when rho1 > 0).  point(ctx, w) computes them once
-as a per-point record, and the unchecked evaluators _value(ctx, w, pt) and
-_gradient(ctx, w, pt) read them from it, so a solver that evaluates a point
-and later its gradient builds the record once.
+(when rho2 > 0) and a @ w (when rho1 > 0).  Behind objective_value and
+gradient, the unchecked _point(ctx, w) evaluates a float array w already
+known to be feasible into one record (value, deg, frob, aw), and
+_gradient(ctx, w, pt) reads those pieces from pt = _point(ctx, w).  A solver
+that checked its start evaluates each later point through them, so it
+computes each piece once.
 """
 
 from __future__ import annotations
@@ -147,20 +149,6 @@ def _check_feasible(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def point(ctx: ObjectiveContext, w: np.ndarray) -> tuple:
-    """The per-point record (deg, frob, aw) of a feasible float array w.
-
-    deg is degrees(w, ctx.m); frob is ||expand(w, m)||_F when rho2 > 0 and aw
-    is a @ w when rho1 > 0, each None when its term is off.
-    """
-    cfg = ctx.config
-    deg = degrees(w, ctx.m)
-    # ||expand(w, m)||_F^2 = sum(deg^2) + 2 sum(w^2), no matrix needed.
-    frob = math.sqrt(float(deg @ deg + 2.0 * (w @ w))) if cfg.rho2 > 0 else None
-    aw = float(ctx.sqrt_coeff @ w) if cfg.rho1 > 0 else None
-    return deg, frob, aw
-
-
 def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     """g(w), the worst-case risk minus its constant rho1^2 offset.
 
@@ -168,8 +156,7 @@ def objective_value(ctx: ObjectiveContext, w: np.ndarray) -> float:
     nonpositive; that is the extended-value convention line searches rely on.
     Raises InfeasiblePointError outside the simplex.
     """
-    w = _check_feasible(ctx, w)
-    return _value(ctx, w, point(ctx, w))
+    return _point(ctx, _check_feasible(ctx, w))[0]
 
 
 def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
@@ -183,35 +170,38 @@ def gradient(ctx: ObjectiveContext, w: np.ndarray) -> np.ndarray:
     its domain.
     """
     w = _check_feasible(ctx, w)
-    return _gradient(ctx, w, point(ctx, w))
+    return _gradient(ctx, w, _point(ctx, w))
 
 
-# _value and _gradient are the unchecked evaluators behind objective_value
-# and gradient: w must be a float array already known to be feasible, and
-# pt must be point(ctx, w).  A solver that checked its start evaluates each
-# later point through them, passing one record to both.
-
-
-def _value(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> float:
-    deg, frob, aw = pt
+def _point(ctx: ObjectiveContext, w: np.ndarray) -> tuple:
+    """The record (value, deg, frob, aw) of w: value is g(w), +inf off the
+    barrier domain; deg is degrees(w, ctx.m); frob is ||expand(w, m)||_F when
+    rho2 > 0 and aw is a @ w when rho1 > 0, each None when its term is off.
+    """
     cfg = ctx.config
-    val = float(w @ ctx.quad_coeff)
+    deg = degrees(w, ctx.m)
+    value = float(w @ ctx.quad_coeff)
+    frob = aw = None
     if cfg.rho2 > 0:
-        val += cfg.rho2 * frob
+        # ||expand(w, m)||_F^2 = sum(deg^2) + 2 sum(w^2), no matrix needed.
+        frob = math.sqrt(float(deg @ deg + 2.0 * (w @ w)))
+        value += cfg.rho2 * frob
     if cfg.rho1 > 0:
-        val += math.sqrt(max(aw, 0.0))
+        aw = float(ctx.sqrt_coeff @ w)
+        value += math.sqrt(max(aw, 0.0))
     if cfg.quad_weight > 0:
         # (quad_weight/2) * sum_{i!=j} L_ij^2 counts each pair twice.
-        val += cfg.quad_weight * float(w @ w)
+        value += cfg.quad_weight * float(w @ w)
     if cfg.alpha > 0:
         if np.minimum.reduce(deg) <= 0.0:
-            return math.inf
-        val -= cfg.alpha * float(np.add.reduce(np.log(deg)))
-    return val
+            value = math.inf
+        else:
+            value -= cfg.alpha * float(np.add.reduce(np.log(deg)))
+    return value, deg, frob, aw
 
 
 def _gradient(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> np.ndarray:
-    deg, frob, aw = pt
+    _, deg, frob, aw = pt
     cfg = ctx.config
     grad = ctx.quad_coeff.copy()
     term = np.empty_like(grad)  # each pair-space term, added in a fixed order

@@ -130,6 +130,18 @@ class SolveReport:
     def converged(self) -> bool:
         return self.termination in ("step_tol", "kkt_tol")
 
+    def record(self) -> dict:
+        """The fit's fields of solve_report.json and of a bench per-fit record."""
+        return {
+            "iters": self.iters,
+            "backtracks": self.backtracks,
+            "termination": self.termination,
+            "converged": self.converged,
+            "kkt_residual": self.kkt_residual,
+            "gap": self.gap,
+            "objective": self.objective_trace[-1],
+        }
+
 
 @lru_cache(maxsize=16)
 def _ranks(p: int) -> np.ndarray:
@@ -281,8 +293,8 @@ def ls_pgd_solve(
     # combination of w0 and projections, so it is evaluated unchecked.  Each
     # point's one record serves its value and, once accepted, its gradient.
     w = obj._check_feasible(ctx, w0).copy()
-    pt = obj.point(ctx, w)
-    f_cur = obj._value(ctx, w, pt)
+    pt = obj._point(ctx, w)
+    f_cur = pt[0]
     if not math.isfinite(f_cur):
         raise obj.BarrierDomainError("infeasible start: objective not finite at w0")
     trace = [f_cur]
@@ -324,8 +336,8 @@ def ls_pgd_solve(
         for rejected in range(MAX_BACKTRACKS + 1):
             trial = np.multiply(scale, v)
             trial += w
-            trial_pt = obj.point(ctx, trial)
-            f_trial = obj._value(ctx, trial, trial_pt)
+            trial_pt = obj._point(ctx, trial)
+            f_trial = trial_pt[0]
             if f_trial <= f_cur + ARMIJO_SLOPE * scale * predicted:
                 accepted = True
                 break

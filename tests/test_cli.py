@@ -14,6 +14,7 @@ import pytest
 import mugl.objective
 from mugl import cli, harness
 from mugl.datagen import GraphSpec, SignalSpec
+from mugl.evaluation import metric_record
 from mugl.laplacian import read_edge_list, write_edge_list
 from mugl.moments import RadiusParams, empirical_moments, read_signals_csv, write_signals_csv
 from mugl.solvers import SolverOptions
@@ -386,6 +387,16 @@ def test_eval_oversized_edge_list_field_is_config_error(tmp_path, capsys):
     assert f"{edges}:2: weight must be finite" in capsys.readouterr().err
 
 
+def test_eval_one_node_edge_list_is_config_error(tmp_path, capsys):
+    # a one-node list has no pair to score; the reader names the file
+    # rather than letting scoring fail on empty indicator vectors
+    edges = tmp_path / "one.edges"
+    edges.write_text("# m=1\n")
+    cfg = write_config(tmp_path, {"truth": str(edges), "predicted": str(edges)})
+    assert cli.main(["eval", "--config", cfg]) == 2
+    assert f"{edges}: node count must be at least 2, got 1" in capsys.readouterr().err
+
+
 def test_generate_wrong_length_mu_star_writes_nothing(tmp_path, capsys):
     out = tmp_path / "data"
     cfg = write_config(tmp_path, {
@@ -553,16 +564,16 @@ def test_learn_solver_abort_writes_nothing(tmp_path, monkeypatch, capsys, preset
     else:
         signals = run_generate(tmp_path) / "signals.csv"
         monkeypatch.setattr(
-            mugl.objective, "_gradient", lambda ctx, w, deg: np.full(w.size, math.nan)
+            mugl.objective, "_gradient", lambda ctx, w, pt: np.full(w.size, math.nan)
         )
-    real_value = mugl.objective._value
+    real_point = mugl.objective._point
     evaluated = []
 
-    def counting_value(ctx, w, deg):
+    def counting_point(ctx, w):
         evaluated.append(w)
-        return real_value(ctx, w, deg)
+        return real_point(ctx, w)
 
-    monkeypatch.setattr(mugl.objective, "_value", counting_value)
+    monkeypatch.setattr(mugl.objective, "_point", counting_point)
     out = tmp_path / "fit"
     cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": preset}}, "learn.json")
     assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 5
@@ -652,6 +663,36 @@ def test_bench_deterministic_across_runs_and_threads(tmp_path):
     assert (out_b / "summary.csv").read_bytes() == csv_bytes
     assert (out_c / "summary.csv").read_bytes() == csv_bytes
     assert (out_b / "summary.json").read_bytes() == (out_a / "summary.json").read_bytes()
+
+
+def test_bench_fit_records_carry_the_learn_report_fields(tmp_path):
+    # a bench per-fit record is the draw's metrics followed by exactly the
+    # fit fields of solve_report.json, in the same order
+    data = run_generate(tmp_path)
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {
+        "signals": str(data / "signals.csv"),
+        "preset": {"name": "mugl_o"},
+    }, "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = list(json.loads((out / "solve_report.json").read_text()))
+    context = ["version", "signals", "m", "n", "preset", "resolved"]
+    assert report[:len(context)] == context
+    fit_fields = report[len(context):]
+    assert "kkt_residual" in fit_fields and "converged" in fit_fields
+    metrics = list(metric_record(np.ones(3), np.ones(3, dtype=bool)))
+
+    code, bench = run_bench(tmp_path / "bench")
+    assert code == 0
+    seen = []
+    for rec in json.loads((bench / "summary.json").read_text())["records"]:
+        for label, entry in rec["models"].items():
+            seen.append(label)
+            assert list(entry) == metrics + fit_fields
+            assert math.isfinite(entry["kkt_residual"]) and entry["kkt_residual"] >= 0.0
+            if label == "vsgl":
+                assert entry["kkt_residual"] == 0.0
+    assert sorted(seen) == ["mugl_o", "mugl_o", "vsgl", "vsgl"]
 
 
 def test_bench_robust_model_orders_above_baseline(tmp_path):

@@ -223,6 +223,19 @@ def test_signals_mu_star_size_checked():
         gen_signals(L, SignalSpec(n=3, epsilon=0.0, seed=0, mu_star=np.ones(3)))
 
 
+def test_signal_spec_with_mean_is_a_value():
+    # any sequence of numbers is stored as one tuple of floats
+    specs = [
+        SignalSpec(n=3, epsilon=0.1, seed=0, mu_star=mu)
+        for mu in (np.array([1.0, -2.0, 0.5]), [1, -2, 0.5], (1.0, -2.0, 0.5))
+    ]
+    assert all(spec.mu_star == (1.0, -2.0, 0.5) for spec in specs)
+    assert all(type(x) is float for x in specs[0].mu_star)
+    assert specs[0] == specs[1] == specs[2]
+    assert len({hash(spec) for spec in specs}) == 1
+    assert specs[0] != SignalSpec(n=3, epsilon=0.1, seed=0, mu_star=(1.0, -2.0, 0.25))
+
+
 def test_signals_need_a_square_laplacian():
     with pytest.raises(ValueError, match=r"must be square, got shape \(3, 4\)"):
         gen_signals(np.zeros((3, 4)), SignalSpec(n=3, epsilon=0.0, seed=0))

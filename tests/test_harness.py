@@ -319,20 +319,20 @@ def test_solver_failure_skips_one_seed_only(monkeypatch):
 
 def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
     real_gradient = mugl.objective._gradient
-    real_value = mugl.objective._value
+    real_point = mugl.objective._point
     barrier_values = []
 
-    def poisoned_gradient(ctx, w, deg):
-        g = real_gradient(ctx, w, deg)
+    def poisoned_gradient(ctx, w, pt):
+        g = real_gradient(ctx, w, pt)
         return np.full_like(g, np.nan) if ctx.config.alpha > 0 else g
 
-    def counting_value(ctx, w, deg):
+    def counting_point(ctx, w):
         if ctx.config.alpha > 0:
             barrier_values.append(w)
-        return real_value(ctx, w, deg)
+        return real_point(ctx, w)
 
     monkeypatch.setattr(mugl.objective, "_gradient", poisoned_gradient)
-    monkeypatch.setattr(mugl.objective, "_value", counting_value)
+    monkeypatch.setattr(mugl.objective, "_point", counting_point)
     presets = [harness.ModelPreset("mugl_o"), harness.ModelPreset("mugl_l")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
     assert [(f["seed_index"], f["model"]) for f in summary.failures] == [(0, "mugl_l"), (1, "mugl_l")]

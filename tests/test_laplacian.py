@@ -28,8 +28,9 @@ from oracles import (
 
 def test_edge_count():
     assert [edge_count(m) for m in range(1, 6)] == [0, 1, 3, 6, 10]
-    with pytest.raises(ValueError):
-        edge_count(0)
+    for count in (edge_count, pair_indices):
+        with pytest.raises(ValueError, match="need at least one node, got m=0"):
+            count(0)
 
 
 def test_pair_to_linear_examples():

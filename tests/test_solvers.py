@@ -354,16 +354,16 @@ def test_step_tol_fires_only_after_a_long_step(monkeypatch):
 
 def test_backtracks_count_rejected_trial_points(monkeypatch):
     # the solver evaluates w0 and every trial point through the unchecked
-    # evaluator objective._value, once each
+    # evaluator objective._point, once each
     ctx = generic_context(109, rho2=0.5, s=4.0, alpha=0.6)
-    real_value = mugl.objective._value
+    real_point = mugl.objective._point
     evaluations = []
 
-    def counting_value(ctx_, w, deg):
+    def counting_point(ctx_, w):
         evaluations.append(1)
-        return real_value(ctx_, w, deg)
+        return real_point(ctx_, w)
 
-    monkeypatch.setattr(mugl.objective, "_value", counting_value)
+    monkeypatch.setattr(mugl.objective, "_point", counting_point)
     report = ls_pgd_solve(ctx, np.full(10, 0.4))
     accepted = len(report.objective_trace) - 1
     assert report.backtracks > 0
@@ -381,14 +381,14 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     # w0 and every trial point, accepted or rejected, get one record each;
     # the start point is not evaluated twice
     ctx = generic_context(109, **kwargs)
-    real_point = mugl.objective.point
+    real_point = mugl.objective._point
     records = []
 
     def counting_point(ctx_, w):
         records.append(1)
         return real_point(ctx_, w)
 
-    monkeypatch.setattr(mugl.objective, "point", counting_point)
+    monkeypatch.setattr(mugl.objective, "_point", counting_point)
     report = ls_pgd_solve(ctx, np.full(10, ctx.config.s / 10))
     assert len(records) == len(report.objective_trace) + report.backtracks
 
@@ -432,15 +432,15 @@ def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
     # the first iteration's gradient is poisoned, so the solve aborts before
     # it evaluates any trial point: the only value taken is the one at w0
     ctx = generic_context(113, rho2=0.5, s=1.0)
-    real_value = mugl.objective._value
+    real_point = mugl.objective._point
     evaluated = []
 
-    def counting_value(ctx_, w, deg):
+    def counting_point(ctx_, w):
         evaluated.append(w)
-        return real_value(ctx_, w, deg)
+        return real_point(ctx_, w)
 
-    monkeypatch.setattr(mugl.objective, "_value", counting_value)
-    monkeypatch.setattr(mugl.objective, "_gradient", lambda ctx_, w, deg: np.full(10, math.nan))
+    monkeypatch.setattr(mugl.objective, "_point", counting_point)
+    monkeypatch.setattr(mugl.objective, "_gradient", lambda ctx_, w, pt: np.full(10, math.nan))
     with pytest.raises(RuntimeError, match="non-finite gradient"):
         ls_pgd_solve(ctx, np.full(10, 0.1))
     assert len(evaluated) == 1
@@ -568,13 +568,15 @@ def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
     # every trial point sits above the value at w0, so the first iteration
     # rejects all of them: w0 plus 1 + MAX_BACKTRACKS evaluations
     ctx = generic_context(113, rho2=0.5, s=1.0)
+    real_point = mugl.objective._point
     calls = {"n": 0}
 
-    def stuck_value(ctx_, w, deg):
+    def stuck_point(ctx_, w):
         calls["n"] += 1
-        return 0.0 if calls["n"] == 1 else 1.0
+        _, *pieces = real_point(ctx_, w)
+        return (0.0 if calls["n"] == 1 else 1.0, *pieces)
 
-    monkeypatch.setattr(mugl.objective, "_value", stuck_value)
+    monkeypatch.setattr(mugl.objective, "_point", stuck_point)
     with pytest.raises(LineSearchStallError, match="backtracks at iteration 1$"):
         ls_pgd_solve(ctx, np.full(10, 0.1))
     assert calls["n"] == MAX_BACKTRACKS + 2

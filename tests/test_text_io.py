@@ -190,6 +190,8 @@ EDGE_CORPUS = {
     "header_then_blanks": "# m=3\n\n \n",
     "empty": "",
     "zero_nodes": "# m=0\n",
+    "one_node": "# m=1\n",
+    "one_node_no_newline": "# m=1",
     "bad_node_count": "# m=x\n2 1 0.5\n",
     "padded_node_count": "# m= 3 \n2 1 0.5\n",
 }
@@ -263,7 +265,7 @@ LINE_BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
 
 
 @given(
-    st.sampled_from(["# m=3", "# m=5", "# m=0", "m=3", ""]),
+    st.sampled_from(["# m=3", "# m=5", "# m=1", "# m=0", "m=3", ""]),
     joined(joined(TOKENS, [" ", " ", "\t", "  ", "\xa0", "\x1f", ","]), LINE_BREAKS),
 )
 def test_random_edge_text_matches_row_reader(header, body):

@@ -71,13 +71,19 @@ def config_error(message: str) -> CliError:
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise config_error(f"{path}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise config_error(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError as exc:
+        # a RuntimeError, which main would report as a solver abort
+        raise config_error(f"{path}: JSON parse error: {exc}") from None
     if not isinstance(doc, dict):
         raise config_error(f"{path}: top-level config must be a JSON object")
     return doc

@@ -270,7 +270,10 @@ def _excerpt(line: str) -> str:
 def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
     """Line-by-line parse of an edge list, citing the line of any error."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not raw or not raw[0].startswith("# m="):
         raise ValueError(f"{path}: missing '# m=<nodes>' header")
     try:

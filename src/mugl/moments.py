@@ -208,12 +208,15 @@ def _refuse_separator_controls(lines):
 
 def _csv_rows(path, fh):
     """csv.reader rows of fh, with the csv module's own errors (such as a
-    field longer than csv.field_size_limit()) raised as ValueError."""
+    field longer than csv.field_size_limit()) and undecodable bytes raised
+    as ValueError naming the file."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_signals_csv_rows(path) -> np.ndarray:

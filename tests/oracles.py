@@ -264,55 +264,47 @@ def random_cov_in_ball(cov, rho2, rng):
     return cov + D * (rho2 * rng.random() / np.linalg.norm(D))
 
 
-# The JSON writer as it was before it dispatched on exact types: one
-# isinstance chain per value and json.dumps per string.  The package's
+# The JSON artefact format spelled out value by value: two-space
+# indentation, one member per line, strings quoted by json.dumps, floats
+# as their shortest round-trip repr, NaN and infinities refused, and keys
+# and other values handled as the json module handles them.  The package's
 # serialize.dumps must produce the same bytes and raise the same errors.
-REFERENCE_INDENT = "  "
-
-
-def format_float_reference(x: float) -> str:
-    """%.17g with a guaranteed decimal point or exponent, so the token reads
-    back as a float."""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "n" not in s:
-        s += ".0"
-    return s
-
-
 def dumps_reference(doc, indent: int = 0) -> str:
     """JSON text of a document of dicts/lists/strs/numbers/bools/None."""
-    if isinstance(doc, np.ndarray):
-        doc = doc.tolist()
-    elif isinstance(doc, np.bool_):
-        doc = bool(doc)
-    elif isinstance(doc, np.integer):
-        doc = int(doc)
-    elif isinstance(doc, np.floating):
-        doc = float(doc)
-    pad = REFERENCE_INDENT * indent
+    pad = "  " * indent
     if isinstance(doc, dict):
         if not doc:
             return "{}"
         items = [
-            f"{pad}{REFERENCE_INDENT}{json.dumps(str(k))}: {dumps_reference(v, indent + 1)}"
+            f"{pad}  {_key_reference(k)}: {dumps_reference(v, indent + 1)}"
             for k, v in doc.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        items = [f"{pad}{REFERENCE_INDENT}{dumps_reference(v, indent + 1)}" for v in doc]
+        items = [f"{pad}  {dumps_reference(v, indent + 1)}" for v in doc]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(doc, bool):
         return "true" if doc else "false"
     if doc is None:
         return "null"
     if isinstance(doc, float):
-        return format_float_reference(doc)
+        if not math.isfinite(doc):
+            raise ValueError(f"Out of range float values are not JSON compliant: {doc!r}")
+        return float.__repr__(doc)
     if isinstance(doc, int):
-        return str(doc)
+        return int.__repr__(doc)
     if isinstance(doc, str):
         return json.dumps(doc)
-    raise TypeError(f"cannot serialize {type(doc).__name__}")
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+def _key_reference(key) -> str:
+    """A dict key as a JSON string: a str by its characters, a number, bool
+    or None by its JSON token."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{dumps_reference(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -103,6 +103,18 @@ def test_malformed_json_cites_location(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_too_deeply_nested_config_is_config_error(tmp_path, monkeypatch, capsys):
+    # json.loads gives up with RecursionError, which is a RuntimeError
+    monkeypatch.chdir(tmp_path)
+    depth = 200_000
+    (tmp_path / "config.json").write_text('{"graph": ' + "[" * depth + "]" * depth + "}")
+    assert cli.main(["generate", "--config", "config.json", "--out", "out"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.json: JSON parse error: maximum recursion depth exceeded"
+    )
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_unknown_key_is_named(tmp_path, capsys):
     config = {
         "graph": {"family": "er", "m": 5, "seed": 0, "prob": 0.5},
@@ -219,7 +231,10 @@ def test_config_schema_round_trips(tmp_path):
     assert cli.parse_fields(harness.ModelPreset, harness.preset_doc(preset), "preset") == preset
 
     config = {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "mu_star": [0.5, 0, -1, 2, 0.25]}}
-    prov = json.loads((run_generate(tmp_path, config) / "provenance.json").read_text())
+    text = (run_generate(tmp_path, config) / "provenance.json").read_text()
+    # floats are written as their shortest repr
+    assert '"epsilon": 0.1,' in text
+    prov = json.loads(text)
     graph_spec = cli.parse_fields(GraphSpec, prov["graph_spec"], "graph_spec")
     signal_spec = cli.parse_fields(SignalSpec, prov["signal_spec"], "signal_spec")
     assert graph_spec == GraphSpec(**config["graph"])
@@ -436,6 +451,25 @@ def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, command
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("learn", "config.json"), ("learn", "signals.csv"), ("eval", "truth.edges"),
+    ("eval", "pred.edges"),
+])
+def test_undecodable_input_names_the_file(tmp_path, monkeypatch, capsys, command, bad):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, LEARN_CONFIG if command == "learn" else EVAL_CONFIG)
+    (tmp_path / "signals.csv").write_text("node_1,node_2\r\n1,2\r\n3,4\r\n")
+    (tmp_path / "truth.edges").write_text("# m=3\n2 1 1.0\n")
+    (tmp_path / "pred.edges").write_text("# m=3\n2 1 1.0\n")
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff")
+    assert cli.main([command, "--config", "config.json", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, config", [

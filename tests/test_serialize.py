@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mugl import harness
@@ -37,14 +38,15 @@ def test_dumps_scalars():
     assert dumps(None) == "null"
     assert dumps(7) == "7"
     assert dumps("a\"b") == '"a\\"b"'
-    assert dumps(0.1) == "0.10000000000000001"
+    assert dumps(0.1) == "0.1"
 
 
-def test_dumps_numpy_coercion():
-    assert dumps(np.float64(2.0)) == "2.0"
-    assert dumps(np.int32(5)) == "5"
-    assert dumps(np.bool_(True)) == "true"
-    assert dumps(np.array([1.0, 2.5])) == "[\n  1.0,\n  2.5\n]"
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(sys.float_info.max)
+def test_dumps_float_reads_back_to_the_same_bits(x):
+    assert json.loads(dumps(x)).hex() == x.hex()
 
 
 def test_dumps_nested_layout_and_key_order():
@@ -106,7 +108,7 @@ def test_write_json_ends_with_newline(tmp_path):
 
 def test_write_json_leaves_no_file_when_serialization_fails(tmp_path):
     path = tmp_path / "doc.json"
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="Out of range float values"):
         write_json(path, {"k": [1.0, math.nan]})
     assert not path.exists()
 
@@ -128,8 +130,8 @@ class _Int(int):
 
 
 class _Str(str):
-    # keys are written as str(key) and string values by their characters,
-    # so a subclass that renames itself shows which one the writer used
+    # keys and values are written by their characters, not by str(), so a
+    # subclass that renames itself shows if a writer calls str()
     def __str__(self):
         return "renamed"
 
@@ -138,10 +140,11 @@ class _Str(str):
 CORPUS = [
     {"a": {}, "b": [], "c": [[], {}, [[{}]]], "d": ()},
     (1, (2.5, ()), [None, True, False]),
-    [np.float64(0.1), np.float64(-0.0), np.float32(1.5), np.int64(-7), np.int8(3), np.uint64(2**63),
-     np.bool_(False), np.bool_(True)],
-    [np.array([1.0, 2.5]), np.array([[1, 2], [3, 4]]), np.array(3.25), np.array([], dtype=float),
-     np.array([True, False]), np.array(["x", "y"])],
+    # numpy's float64, the type of the metrics' NMI, is a float subclass;
+    # other numpy values are written after tolist()
+    [np.float64(0.1), np.float64(-0.0), np.float64(2.0), np.float64(5e-324)],
+    [np.array([1.0, 2.5]).tolist(), np.array([[1, 2], [3, 4]]).tolist(), np.array(3.25).tolist(),
+     np.array([], dtype=float).tolist(), np.array([True, False]).tolist()],
     ["plain", "", "caf\u00e9", "\u2028\u2029\x85", "\U0001f600", "tab\tnl\ncr\r\x00\x1f\x7f",
      'quote " and \\ backslash'],
     {"\u00e9t\u00e9": 1, "ctrl\x01": 2, 3: "int key", 2.5: "float key", None: "none key",
@@ -194,7 +197,6 @@ def test_dumps_raises_what_the_reference_writer_raises(doc):
     st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
         st.text(), st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-        st.integers(-2**63, 2**63 - 1).map(np.int64),
     ),
     lambda leaf: st.one_of(
         st.lists(leaf, max_size=4),

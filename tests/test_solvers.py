@@ -352,26 +352,6 @@ def test_step_tol_fires_only_after_a_long_step(monkeypatch):
     assert all(iters % 2 == 1 for iters in fired)
 
 
-def test_backtracks_count_rejected_trial_points(monkeypatch):
-    # the solver evaluates w0 and every trial point through the unchecked
-    # evaluator objective._point, once each
-    ctx = generic_context(109, rho2=0.5, s=4.0, alpha=0.6)
-    real_point = mugl.objective._point
-    evaluations = []
-
-    def counting_point(ctx_, w):
-        evaluations.append(1)
-        return real_point(ctx_, w)
-
-    monkeypatch.setattr(mugl.objective, "_point", counting_point)
-    report = ls_pgd_solve(ctx, np.full(10, 0.4))
-    accepted = len(report.objective_trace) - 1
-    assert report.backtracks > 0
-    assert report.backtracks == len(evaluations) - 1 - accepted
-    monkeypatch.undo()
-    assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(rho2=0.5, s=4.0, alpha=0.6),
     dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
@@ -379,7 +359,8 @@ def test_backtracks_count_rejected_trial_points(monkeypatch):
 ])
 def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     # w0 and every trial point, accepted or rejected, get one record each;
-    # the start point is not evaluated twice
+    # the start point is not evaluated twice, so backtracks count exactly the
+    # rejected trial points; the vertex solver takes none
     ctx = generic_context(109, **kwargs)
     real_point = mugl.objective._point
     records = []
@@ -390,7 +371,10 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
 
     monkeypatch.setattr(mugl.objective, "_point", counting_point)
     report = ls_pgd_solve(ctx, np.full(10, ctx.config.s / 10))
+    assert report.backtracks > 0
     assert len(records) == len(report.objective_trace) + report.backtracks
+    monkeypatch.undo()
+    assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
 
 
 @pytest.mark.parametrize("kwargs, opts, termination", [

@@ -426,7 +426,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -121,7 +121,7 @@ class SignalSpec:
             object.__setattr__(self, "mu_star", tuple(map(float, self.mu_star)))
         if self.n < 1:
             raise ValueError(f"need at least one observation, got n={self.n}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"noise scale must be nonnegative, got {self.epsilon}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -209,15 +209,13 @@ def _pa_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     return w
 
 
-def gen_signals(
-    L: np.ndarray, spec: SignalSpec, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def gen_signals(L: np.ndarray, spec: SignalSpec) -> np.ndarray:
     """Sample n signals from N(mu_star, pinv(L) + epsilon^2 I), one per column.
 
     Latent factors are drawn in the eigenbasis of L with variance 1/lam for
     eigenvalues above RANK_TOL * lam_max and exactly zero otherwise, then
-    rotated back and corrupted by isotropic noise.  Pass an explicit rng to
-    override the spec-seeded signal stream (tests use this to pin draws).
+    rotated back and corrupted by isotropic noise, all from the signal
+    stream of spec.seed.
     """
     L = np.asarray(L, dtype=float)
     m = L.shape[0]
@@ -225,8 +223,7 @@ def gen_signals(
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")
     if spec.mu_star is not None and len(spec.mu_star) != m:
         raise ValueError(f"mu_star has {len(spec.mu_star)} entries, expected {m}")
-    if rng is None:
-        rng = stream_rng(spec.seed, SIGNAL_STREAM)
+    rng = stream_rng(spec.seed, SIGNAL_STREAM)
     lam, U = np.linalg.eigh(L)
     lam_max = float(lam[-1])
     keep = lam > RANK_TOL * max(lam_max, 0.0)

@@ -146,7 +146,7 @@ def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.Solv
     config = resolve_config(preset, moments, m)
     ctx = build_context(moments, config)
     if solvers.is_concave(config):
-        report = solvers.vertex_solve(ctx)
+        report = solvers.vertex_solve(ctx, preset.solver)
     else:
         mbar = edge_count(m)
         report = solvers.ls_pgd_solve(ctx, np.full(mbar, config.s / mbar), preset.solver)
@@ -277,11 +277,12 @@ def run_experiment(
 def summarize(records: list[dict], labels) -> list[dict]:
     """Mean and normalized std (population, as percent of the mean) per
     model and metric, over the seeds where that model succeeded.  n_capped
-    counts how many of those fits stopped at the iteration cap."""
+    counts how many of those fits stopped at the iteration cap, and
+    n_uncertified how many returned a kkt_residual above tol_kkt."""
     stats = []
     for label in labels:
         values = {metric: [] for metric in SUMMARY_METRICS}
-        n_capped = 0
+        n_capped = n_uncertified = 0
         for rec in records:
             entry = rec["models"].get(label)
             if entry is None or "error" in entry:
@@ -289,6 +290,7 @@ def summarize(records: list[dict], labels) -> list[dict]:
             for metric in SUMMARY_METRICS:
                 values[metric].append(entry[metric])
             n_capped += entry["termination"] == "max_iters"
+            n_uncertified += not entry["certified"]
         for metric in SUMMARY_METRICS:
             vals = np.array(values[metric], dtype=float)
             if vals.size:
@@ -304,6 +306,7 @@ def summarize(records: list[dict], labels) -> list[dict]:
                     "normalized_std_percent": spread,
                     "n_seeds": int(vals.size),
                     "n_capped": n_capped,
+                    "n_uncertified": n_uncertified,
                 }
             )
     return stats

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import mugl.datagen
 from mugl.datagen import (
     GRAPH_STREAM,
     RANK_TOL,
@@ -68,7 +69,7 @@ def test_graph_spec_rejects_parameters_of_other_families():
 
 def test_signal_spec_validation():
     for kwargs in [dict(n=0, epsilon=0.1, seed=0), dict(n=5, epsilon=-0.1, seed=0),
-                   dict(n=5, epsilon=0.1, seed=-2)]:
+                   dict(n=5, epsilon=0.1, seed=-2), dict(n=5, epsilon=math.nan, seed=0)]:
         with pytest.raises(ValueError):
             SignalSpec(**kwargs)
 
@@ -210,10 +211,11 @@ def test_draws_match_pinned_digests():
     assert got == PINNED_SIGNAL_DIGESTS
 
 
-def test_signals_zero_draws_return_mu_star():
+def test_signals_zero_draws_return_mu_star(monkeypatch):
+    monkeypatch.setattr(mugl.datagen, "stream_rng", lambda seed, stream: ZeroRng())
     L = expand(path_weights(4), 4)
     mu = np.array([1.0, -2.0, 0.5, 3.0])
-    X = gen_signals(L, SignalSpec(n=3, epsilon=0.0, seed=0, mu_star=mu), rng=ZeroRng())
+    X = gen_signals(L, SignalSpec(n=3, epsilon=0.0, seed=0, mu_star=mu))
     assert np.array_equal(X, np.column_stack([mu] * 3))
 
 

@@ -267,11 +267,22 @@ def test_summary_counts_capped_fits():
     capped = harness.ModelPreset(
         "mugl_l", label="capped", solver=solvers.SolverOptions(max_iters=1)
     )
-    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l"), capped]
+    # a loose step tolerance stops on step_tol before the residual meets tol_kkt
+    early = harness.ModelPreset(
+        "mugl_l", label="early", solver=solvers.SolverOptions(tol_step=1e-3)
+    )
+    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l"), capped, early]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=3, master_seed=5)
     assert all(rec["models"]["capped"]["termination"] == "max_iters" for rec in summary.records)
+    assert all(rec["models"]["early"]["converged"] for rec in summary.records)
     n_capped = {row["model"]: row["n_capped"] for row in summary.stats}
-    assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3}
+    assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 0}
+    tol_kkt = {preset.display_name: preset.solver.tol_kkt for preset in presets}
+    for rec in summary.records:
+        for label, entry in rec["models"].items():
+            assert entry["certified"] is (entry["kkt_residual"] <= tol_kkt[label])
+    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary.stats}
+    assert n_uncertified == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 3}
 
 
 def test_records_carry_the_gap():

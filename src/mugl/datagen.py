@@ -229,10 +229,15 @@ def gen_signals(L: np.ndarray, spec: SignalSpec) -> np.ndarray:
     keep = lam > RANK_TOL * max(lam_max, 0.0)
     scale = np.zeros(m)
     scale[keep] = 1.0 / np.sqrt(lam[keep])
-    latent = scale[:, None] * rng.standard_normal((m, spec.n))
+    # each m x n buffer is scaled and added to in place, and dropped once read
+    latent = rng.standard_normal((m, spec.n))
+    latent *= scale[:, None]
     X = U @ latent
+    del latent
     if spec.mu_star is not None:
-        X = X + np.asarray(spec.mu_star, dtype=float)[:, None]
+        X += np.asarray(spec.mu_star, dtype=float)[:, None]
     if spec.epsilon > 0:
-        X = X + spec.epsilon * rng.standard_normal((m, spec.n))
+        noise = rng.standard_normal((m, spec.n))
+        noise *= spec.epsilon
+        X += noise
     return X

@@ -32,7 +32,10 @@ gradient, the unchecked _point(ctx, w) evaluates a float array w already
 known to be feasible into one record (value, deg, frob, aw), and
 _gradient(ctx, w, pt) reads those pieces from pt = _point(ctx, w).  A solver
 that checked its start evaluates each later point through them, so it
-computes each piece once.
+computes each piece once.  Two more readers of the record serve the Newton
+solver: _hessian_vector(ctx, w, pt, v), the product with the Hessian of the
+convex terms, and _change(ctx, w, pt, t, tpt), g(t) - g(w) in difference
+form, accurate where it falls below the round-off of g itself.
 """
 
 from __future__ import annotations
@@ -236,6 +239,69 @@ def _gradient(ctx: ObjectiveContext, w: np.ndarray, pt: tuple) -> np.ndarray:
     if node_coeff is not None:
         grad += pair_sums(node_coeff)
     return grad
+
+
+def _change(ctx: ObjectiveContext, w: np.ndarray, pt: tuple, t: np.ndarray, tpt: tuple) -> float:
+    """g(t) - g(w) in difference form, from pt = _point(ctx, w) and tpt =
+    _point(ctx, t), for a t inside the barrier domain.
+
+    Each term's change is computed from the step t - w, its degrees
+    B(t - w) and the records' pieces: F_t - F_w = (F_t^2 - F_w^2) / (F_t +
+    F_w) with F_t^2 - F_w^2 = B(t - w) @ (d_t + d_w) + 2 (t - w) @ (t + w),
+    sqrt(a @ t) - sqrt(a @ w) = a @ (t - w) / (sqrt(a @ t) + sqrt(a @ w)),
+    and the barrier's -alpha sum(log1p(B(t - w) / d_w)).  No term subtracts
+    two values of g, so the change keeps its accuracy where it falls far
+    below the round-off of g(w) itself.
+    """
+    _, deg, frob, aw = pt
+    _, t_deg, t_frob, t_aw = tpt
+    cfg = ctx.config
+    step = t - w
+    change = float(ctx.quad_coeff @ step)
+    deg_step = degrees(step, ctx.m)
+    if cfg.rho2 > 0:
+        sq_change = float(deg_step @ (t_deg + deg)) + 2.0 * float(step @ (t + w))
+        change += cfg.rho2 * sq_change / (t_frob + frob)
+    if cfg.rho1 > 0:
+        change += float(ctx.sqrt_coeff @ step) / (math.sqrt(t_aw) + math.sqrt(aw))
+    if cfg.quad_weight > 0:
+        change += cfg.quad_weight * float(step @ (t + w))
+    if cfg.alpha > 0:
+        change -= cfg.alpha * float(np.add.reduce(np.log1p(deg_step / deg)))
+    return change
+
+
+def _hessian_vector(ctx: ObjectiveContext, w: np.ndarray, pt: tuple, v: np.ndarray) -> np.ndarray:
+    """H v for the Hessian H of g's convex terms at w, from pt = _point(ctx, w).
+
+    With B the node-by-pair incidence map (Bv = degrees(v, m), B^T x =
+    pair_sums(x)), Q = B^T B + 2I, F = ||expand(w, m)||_F and d = Bw:
+    Frobenius rho2 (Qv / F - Qw (Qw @ v) / F^3), barrier alpha B^T((Bv) / d^2),
+    penalty 2 quad_weight v.  Qw @ v is d @ Bv + 2 w @ v, so no Qw is formed
+    and the product costs one degrees and one pair_sums call.  The square
+    root's rank-one negative curvature -a (a @ v) / (4 (a @ w)^(3/2)) is left
+    out, so H is positive semidefinite, and zero when no term is convex.
+    """
+    _, deg, frob, _ = pt
+    cfg = ctx.config
+    bv = degrees(v, ctx.m)
+    # the pair-space terms are a multiple of v plus, for Frobenius, one of w
+    v_coeff = 2.0 * cfg.quad_weight
+    node_coeff = None
+    if cfg.rho2 > 0:
+        scale = cfg.rho2 / frob
+        along = (float(deg @ bv) + 2.0 * float(w @ v)) / (frob * frob)
+        v_coeff += 2.0 * scale
+        node_coeff = scale * (bv - along * deg)
+    hv = np.multiply(v_coeff, v)
+    if cfg.rho2 > 0:
+        hv -= np.multiply(2.0 * scale * along, w)
+    if cfg.alpha > 0:
+        barrier = cfg.alpha * bv / (deg * deg)
+        node_coeff = barrier if node_coeff is None else node_coeff + barrier
+    if node_coeff is not None:
+        hv += pair_sums(node_coeff)
+    return hv
 
 
 def worst_case_mean_risk(L: np.ndarray, mean: np.ndarray, rho1: float) -> float:

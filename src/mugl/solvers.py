@@ -1,32 +1,30 @@
 """Solvers over the scaled weight simplex.
 
-* ls_pgd_solve: spectral projected gradient (Birgin, Martinez & Raydan
-  2000).  Each iteration projects once, at a Barzilai-Borwein step built
-  from the last change in iterate (s) and in gradient (y): the short step
-  s @ y / y @ y on even iterations and the long step s @ s / s @ y on odd
-  ones (alternating BB, Dai & Fletcher 2005; Dai, Hager, Schittkowski &
-  Zhang 2006).  It then backtracks along the segment toward that
-  projection until a monotone sufficient-decrease (Armijo) condition
-  holds.  Long steps alone are mostly rejected at first by that test;
-  alternating with short ones cuts both iterations and backtracks.
-  Because the trial points are convex combinations of feasible points
-  they stay feasible, and because a rejected trial can return +inf
-  (log-barrier) the backtracking also acts as the domain guard: iterates
-  never leave the barrier domain.
+* ls_pgd_solve: projected Newton-CG.  Each iteration identifies the
+  epsilon-active set (Bertsekas 1982), sends those weights to zero and
+  minimizes a quadratic model over the remaining face by conjugate
+  gradients (CG) with an inexact-Newton forcing term (Dembo, Eisenstat &
+  Steihaug 1982), truncated at nonpositive curvature (Steihaug 1983).  The
+  model's Hessian-vector products (objective._hessian_vector) cost O(p)
+  in the number of node pairs p and need no matrix.  A monotone Armijo
+  search along that direction comes first; where the model has no
+  positive curvature (a linear or concave objective) or no Newton trial is
+  accepted, a projected-gradient Armijo step is taken instead.  Trial
+  points are convex combinations of feasible points or projections, so
+  they stay feasible, and because a trial outside the log-barrier domain
+  evaluates to +inf the backtracking also acts as the domain guard:
+  iterates never leave the barrier domain.
 * vertex_solve: the closed form when no term is convex (rho2 = alpha =
   quad_weight = 0): g is linear plus the concave sqrt(a @ w), so its
   minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
-  Cor. 32.3.2).  Choosing it is O(p) in the number of node pairs p; the
-  residual check on it costs one projection.
+  Cor. 32.3.2).  Choosing it is O(p); the residual check on it costs one
+  projection.
 
 Stationarity is measured by the projected-gradient residual
-||w - project(w - t * grad)|| / t, which vanishes exactly at constrained
-stationary points.  ||project(w - t * grad) - w|| grows with t while its
-ratio to t shrinks, so the step the iteration already projected at bounds
-the residual at t = ETA_MAX from above without a second projection.  The
-iterative solver stops on the disjunction of a step-size tolerance
-(infinity norm of the update, tested after long steps only, since a short
-step moves w less and would fire it early) and that residual bound.
+||w - project(w - ETA_MAX * grad)|| / ETA_MAX, which vanishes exactly at
+constrained stationary points.  The iterative solver stops once it is at
+most tol_kkt; a step-size tolerance, tested after it, stops a solve whose
+last step moved no weight by more than tol_step.
 
 The Frank-Wolfe gap grad @ w - s * min(grad) is zero exactly at
 stationary points.  When rho1 = 0 (vsgl, log_model) the objective is convex
@@ -41,9 +39,10 @@ barrier domain, LineSearchStallError when backtracking runs out, and a
 plain RuntimeError for a non-finite gradient.  A returned SolveReport is
 therefore always a finished fit (step_tol, kkt_tol or max_iters) with a
 finite kkt_residual.  Its certified flag says whether that residual is at
-most tol_kkt.  A step_tol stop can leave it above, and so can a step or a
-projection gone wrong: the certificate, not a test of each step, is what
-tells a trusted fit from one that is not.
+most tol_kkt.  A step_tol stop always leaves it above, a max_iters stop
+usually does, and so would a step or a projection gone wrong: the
+certificate, not a test of each step, is what tells a trusted fit from one
+that is not.
 """
 
 from __future__ import annotations
@@ -58,22 +57,29 @@ from . import objective as obj
 
 TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
 
-# The spectral step is clamped to this interval.
-SPECTRAL_STEP_MIN = 1e-10
-SPECTRAL_STEP_MAX = 1e10
-
-# The step of the first iteration, the fallback for both spectral steps
-# wherever they are undefined (s @ y <= 0), and the probe step of the
+# The step of the projected-gradient fallback and the probe step of the
 # stationarity residual.  Read at call time, never bound as a default
 # argument, so patching it changes every use.
 ETA_MAX = 1.0
 
-# Fixed constants of the Armijo backtracking: a trial w + scale * v is
-# accepted once its value is at most f(w) + ARMIJO_SLOPE * scale * Gamma;
-# otherwise scale shrinks by BACKTRACK_RATIO, at most MAX_BACKTRACKS times.
+# Fixed constants of the Armijo backtracking: a trial is accepted once its
+# value is at most f(w) + ARMIJO_SLOPE times the predicted decrease;
+# otherwise the step shrinks by BACKTRACK_RATIO, at most NEWTON_BACKTRACKS
+# times along a Newton direction before the projected-gradient fallback,
+# and at most MAX_BACKTRACKS times along that fallback.
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
+NEWTON_BACKTRACKS = 10
 MAX_BACKTRACKS = 60
+
+# Cap on the threshold eps of the epsilon-active set, as a fraction of the
+# mean weight s / p; below it, eps is the stationarity residual itself.
+ACTIVE_EPS = 0.1
+
+# CG also stops once its residual is at most this fraction of tol_kkt: the
+# residual after a full Newton step is about CG's, and the stopping test
+# needs no less.
+CG_KKT_FRACTION = 0.1
 
 
 class LineSearchStallError(RuntimeError):
@@ -85,9 +91,10 @@ class SolverOptions:
     """Iteration budget and stopping tolerances.
 
     The stationarity test stops once ||w - project(w - ETA_MAX * grad)|| /
-    ETA_MAX <= tol_kkt is guaranteed; tol_step is the step-size tolerance.
-    The steps and the Armijo constants are fixed (ETA_MAX, ARMIJO_SLOPE,
-    BACKTRACK_RATIO, MAX_BACKTRACKS).
+    ETA_MAX <= tol_kkt; tol_step is the step-size tolerance.  Both must be
+    finite: an infinite tol_kkt would certify any point.  The steps, the
+    active-set threshold and the Armijo constants are fixed module
+    constants.
     """
 
     max_iters: int = 10_000
@@ -97,8 +104,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not (self.tol_step >= 0 and self.tol_kkt >= 0):
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.tol_step < math.inf and 0 <= self.tol_kkt < math.inf):
+            raise ValueError(
+                f"tolerances must be finite and nonnegative, got tol_step={self.tol_step}, "
+                f"tol_kkt={self.tol_kkt}"
+            )
 
 
 @dataclass
@@ -198,15 +208,6 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def _certificate(ctx: obj.ObjectiveContext, w: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """(stationarity residual at probe step ETA_MAX, Frank-Wolfe gap) at w,
-    both from its one gradient g."""
-    s = ctx.config.s
-    step = w - project_simplex(w - ETA_MAX * g, s)
-    residual = math.sqrt(float(step @ step)) / ETA_MAX
-    return residual, float(g @ w) - s * float(np.minimum.reduce(g))
-
-
 def _finite(g: np.ndarray) -> np.ndarray:
     """g itself; raises RuntimeError when the gradient g has a non-finite entry."""
     if not np.logical_and.reduce(np.isfinite(g)):
@@ -224,60 +225,229 @@ def vertex_solve(ctx: obj.ObjectiveContext, opts: SolverOptions | None = None) -
     minimizing g(s * e_k) / s = quad_coeff_k + sqrt(sqrt_coeff_k / s).
 
     The projection of w - t * grad returns w there for every t, so the
-    residual is zero; where sqrt has no gradient (e.g. constant means),
-    gradient raises NonsmoothPointError as in ls_pgd_solve.  Of opts only
-    tol_kkt is read, for the certified flag.
+    residual is zero; where sqrt has no gradient (e.g. constant means), the
+    gradient raises NonsmoothPointError as in ls_pgd_solve.  The vertex is
+    checked and evaluated once, and its record serves value and gradient.
+    Of opts only tol_kkt is read, for the certified flag.
     """
     if not is_concave(ctx.config):
         raise ValueError("vertex_solve needs rho2 = alpha = quad_weight = 0")
     opts = opts or SolverOptions()
     w = np.zeros(ctx.n_pairs)
     w[int(np.argmin(ctx.quad_coeff + np.sqrt(ctx.sqrt_coeff / ctx.config.s)))] = ctx.config.s
-    trace = [obj.objective_value(ctx, w)]
-    residual, gap = _certificate(ctx, w, _finite(obj.gradient(ctx, w)))
-    return SolveReport(w, trace, 0, residual, "kkt_tol", 0, gap, residual <= opts.tol_kkt)
+    w = obj._check_feasible(ctx, w)
+    pt = obj._point(ctx, w)
+    g = _finite(obj._gradient(ctx, w, pt))
+    _, residual = _probe(w, g, ctx.config.s)
+    gap = _gap(w, g, ctx.config.s)
+    return SolveReport(w, [pt[0]], 0, residual, "kkt_tol", 0, gap, residual <= opts.tol_kkt)
 
 
-def spectral_step(s_k: np.ndarray, y_k: np.ndarray, long: bool) -> float:
-    """Barzilai-Borwein step from the last changes in iterate (s_k) and
-    gradient (y_k): the long step (BB1) s @ s / s @ y when long is true,
-    else the short step (BB2) s @ y / y @ y, clamped to [SPECTRAL_STEP_MIN,
-    SPECTRAL_STEP_MAX].  By Cauchy-Schwarz the short step never exceeds the
-    long one.
+def _probe(w: np.ndarray, g: np.ndarray, s: float) -> tuple[np.ndarray, float]:
+    """(project(w - ETA_MAX * g), stationarity residual at probe step ETA_MAX)."""
+    z = project_simplex(w - ETA_MAX * g, s)
+    step = w - z
+    return z, math.sqrt(float(step @ step)) / ETA_MAX
 
-    Where s @ y <= 0 (no positive curvature along s, e.g. a linear
-    objective; y = 0 included) both steps are undefined and ETA_MAX is
-    returned.
+
+def _gap(w: np.ndarray, g: np.ndarray, s: float) -> float:
+    """Frank-Wolfe gap g @ w - s * min(g) at w."""
+    return float(g @ w) - s * float(np.minimum.reduce(g))
+
+
+def _newton_direction(
+    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, g: np.ndarray, z: np.ndarray,
+    residual: float, cg_tol: float,
+) -> np.ndarray | None:
+    """Projected Newton-CG direction at w, or None where the model has no
+    positive curvature along the reduced gradient.
+
+    The epsilon-active set (Bertsekas 1982) holds the pairs with w_k <= eps
+    whose probe projection z_k is zero, eps = min(ACTIVE_EPS * s / p,
+    residual) for p pairs.  A pair with w_k <= eps that the direction on
+    that face would push below zero joins it, and the direction is solved
+    once more on the smaller face.  cg_tol is passed to _face_direction.
     """
-    sy = float(s_k @ y_k)
-    if not sy > 0.0:
-        return ETA_MAX
-    step = float(s_k @ s_k) / sy if long else sy / float(y_k @ y_k)
-    return min(max(step, SPECTRAL_STEP_MIN), SPECTRAL_STEP_MAX)
+    near = np.less_equal(w, min(ACTIVE_EPS * ctx.config.s / w.size, residual))
+    active = np.logical_and(near, np.equal(z, 0.0))
+    d = _face_direction(ctx, w, pt, g, active, cg_tol)
+    if d is None or not np.logical_or.reduce(near):
+        return d
+    blocked = np.less(w + d, 0.0)
+    np.logical_and(blocked, near, out=blocked)
+    np.logical_and(blocked, np.logical_not(active), out=blocked)
+    if np.logical_or.reduce(blocked):
+        active |= blocked
+        d = _face_direction(ctx, w, pt, g, active, cg_tol)
+    return d
+
+
+def _face_direction(
+    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, g: np.ndarray, active: np.ndarray,
+    cg_tol: float,
+) -> np.ndarray | None:
+    """Newton-CG direction that sends the active weights to zero.
+
+    Conjugate gradients minimize the model g @ d + d @ H d / 2 over the free
+    pairs' zero-sum directions (H from objective._hessian_vector), stopping
+    once the reduced residual falls to min(0.5, ||r0||) ||r0|| (Dembo,
+    Eisenstat & Steihaug 1982) or to cg_tol, or at nonpositive curvature
+    (Steihaug 1983).
+    """
+    n_active = np.count_nonzero(active)
+    free = None
+    if n_active:
+        free = np.logical_not(active).astype(float)
+        n_free = w.size - n_active
+
+    def reduce(x: np.ndarray) -> np.ndarray:
+        # the zero-sum part of x on the free pairs, in place
+        if free is None:
+            x -= np.add.reduce(x) / w.size
+        else:
+            x *= free
+            x -= free * (np.add.reduce(x) / n_free)
+        return x
+
+    # The active weights go to zero, their mass spread evenly over the free
+    # pairs (d0); CG then minimizes the model over the free pairs' zero-sum
+    # steps e from d0, so the direction is d0 + e.
+    r = np.negative(g)
+    if n_active:
+        d0 = np.zeros_like(w)
+        d0[active] = -w[active]
+        d0 += free * (float(np.add.reduce(w[active])) / n_free)
+        r -= obj._hessian_vector(ctx, w, pt, d0)
+    r = reduce(r)
+    rr = float(r @ r)
+    if not rr > 0.0:
+        return None
+    # ||r|| <= max(min(0.5, ||r0||) ||r0||, cg_tol), compared in squares
+    target = max(min(0.25, rr) * rr, cg_tol * cg_tol)
+    e = np.zeros_like(w)
+    p = r.copy()
+    for k in range(w.size - n_active):
+        hp = reduce(obj._hessian_vector(ctx, w, pt, p))
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            if k == 0:
+                return None
+            break
+        step = rr / curvature
+        e += step * p
+        r -= step * hp
+        rr_next = float(r @ r)
+        if rr_next <= target:
+            break
+        p *= rr_next / rr
+        p += r
+        rr = rr_next
+    # r inherits the round-off of centering g, whose entries are far larger
+    # than r's near a solution, as a sum of order eps * |g| * size; centering
+    # e once more keeps that out of the step
+    e = reduce(e)
+    if n_active:
+        e += d0
+    return e
+
+
+def _armijo(
+    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, trial: np.ndarray,
+    bound: float,
+) -> tuple[tuple, float] | None:
+    """(trial's record, its trace value) when g(trial) - g(w) <= bound, else None.
+
+    The test first reads the computed values, g(trial) <= f_cur + bound.  A
+    finite trial that fails it is tested again on the change in difference
+    form (objective._change), and its trace value is then f_cur plus that
+    change: near a solution the decrease falls below the round-off of g
+    itself, and the computed values could not resolve it.
+    """
+    trial_pt = obj._point(ctx, trial)
+    f_trial = trial_pt[0]
+    if f_trial <= f_cur + bound:
+        return trial_pt, f_trial
+    if math.isfinite(f_trial):
+        change = obj._change(ctx, w, pt, trial, trial_pt)
+        if change <= bound:
+            return trial_pt, f_cur + change
+    return None
+
+
+def _newton_search(
+    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, g: np.ndarray,
+    d: np.ndarray,
+) -> tuple[np.ndarray | None, tuple | None, int]:
+    """(trial, _armijo's result, rejected trials) of a search along d, with
+    trial None when none of the NEWTON_BACKTRACKS + 1 trials is accepted.
+
+    Trial w + scale * d is projected only when it leaves the simplex, and is
+    accepted once g @ (trial - w) < 0 and _armijo accepts it at bound
+    ARMIJO_SLOPE * g @ (trial - w).
+    """
+    # trial - w sums to zero, so a common offset of g drops out of
+    # g @ (trial - w); centering g keeps its round-off out too
+    centered = g - np.add.reduce(g) / g.size
+    scale = 1.0
+    for rejected in range(NEWTON_BACKTRACKS + 1):
+        trial = np.multiply(scale, d)
+        trial += w
+        if np.minimum.reduce(trial) < 0.0:
+            trial = project_simplex(trial, ctx.config.s)
+        predicted = float(centered @ (trial - w))
+        if predicted < 0.0:
+            accepted = _armijo(ctx, w, pt, f_cur, trial, ARMIJO_SLOPE * predicted)
+            if accepted is not None:
+                return trial, accepted, rejected
+        scale *= BACKTRACK_RATIO
+    return None, None, NEWTON_BACKTRACKS + 1
+
+
+def _gradient_search(
+    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, g: np.ndarray,
+    z: np.ndarray, iters: int,
+) -> tuple[np.ndarray, tuple, int]:
+    """(trial, _armijo's result, rejected trials) along the projected-gradient
+    step v = z - w, z = project(w - ETA_MAX * g): the first trial w +
+    BACKTRACK_RATIO^t * v that _armijo accepts at bound ARMIJO_SLOPE *
+    BACKTRACK_RATIO^t * Gamma, Gamma = g @ v + ||v||^2 / (2 ETA_MAX).
+
+    Gamma <= 0 by the projection theorem, up to the round-off that
+    project_simplex's tests bound.  Raises LineSearchStallError after
+    MAX_BACKTRACKS rejections.
+    """
+    v = z - w
+    predicted = float(g @ v) + float(v @ v) / (2.0 * ETA_MAX)
+    scale = 1.0
+    for rejected in range(MAX_BACKTRACKS + 1):
+        trial = np.multiply(scale, v)
+        trial += w
+        accepted = _armijo(ctx, w, pt, f_cur, trial, ARMIJO_SLOPE * scale * predicted)
+        if accepted is not None:
+            return trial, accepted, rejected
+        scale *= BACKTRACK_RATIO
+    raise LineSearchStallError(
+        f"no sufficient decrease within {MAX_BACKTRACKS} backtracks at iteration {iters}"
+    )
 
 
 def ls_pgd_solve(
     ctx: obj.ObjectiveContext, w0: np.ndarray, opts: SolverOptions | None = None
 ) -> SolveReport:
-    """Spectral projected gradient with monotone Armijo backtracking.
+    """Projected Newton-CG with monotone Armijo line searches.
 
-    Per iteration: pick eta, ETA_MAX on the first iteration, then the short
-    Barzilai-Borwein step on even iterations and the long one on odd ones
-    (spectral_step), each falling back to ETA_MAX wherever it is undefined.
-    Take the projected step v = project(w - eta * grad) - w, then accept
-    w + BACKTRACK_RATIO^t * v for the smallest t whose objective sits below
-    the Armijo line through the predicted decrease Gamma = grad @ v +
-    ||v||^2 / (2 eta).  Gamma <= 0 by the projection theorem, up to the
-    round-off that project_simplex's tests bound, so an accepted objective
-    rises by round-off at most.  Trial points outside the log-barrier domain evaluate to
-    +inf and are rejected like any other insufficient decrease.  The
-    iteration stops with kkt_tol once ||v|| / min(eta, ETA_MAX) <= tol_kkt,
-    which bounds the stationarity residual at probe step ETA_MAX; the
-    report's kkt_residual is measured at that probe step, so a kkt_tol
-    return reports at most tol_kkt up to round-off.  The step_tol stop
-    (||scale * v||_inf <= tol_step) is tested only after a long step, so a
-    step_tol return always has an odd iteration count; short steps alone
-    would fire it early.
+    Per iteration: take the gradient and the probe projection z =
+    project(w - ETA_MAX * grad); stop with kkt_tol once the residual ||w -
+    z|| / ETA_MAX <= tol_kkt, and with step_tol once the last accepted step
+    moved no weight by more than tol_step.  Otherwise search along the
+    Newton-CG direction (_newton_direction, _newton_search).  Where the
+    model has no positive curvature (a linear or concave objective) or no
+    Newton trial is accepted, take the projected-gradient step instead
+    (_gradient_search).  Every accepted trial lowers the trace (_armijo);
+    trial points outside the log-barrier domain evaluate to +inf and are
+    rejected like any other insufficient decrease.  A kkt_tol or step_tol
+    return reports the residual its last test measured, so a step_tol
+    return marks a fit that stopped moving before it was certified.
 
     Aborts raise (see the module docstring); callers that score many fits
     record one as a failure of that one fit.
@@ -285,8 +455,9 @@ def ls_pgd_solve(
     opts = opts or SolverOptions()
     s = ctx.config.s
     # The one feasibility check of the solve: every later point is a convex
-    # combination of w0 and projections, so it is evaluated unchecked.  Each
-    # point's one record serves its value and, once accepted, its gradient.
+    # combination of feasible points or a projection, so it is evaluated
+    # unchecked.  Each point's one record serves its value and, once
+    # accepted, its gradient and Hessian-vector products.
     w = obj._check_feasible(ctx, w0).copy()
     pt = obj._point(ctx, w)
     f_cur = pt[0]
@@ -296,56 +467,33 @@ def ls_pgd_solve(
     termination = "max_iters"
     iters = 0
     backtracks = 0
-    w_prev = g_prev = None
-    # scratch for the gradient step w - eta * grad; never escapes the call
-    moved = np.empty_like(w)
+    step_inf = math.inf
     for iters in range(1, opts.max_iters + 1):
-        long_step = iters % 2 == 1
         g = _finite(obj._gradient(ctx, w, pt))
-        if g_prev is None:
-            eta = ETA_MAX
-        else:
-            eta = spectral_step(w - w_prev, g - g_prev, long_step)
-        np.multiply(eta, g, out=moved)
-        np.subtract(w, moved, out=moved)
-        v = project_simplex(moved, s)
-        v -= w
-        # np.linalg.norm's own 1-D formula, sqrt(v @ v), without its wrapper
-        v_norm = math.sqrt(float(v @ v))
-        if v_norm / min(eta, ETA_MAX) <= opts.tol_kkt:
+        z, residual = _probe(w, g, s)
+        if residual <= opts.tol_kkt:
             termination = "kkt_tol"
             break
-        predicted = float(g @ v) + v_norm**2 / (2.0 * eta)
-        accepted = False
-        scale = 1.0
-        for rejected in range(MAX_BACKTRACKS + 1):
-            trial = np.multiply(scale, v)
-            trial += w
-            trial_pt = obj._point(ctx, trial)
-            f_trial = trial_pt[0]
-            if f_trial <= f_cur + ARMIJO_SLOPE * scale * predicted:
-                accepted = True
-                break
-            scale *= BACKTRACK_RATIO
-        if not accepted:
-            raise LineSearchStallError(
-                f"no sufficient decrease within {MAX_BACKTRACKS} backtracks "
-                f"at iteration {iters}"
-            )
-        backtracks += rejected
-        w_prev, g_prev = w, g
-        w, pt = trial, trial_pt
-        f_cur = f_trial
+        if step_inf <= opts.tol_step:
+            termination = "step_tol"
+            break
+        d = _newton_direction(ctx, w, pt, g, z, residual, CG_KKT_FRACTION * opts.tol_kkt)
+        trial = None
+        if d is not None:
+            trial, accepted, rejected = _newton_search(ctx, w, pt, f_cur, g, d)
+            backtracks += rejected
+        if trial is None:
+            trial, accepted, rejected = _gradient_search(ctx, w, pt, f_cur, g, z, iters)
+            backtracks += rejected
+        moved = trial - w
+        step_inf = max(float(np.maximum.reduce(moved)), -float(np.minimum.reduce(moved)))
+        w = trial
+        pt, f_cur = accepted
         trace.append(f_cur)
-        if long_step:
-            step_inf = scale * max(float(np.maximum.reduce(v)), -float(np.minimum.reduce(v)))
-            if step_inf <= opts.tol_step:
-                termination = "step_tol"
-                break
-    # a kkt_tol stop already holds the gradient at w
-    if termination != "kkt_tol":
+    if termination == "max_iters":
         g = _finite(obj._gradient(ctx, w, pt))
-    residual, gap = _certificate(ctx, w, g)
+        _, residual = _probe(w, g, s)
     return SolveReport(
-        w, trace, iters, residual, termination, backtracks, gap, residual <= opts.tol_kkt
+        w, trace, iters, residual, termination, backtracks, _gap(w, g, s),
+        residual <= opts.tol_kkt,
     )

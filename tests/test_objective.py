@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mugl.objective
 from mugl.laplacian import adjoint, expand
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
@@ -178,6 +179,90 @@ def test_gradient_matches_finite_differences(config_kwargs):
             fd = fd_directional(lambda v: objective_value(ctx, v), w, d)
             analytic = float(g @ d)
             assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-8)
+
+
+# one term per config, then all convex terms at once; rho1 > 0 adds the
+# square root, whose curvature the product leaves out
+HVP_CONFIGS = [
+    dict(rho2=0.8, s=2.0),
+    dict(s=2.0, alpha=0.4),
+    dict(s=2.0, quad_weight=0.7),
+    dict(rho2=0.8, s=2.0, alpha=0.4, quad_weight=0.7),
+]
+
+
+def point_gradient(ctx, w):
+    return mugl.objective._gradient(ctx, w, mugl.objective._point(ctx, w))
+
+
+@pytest.mark.parametrize("config_kwargs", HVP_CONFIGS)
+def test_hessian_vector_matches_finite_differences_of_the_gradient(config_kwargs):
+    rng = np.random.default_rng(71)
+    X = rng.standard_normal((5, 12)) + rng.standard_normal((5, 1))
+    ctx = build_context(empirical_moments(X), ModelConfig(**config_kwargs))
+    h = 1e-6
+    for _ in range(20):
+        w = random_interior(rng, 10, ctx.config.s)
+        pt = mugl.objective._point(ctx, w)
+        for _ in range(3):
+            v = rng.standard_normal(10)
+            fd = (point_gradient(ctx, w + h * v) - point_gradient(ctx, w - h * v)) / (2.0 * h)
+            hv = mugl.objective._hessian_vector(ctx, w, pt, v)
+            assert np.abs(hv - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-8)
+            # H is symmetric and positive semidefinite
+            u = rng.standard_normal(10)
+            assert float(u @ hv) == pytest.approx(
+                float(v @ mugl.objective._hessian_vector(ctx, w, pt, u)), rel=1e-12, abs=1e-12
+            )
+            assert float(v @ hv) >= 0.0
+
+
+def test_hessian_vector_leaves_out_the_square_root_and_linear_terms():
+    rng = np.random.default_rng(73)
+    X = rng.standard_normal((5, 12)) + rng.standard_normal((5, 1))
+    moments = empirical_moments(X)
+    w = random_interior(rng, 10, 2.0)
+    v = rng.standard_normal(10)
+
+    def product(**config_kwargs):
+        ctx = build_context(moments, ModelConfig(s=2.0, **config_kwargs))
+        return mugl.objective._hessian_vector(ctx, w, mugl.objective._point(ctx, w), v)
+
+    assert not np.any(product())
+    assert not np.any(product(rho1=0.6))
+    assert np.array_equal(product(rho1=0.6, rho2=0.8), product(rho2=0.8))
+
+
+@pytest.mark.parametrize("config_kwargs", FD_CONFIGS + HVP_CONFIGS[1:2])
+def test_change_matches_the_difference_of_values(config_kwargs):
+    rng = np.random.default_rng(79)
+    X = rng.standard_normal((5, 12)) + rng.standard_normal((5, 1))
+    ctx = build_context(empirical_moments(X), ModelConfig(**config_kwargs))
+    for _ in range(20):
+        w = random_interior(rng, 10, ctx.config.s)
+        t = random_interior(rng, 10, ctx.config.s)
+        pt, tpt = mugl.objective._point(ctx, w), mugl.objective._point(ctx, t)
+        change = mugl.objective._change(ctx, w, pt, t, tpt)
+        assert change == pytest.approx(tpt[0] - pt[0], rel=1e-9, abs=1e-12)
+
+
+def test_change_resolves_steps_below_the_round_off_of_the_value():
+    # along a tangent step of 1e-12 the change is g @ step, of order 1e-12,
+    # plus a term of order 1e-24; g(w) is about 15, so the plain difference
+    # of values carries an error of order 1e-15 (2e-3 relative on these
+    # draws), while the difference form matches g @ step to 1e-11
+    rng = np.random.default_rng(83)
+    X = rng.standard_normal((5, 12)) + rng.standard_normal((5, 1))
+    ctx = build_context(
+        empirical_moments(X), ModelConfig(rho1=0.6, rho2=0.8, s=2.0, alpha=0.4, quad_weight=0.7)
+    )
+    for _ in range(20):
+        w = random_interior(rng, 10, ctx.config.s)
+        pt = mugl.objective._point(ctx, w)
+        t = w + 1e-12 * random_tangent(rng, 10)
+        predicted = float(mugl.objective._gradient(ctx, w, pt) @ (t - w))
+        change = mugl.objective._change(ctx, w, pt, t, mugl.objective._point(ctx, t))
+        assert change == pytest.approx(predicted, rel=1e-9)
 
 
 def test_gradient_frobenius_term_only():

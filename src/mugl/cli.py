@@ -16,8 +16,8 @@ Exit codes are part of the contract:
      cannot be allocated)
   3  I/O error (missing or unreadable/unwritable files)
   4  learn hit the iteration cap (result still written, flagged)
-  5  solver abort (nonsmooth point, barrier domain, line-search stall, or
-     non-finite gradient); nothing is written
+  5  solver abort (nonsmooth point, barrier domain or non-finite
+     gradient); nothing is written
   6  truth/prediction node-count mismatch in eval
   7  bench: every seed failed
 """

@@ -6,14 +6,14 @@
   gradients (CG) with an inexact-Newton forcing term (Dembo, Eisenstat &
   Steihaug 1982), truncated at nonpositive curvature (Steihaug 1983).  The
   model's Hessian-vector products (objective._hessian_vector) cost O(p)
-  in the number of node pairs p and need no matrix.  A monotone Armijo
-  search along that direction comes first; where the model has no
+  in the number of node pairs p and need no matrix.  One monotone Armijo
+  search (_search) runs along that direction; where the model has no
   positive curvature (a linear or concave objective) or no Newton trial is
-  accepted, a projected-gradient Armijo step is taken instead.  Trial
-  points are convex combinations of feasible points or projections, so
-  they stay feasible, and because a trial outside the log-barrier domain
-  evaluates to +inf the backtracking also acts as the domain guard:
-  iterates never leave the barrier domain.
+  accepted, the same search runs along the projected-gradient step z - w
+  instead.  Trial points are convex combinations of feasible points or
+  projections, so they stay feasible, and because a trial outside the
+  log-barrier domain evaluates to +inf the backtracking also acts as the
+  domain guard: iterates never leave the barrier domain.
 * vertex_solve: the closed form when no term is convex (rho2 = alpha =
   quad_weight = 0): g is linear plus the concave sqrt(a @ w), so its
   minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
@@ -24,7 +24,8 @@ Stationarity is measured by the projected-gradient residual
 ||w - project(w - ETA_MAX * grad)|| / ETA_MAX, which vanishes exactly at
 constrained stationary points.  The iterative solver stops once it is at
 most tol_kkt; a step-size tolerance, tested after it, stops a solve whose
-last step moved no weight by more than tol_step.
+last step moved no weight by more than tol_step, or whose fallback search
+accepted no trial at all.
 
 The Frank-Wolfe gap grad @ w - s * min(grad) is zero exactly at
 stationary points.  When rho1 = 0 (vsgl, log_model) the objective is convex
@@ -35,14 +36,13 @@ residual come from the one gradient evaluated at the returned point.
 
 Every abort raises a RuntimeError: NonsmoothPointError where the
 square-root term has no gradient, BarrierDomainError at a start outside the
-barrier domain, LineSearchStallError when backtracking runs out, and a
-plain RuntimeError for a non-finite gradient.  A returned SolveReport is
-therefore always a finished fit (step_tol, kkt_tol or max_iters) with a
-finite kkt_residual.  Its certified flag says whether that residual is at
-most tol_kkt.  A step_tol stop always leaves it above, a max_iters stop
-usually does, and so would a step or a projection gone wrong: the
-certificate, not a test of each step, is what tells a trusted fit from one
-that is not.
+barrier domain, and a plain RuntimeError for a non-finite gradient.  A
+returned SolveReport is therefore always a finished fit (step_tol, kkt_tol
+or max_iters) with a finite kkt_residual.  Its certified flag says whether
+that residual is at most tol_kkt, and it is the one flag that does: a
+step_tol stop always leaves the residual above, a max_iters stop usually
+does, and so would a step or a projection gone wrong.  The certificate, not
+a test of each step, is what tells a trusted fit from one that is not.
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ from . import objective as obj
 
 TERMINATIONS = ("step_tol", "kkt_tol", "max_iters")
 
-# The step of the projected-gradient fallback and the probe step of the
-# stationarity residual.  Read at call time, never bound as a default
-# argument, so patching it changes every use.
+# The probe step of the stationarity residual; its projection z also ends
+# the projected-gradient fallback's step z - w.  Read at call time, never
+# bound as a default argument, so patching it changes every use.
 ETA_MAX = 1.0
 
 # Fixed constants of the Armijo backtracking: a trial is accepted once its
-# value is at most f(w) + ARMIJO_SLOPE times the predicted decrease;
-# otherwise the step shrinks by BACKTRACK_RATIO, at most NEWTON_BACKTRACKS
-# times along a Newton direction before the projected-gradient fallback,
-# and at most MAX_BACKTRACKS times along that fallback.
+# value is at most f(w) + ARMIJO_SLOPE times the predicted decrease
+# g @ (trial - w) < 0; otherwise the step shrinks by BACKTRACK_RATIO, at
+# most NEWTON_BACKTRACKS times along a Newton direction before the
+# projected-gradient fallback, and at most MAX_BACKTRACKS times along that
+# fallback, after which the solve stops with step_tol.
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 NEWTON_BACKTRACKS = 10
@@ -82,19 +83,15 @@ ACTIVE_EPS = 0.1
 CG_KKT_FRACTION = 0.1
 
 
-class LineSearchStallError(RuntimeError):
-    """Backtracking exhausted its budget without sufficient decrease."""
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration budget and stopping tolerances.
 
     The stationarity test stops once ||w - project(w - ETA_MAX * grad)|| /
     ETA_MAX <= tol_kkt; tol_step is the step-size tolerance.  Both must be
-    finite: an infinite tol_kkt would certify any point.  The steps, the
-    active-set threshold and the Armijo constants are fixed module
-    constants.
+    finite: an infinite tol_kkt would certify any point.  The probe step,
+    the active-set threshold, the Armijo constants and both backtrack
+    budgets are fixed module constants.
     """
 
     max_iters: int = 10_000
@@ -126,17 +123,12 @@ class SolveReport:
     gap: float
     certified: bool  # kkt_residual <= tol_kkt of the fit's SolverOptions
 
-    @property
-    def converged(self) -> bool:
-        return self.termination in ("step_tol", "kkt_tol")
-
     def record(self) -> dict:
         """The fit's fields of solve_report.json and of a bench per-fit record."""
         return {
             "iters": self.iters,
             "backtracks": self.backtracks,
             "termination": self.termination,
-            "converged": self.converged,
             "certified": self.certified,
             "kkt_residual": self.kkt_residual,
             "gap": self.gap,
@@ -351,84 +343,47 @@ def _face_direction(
     return e
 
 
-def _armijo(
-    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, trial: np.ndarray,
-    bound: float,
-) -> tuple[tuple, float] | None:
-    """(trial's record, its trace value) when g(trial) - g(w) <= bound, else None.
-
-    The test first reads the computed values, g(trial) <= f_cur + bound.  A
-    finite trial that fails it is tested again on the change in difference
-    form (objective._change), and its trace value is then f_cur plus that
-    change: near a solution the decrease falls below the round-off of g
-    itself, and the computed values could not resolve it.
-    """
-    trial_pt = obj._point(ctx, trial)
-    f_trial = trial_pt[0]
-    if f_trial <= f_cur + bound:
-        return trial_pt, f_trial
-    if math.isfinite(f_trial):
-        change = obj._change(ctx, w, pt, trial, trial_pt)
-        if change <= bound:
-            return trial_pt, f_cur + change
-    return None
-
-
-def _newton_search(
+def _search(
     ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, g: np.ndarray,
-    d: np.ndarray,
-) -> tuple[np.ndarray | None, tuple | None, int]:
-    """(trial, _armijo's result, rejected trials) of a search along d, with
-    trial None when none of the NEWTON_BACKTRACKS + 1 trials is accepted.
+    d: np.ndarray, budget: int,
+) -> tuple[tuple[np.ndarray, tuple, float] | None, int]:
+    """((trial, its record, its trace value), rejected trials) of a monotone
+    Armijo search along d, with None in place of the triple when none of the
+    budget + 1 trials is accepted.
 
-    Trial w + scale * d is projected only when it leaves the simplex, and is
-    accepted once g @ (trial - w) < 0 and _armijo accepts it at bound
-    ARMIJO_SLOPE * g @ (trial - w).
+    Trial w + scale * d, scale = BACKTRACK_RATIO^t, is projected only when
+    it leaves the simplex.  It is accepted once its predicted change
+    g @ (trial - w) is negative and g(trial) - g(w) is at most bound =
+    ARMIJO_SLOPE times that change; a trial that rounds back to w predicts
+    no change and is rejected unevaluated.  The test first reads the
+    computed values, g(trial) <= f_cur + bound.  A finite trial that fails it is tested again
+    on the change in difference form (objective._change), and its trace
+    value is then f_cur plus that change: near a solution the decrease falls
+    below the round-off of g itself, and the computed values could not
+    resolve it.
     """
     # trial - w sums to zero, so a common offset of g drops out of
     # g @ (trial - w); centering g keeps its round-off out too
     centered = g - np.add.reduce(g) / g.size
     scale = 1.0
-    for rejected in range(NEWTON_BACKTRACKS + 1):
+    for rejected in range(budget + 1):
         trial = np.multiply(scale, d)
         trial += w
         if np.minimum.reduce(trial) < 0.0:
             trial = project_simplex(trial, ctx.config.s)
         predicted = float(centered @ (trial - w))
         if predicted < 0.0:
-            accepted = _armijo(ctx, w, pt, f_cur, trial, ARMIJO_SLOPE * predicted)
-            if accepted is not None:
-                return trial, accepted, rejected
+            bound = ARMIJO_SLOPE * predicted
+            trial_pt = obj._point(ctx, trial)
+            f_trial = trial_pt[0]
+            if f_trial <= f_cur + bound:
+                return (trial, trial_pt, f_trial), rejected
+            if math.isfinite(f_trial):
+                change = obj._change(ctx, w, pt, trial, trial_pt)
+                if change <= bound:
+                    return (trial, trial_pt, f_cur + change), rejected
         scale *= BACKTRACK_RATIO
-    return None, None, NEWTON_BACKTRACKS + 1
-
-
-def _gradient_search(
-    ctx: obj.ObjectiveContext, w: np.ndarray, pt: tuple, f_cur: float, g: np.ndarray,
-    z: np.ndarray, iters: int,
-) -> tuple[np.ndarray, tuple, int]:
-    """(trial, _armijo's result, rejected trials) along the projected-gradient
-    step v = z - w, z = project(w - ETA_MAX * g): the first trial w +
-    BACKTRACK_RATIO^t * v that _armijo accepts at bound ARMIJO_SLOPE *
-    BACKTRACK_RATIO^t * Gamma, Gamma = g @ v + ||v||^2 / (2 ETA_MAX).
-
-    Gamma <= 0 by the projection theorem, up to the round-off that
-    project_simplex's tests bound.  Raises LineSearchStallError after
-    MAX_BACKTRACKS rejections.
-    """
-    v = z - w
-    predicted = float(g @ v) + float(v @ v) / (2.0 * ETA_MAX)
-    scale = 1.0
-    for rejected in range(MAX_BACKTRACKS + 1):
-        trial = np.multiply(scale, v)
-        trial += w
-        accepted = _armijo(ctx, w, pt, f_cur, trial, ARMIJO_SLOPE * scale * predicted)
-        if accepted is not None:
-            return trial, accepted, rejected
-        scale *= BACKTRACK_RATIO
-    raise LineSearchStallError(
-        f"no sufficient decrease within {MAX_BACKTRACKS} backtracks at iteration {iters}"
-    )
+    return None, budget + 1
 
 
 def ls_pgd_solve(
@@ -440,10 +395,12 @@ def ls_pgd_solve(
     project(w - ETA_MAX * grad); stop with kkt_tol once the residual ||w -
     z|| / ETA_MAX <= tol_kkt, and with step_tol once the last accepted step
     moved no weight by more than tol_step.  Otherwise search along the
-    Newton-CG direction (_newton_direction, _newton_search).  Where the
-    model has no positive curvature (a linear or concave objective) or no
-    Newton trial is accepted, take the projected-gradient step instead
-    (_gradient_search).  Every accepted trial lowers the trace (_armijo);
+    Newton-CG direction (_newton_direction) with NEWTON_BACKTRACKS
+    backtracks.  Where the model has no positive curvature (a linear or
+    concave objective) or no Newton trial is accepted, search along z - w
+    with MAX_BACKTRACKS backtracks instead; when that search accepts no
+    trial either, stop with step_tol at w.  Both searches are _search, so
+    every accepted step has g @ (w_next - w) < 0 and lowers the trace;
     trial points outside the log-barrier domain evaluate to +inf and are
     rejected like any other insufficient decrease.  A kkt_tol or step_tol
     return reports the residual its last test measured, so a step_tol
@@ -478,17 +435,21 @@ def ls_pgd_solve(
             termination = "step_tol"
             break
         d = _newton_direction(ctx, w, pt, g, z, residual, CG_KKT_FRACTION * opts.tol_kkt)
-        trial = None
+        accepted = None
         if d is not None:
-            trial, accepted, rejected = _newton_search(ctx, w, pt, f_cur, g, d)
+            accepted, rejected = _search(ctx, w, pt, f_cur, g, d, NEWTON_BACKTRACKS)
             backtracks += rejected
-        if trial is None:
-            trial, accepted, rejected = _gradient_search(ctx, w, pt, f_cur, g, z, iters)
+        if accepted is None:
+            accepted, rejected = _search(ctx, w, pt, f_cur, g, z - w, MAX_BACKTRACKS)
             backtracks += rejected
+            if accepted is None:
+                # the fallback stopped moving before the fit was certified
+                termination = "step_tol"
+                break
+        trial, pt, f_cur = accepted
         moved = trial - w
         step_inf = max(float(np.maximum.reduce(moved)), -float(np.minimum.reduce(moved)))
         w = trial
-        pt, f_cur = accepted
         trace.append(f_cur)
     if termination == "max_iters":
         g = _finite(obj._gradient(ctx, w, pt))

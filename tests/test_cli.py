@@ -157,8 +157,26 @@ def test_learn_vsgl_finds_single_edge(tmp_path):
     assert np.count_nonzero(w) == 1
     report = json.loads((out / "solve_report.json").read_text())
     assert report["termination"] == "kkt_tol"
-    assert report["converged"] is True
+    assert report["certified"] is True
     assert report["resolved"]["rho1"] == 0.0
+
+
+def test_learn_writes_a_stalled_fit_uncertified(tmp_path, stalled_line_search):
+    # a fit whose fallback search accepts no trial stops on step_tol at the
+    # centroid start; learn writes it, flagged, and exits 0
+    data = run_generate(tmp_path)
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {
+        "signals": str(data / "signals.csv"),
+        "preset": {"name": "mugl_o"},
+    }, "learn.json")
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["termination"] == "step_tol" and report["iters"] == 1
+    assert report["certified"] is False
+    assert "converged" not in report
+    w, m = read_edge_list(out / "learned.edges")
+    assert np.array_equal(w, np.full(10, 0.5))
 
 
 def test_learn_barrier_trace_non_increasing(tmp_path):
@@ -713,7 +731,8 @@ def test_bench_fit_records_carry_the_learn_report_fields(tmp_path):
     context = ["version", "signals", "m", "n", "preset", "resolved"]
     assert report[:len(context)] == context
     fit_fields = report[len(context):]
-    assert "kkt_residual" in fit_fields and "converged" in fit_fields
+    assert "kkt_residual" in fit_fields and "certified" in fit_fields
+    assert "converged" not in fit_fields
     metrics = list(metric_record(np.ones(3), np.ones(3, dtype=bool)))
 
     code, bench = run_bench(tmp_path / "bench")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_explicit_rho2_skips_the_spectral_norm(monkeypatch):
     ):
         config, report = harness.learn(preset, X)
         assert config.rho2 == 1.0
-        assert report.converged
+        assert report.certified
 
 
 def test_zero_radius_robust_preset_matches_baseline():
@@ -285,6 +287,21 @@ def test_summary_counts_capped_fits():
             assert entry["certified"] is (entry["kkt_residual"] <= tol_kkt[label])
     n_uncertified = {row["model"]: row["n_uncertified"] for row in summary.stats}
     assert n_uncertified == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 3}
+
+
+def test_stalled_fit_is_scored_and_counted_uncertified(stalled_line_search):
+    # a fit whose fallback search accepts no trial returns on step_tol at its
+    # start: it is scored like any fit and flagged, not counted as a failure
+    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
+    summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
+    assert summary.failures == []
+    for rec in summary.records:
+        entry = rec["models"]["mugl_o"]
+        assert entry["termination"] == "step_tol" and entry["iters"] == 1
+        assert entry["certified"] is False
+        assert math.isfinite(entry["f_measure"])
+    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary.stats}
+    assert n_uncertified == {"vsgl": 0, "mugl_o": 2}
 
 
 def test_records_carry_the_gap():

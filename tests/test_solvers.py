@@ -26,7 +26,6 @@ from mugl.objective import (
 from mugl.solvers import (
     MAX_BACKTRACKS,
     NEWTON_BACKTRACKS,
-    LineSearchStallError,
     SolverOptions,
     is_concave,
     ls_pgd_solve,
@@ -202,33 +201,34 @@ def test_pgd_linear_objective_finds_argmin_vertex():
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
     assert np.array_equal(report.w_final, vertex)
-    assert report.converged
+    assert report.termination == "kkt_tol" and report.certified
 
 
 def test_linear_instance_takes_fallback_step(monkeypatch):
     # the model Hessian is zero, so CG finds no positive curvature and every
-    # iteration takes the projected-gradient step; none searches along Newton
+    # search runs along the projected-gradient step z - w with the fallback's
+    # budget; none runs along a Newton direction
     ctx = generic_context(101, s=1.0)
-    real_search = mugl.solvers._gradient_search
+    real_search = mugl.solvers._search
     searches = []
 
-    def spy(ctx_, w, pt, f_cur, g, z, iters):
+    def spy(ctx_, w, pt, f_cur, g, d, budget):
         assert not np.any(mugl.objective._hessian_vector(ctx_, w, pt, g))
-        searches.append(iters)
-        return real_search(ctx_, w, pt, f_cur, g, z, iters)
+        z = project_simplex(w - mugl.solvers.ETA_MAX * g, ctx_.config.s)
+        assert budget == MAX_BACKTRACKS
+        assert np.array_equal(d, z - w)
+        accepted, rejected = real_search(ctx_, w, pt, f_cur, g, d, budget)
+        searches.append(accepted is not None)
+        return accepted, rejected
 
-    def no_newton(*args):
-        raise AssertionError("a linear objective has no Newton direction")
-
-    monkeypatch.setattr(mugl.solvers, "_gradient_search", spy)
-    monkeypatch.setattr(mugl.solvers, "_newton_search", no_newton)
+    monkeypatch.setattr(mugl.solvers, "_search", spy)
     monkeypatch.setattr(mugl.solvers, "ETA_MAX", 0.25)
     report = ls_pgd_solve(ctx, np.full(10, 0.1))
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
-    assert report.converged
+    assert report.termination == "kkt_tol" and report.certified
     assert np.array_equal(report.w_final, vertex)
-    assert searches == list(range(1, len(report.objective_trace)))
+    assert searches == [True] * (len(report.objective_trace) - 1)
 
 
 def test_pgd_uniform_gradient_is_fixed_point():
@@ -285,7 +285,7 @@ def test_vertex_solve_matches_line_search_on_linear_instance():
     assert report.kkt_residual == 0.0
     assert report.objective_trace == [objective_value(ctx, vertex)]
     ref = ls_pgd_solve(ctx, np.full(10, 0.2))
-    assert ref.converged
+    assert ref.termination == "kkt_tol" and ref.certified
     assert abs(report.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-9
     with pytest.raises(ValueError):
         vertex_solve(generic_context(101, rho2=0.8, s=2.0))
@@ -313,13 +313,25 @@ def test_ls_pgd_fixed_point_terminates_immediately():
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 1.0
     report = ls_pgd_solve(ctx, vertex)
-    assert report.converged
+    assert report.termination == "kkt_tol" and report.certified
     assert report.iters == 1
     assert np.array_equal(report.w_final, vertex)
     assert len(report.objective_trace) == 1
 
 
 def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
+    # every accepted step, along a Newton direction or the fallback, is a
+    # descent direction of the gradient at the point it leaves
+    real_search = mugl.solvers._search
+    slopes = []
+
+    def spy(ctx_, w, pt, f_cur, g, d, budget):
+        accepted, rejected = real_search(ctx_, w, pt, f_cur, g, d, budget)
+        if accepted is not None:
+            slopes.append(float(g @ (accepted[0] - w)))
+        return accepted, rejected
+
+    monkeypatch.setattr(mugl.solvers, "_search", spy)
     for kwargs in [
         dict(rho1=0.4, rho2=0.6, s=2.0),
         dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
@@ -339,9 +351,12 @@ def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
             (10.0, SolverOptions(tol_step=0.0)),
         ):
             monkeypatch.setattr(mugl.solvers, "ETA_MAX", eta_max)
+            slopes.clear()
             report = ls_pgd_solve(ctx, w0, opts)
             trace = np.array(report.objective_trace)
             assert np.all(np.diff(trace) <= 0.0)
+            assert len(slopes) == len(trace) - 1
+            assert all(slope < 0.0 for slope in slopes)
             assert np.isfinite(trace).all()
             assert validate_simplex(report.w_final, ctx.config.s)
             if opts.tol_step == 0.0:
@@ -355,17 +370,20 @@ def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
 
 def test_step_tol_fires_only_before_certification(monkeypatch):
     # the step-size stop is tested after the residual, so it fires only at a
-    # point that is not certified, and only after a step of at most tol_step
-    real_armijo = mugl.solvers._armijo
+    # point that is not certified, and only after an accepted step of at most
+    # tol_step or a fallback search that accepted nothing (recorded as None)
+    real_search = mugl.solvers._search
     steps = []
 
-    def spy(ctx_, w, pt, f_cur, trial, bound):
-        accepted = real_armijo(ctx_, w, pt, f_cur, trial, bound)
+    def spy(ctx_, w, pt, f_cur, g, d, budget):
+        accepted, rejected = real_search(ctx_, w, pt, f_cur, g, d, budget)
         if accepted is not None:
-            steps.append(float(np.abs(trial - w).max()))
-        return accepted
+            steps.append(float(np.abs(accepted[0] - w).max()))
+        elif budget == MAX_BACKTRACKS:
+            steps.append(None)
+        return accepted, rejected
 
-    monkeypatch.setattr(mugl.solvers, "_armijo", spy)
+    monkeypatch.setattr(mugl.solvers, "_search", spy)
     fired = []
     for kwargs in [
         dict(rho1=0.4, rho2=0.6, s=2.0),
@@ -388,7 +406,7 @@ def test_step_tol_fires_only_before_certification(monkeypatch):
                     fired.append(report.iters)
                     assert not report.certified
                     assert report.kkt_residual > opts.tol_kkt
-                    assert steps[-1] <= opts.tol_step
+                    assert steps[-1] is None or steps[-1] <= opts.tol_step
                     assert len(report.objective_trace) == report.iters
                 else:
                     assert report.termination == "kkt_tol"
@@ -474,8 +492,9 @@ def test_ls_pgd_rejects_non_finite_gradient(monkeypatch):
 
 
 def test_ls_pgd_rejects_a_step_that_predicts_an_increase(monkeypatch):
-    # v and Gamma share one gradient, so no corrupted gradient can make the
-    # predicted decrease positive; a projection that returns the uphill point
+    # a step and its predicted change g @ (trial - w) share one gradient, so
+    # no corrupted gradient can make an accepted step predict an increase; a
+    # projection that returns the uphill point
     # project(w + eta * grad) instead of project(w - eta * grad) does.  It
     # also corrupts the probe residual and the active set, so the solve
     # stops moving (step_tol) where the residual it measures stays large,
@@ -576,7 +595,7 @@ def test_ls_pgd_two_starts_agree_on_convex_instance():
     w0[0] = 2.0
     w0 *= 5.0 / w0.sum()
     second = ls_pgd_solve(ctx, w0)
-    assert first.converged and second.converged
+    assert first.certified and second.certified
     assert abs(first.objective_trace[-1] - second.objective_trace[-1]) <= 1e-6
 
 
@@ -595,7 +614,7 @@ def test_ls_pgd_starts_agree_on_headline_draws():
             best = ls_pgd_solve(ctx, np.full(190, 20.0 / 190)).objective_trace[-1]
             for w0 in starts:
                 report = ls_pgd_solve(ctx, w0)
-                assert report.converged
+                assert report.certified
                 assert abs(report.objective_trace[-1] - best) <= 1e-9 * abs(best)
 
 
@@ -622,8 +641,10 @@ def test_ls_pgd_nonsmooth_abort_on_constant_mean():
 def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
     # every trial point sits above the value at w0, in its computed value
     # and in difference form, so the first iteration rejects all of them:
-    # w0, 1 + NEWTON_BACKTRACKS Newton trials, then 1 + MAX_BACKTRACKS
-    # projected-gradient trials
+    # 1 + NEWTON_BACKTRACKS Newton trials, then 1 + MAX_BACKTRACKS
+    # projected-gradient trials, of which those that round back to w0 are
+    # rejected without an evaluation.  The solve stops moving at w0 before
+    # it is certified, which is a step_tol stop.
     ctx = generic_context(113, rho2=0.5, s=1.0)
     real_point = mugl.objective._point
     calls = {"n": 0}
@@ -635,9 +656,14 @@ def test_ls_pgd_stalls_on_never_decreasing_objective(monkeypatch):
 
     monkeypatch.setattr(mugl.objective, "_point", stuck_point)
     monkeypatch.setattr(mugl.objective, "_change", lambda ctx_, w, pt, t, tpt: 1.0)
-    with pytest.raises(LineSearchStallError, match="backtracks at iteration 1$"):
-        ls_pgd_solve(ctx, np.full(10, 0.1))
-    assert calls["n"] == NEWTON_BACKTRACKS + MAX_BACKTRACKS + 3
+    w0 = np.full(10, 0.1)
+    report = ls_pgd_solve(ctx, w0)
+    assert report.termination == "step_tol" and report.iters == 1
+    assert np.array_equal(report.w_final, w0)
+    assert not report.certified and report.kkt_residual > SolverOptions().tol_kkt
+    assert report.objective_trace == [0.0]
+    assert report.backtracks == NEWTON_BACKTRACKS + MAX_BACKTRACKS + 2
+    assert calls["n"] <= NEWTON_BACKTRACKS + MAX_BACKTRACKS + 3
 
 
 def test_stationarity_residual_zero_at_linear_minimizer():

@@ -22,10 +22,12 @@
 
 Stationarity is measured by the projected-gradient residual
 ||w - project(w - ETA_MAX * grad)|| / ETA_MAX, which vanishes exactly at
-constrained stationary points.  The iterative solver stops once it is at
-most tol_kkt; a step-size tolerance, tested after it, stops a solve whose
-last step moved no weight by more than tol_step, or whose fallback search
-accepted no trial at all.
+constrained stationary points.  The iterative solver stops on one of
+three events: kkt_tol once the residual is at most tol_kkt, step_tol once
+the projected-gradient fallback search accepts no trial, and max_iters at
+the iteration cap.  No test of the step size stops a solve: an accepted
+step always lowers the objective, and the certificate alone decides when
+a fit is done.
 
 The Frank-Wolfe gap grad @ w - s * min(grad) is zero exactly at
 stationary points.  When rho1 = 0 (vsgl, log_model) the objective is convex
@@ -40,9 +42,10 @@ barrier domain, and a plain RuntimeError for a non-finite gradient.  A
 returned SolveReport is therefore always a finished fit (step_tol, kkt_tol
 or max_iters) with a finite kkt_residual.  Its certified flag says whether
 that residual is at most tol_kkt, and it is the one flag that does: a
-step_tol stop always leaves the residual above, a max_iters stop usually
-does, and so would a step or a projection gone wrong.  The certificate, not
-a test of each step, is what tells a trusted fit from one that is not.
+step_tol stop (the fallback stalled) always leaves the residual above, a
+max_iters stop usually does, and so would a step or a projection gone
+wrong.  The certificate, not a test of each step, is what tells a trusted
+fit from one that is not.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ ETA_MAX = 1.0
 # g @ (trial - w) < 0; otherwise the step shrinks by BACKTRACK_RATIO, at
 # most NEWTON_BACKTRACKS times along a Newton direction before the
 # projected-gradient fallback, and at most MAX_BACKTRACKS times along that
-# fallback, after which the solve stops with step_tol.
+# fallback; a fallback search that accepts none of its trials is the one
+# event that stops the solve with step_tol.
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_RATIO = 0.5
 NEWTON_BACKTRACKS = 10
@@ -85,27 +89,24 @@ CG_KKT_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget and stopping tolerances.
+    """Iteration budget and stopping tolerance.
 
     The stationarity test stops once ||w - project(w - ETA_MAX * grad)|| /
-    ETA_MAX <= tol_kkt; tol_step is the step-size tolerance.  Both must be
-    finite: an infinite tol_kkt would certify any point.  The probe step,
-    the active-set threshold, the Armijo constants and both backtrack
-    budgets are fixed module constants.
+    ETA_MAX <= tol_kkt, which must be finite: an infinite tol_kkt would
+    certify any point.  At tol_kkt = 0 a fit runs until its fallback search
+    stalls or max_iters is reached.  The probe step, the active-set
+    threshold, the Armijo constants and both backtrack budgets are fixed
+    module constants.
     """
 
     max_iters: int = 10_000
-    tol_step: float = 1e-8
     tol_kkt: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not (0 <= self.tol_step < math.inf and 0 <= self.tol_kkt < math.inf):
-            raise ValueError(
-                f"tolerances must be finite and nonnegative, got tol_step={self.tol_step}, "
-                f"tol_kkt={self.tol_kkt}"
-            )
+        if not 0 <= self.tol_kkt < math.inf:
+            raise ValueError(f"tol_kkt must be finite and nonnegative, got {self.tol_kkt}")
 
 
 @dataclass
@@ -393,18 +394,18 @@ def ls_pgd_solve(
 
     Per iteration: take the gradient and the probe projection z =
     project(w - ETA_MAX * grad); stop with kkt_tol once the residual ||w -
-    z|| / ETA_MAX <= tol_kkt, and with step_tol once the last accepted step
-    moved no weight by more than tol_step.  Otherwise search along the
-    Newton-CG direction (_newton_direction) with NEWTON_BACKTRACKS
-    backtracks.  Where the model has no positive curvature (a linear or
-    concave objective) or no Newton trial is accepted, search along z - w
-    with MAX_BACKTRACKS backtracks instead; when that search accepts no
-    trial either, stop with step_tol at w.  Both searches are _search, so
-    every accepted step has g @ (w_next - w) < 0 and lowers the trace;
-    trial points outside the log-barrier domain evaluate to +inf and are
-    rejected like any other insufficient decrease.  A kkt_tol or step_tol
-    return reports the residual its last test measured, so a step_tol
-    return marks a fit that stopped moving before it was certified.
+    z|| / ETA_MAX <= tol_kkt.  Otherwise search along the Newton-CG
+    direction (_newton_direction) with NEWTON_BACKTRACKS backtracks.  Where
+    the model has no positive curvature (a linear or concave objective) or
+    no Newton trial is accepted, search along z - w with MAX_BACKTRACKS
+    backtracks instead; when that search accepts no trial either, stop with
+    step_tol at w.  These two stops and the max_iters cap are the only
+    ones.  Both searches are _search, so every accepted step has g @
+    (w_next - w) < 0 and lowers the trace; trial points outside the
+    log-barrier domain evaluate to +inf and are rejected like any other
+    insufficient decrease.  A kkt_tol or step_tol return reports the
+    residual its last test measured, so a step_tol return marks a fit whose
+    fallback stalled before it was certified.
 
     Aborts raise (see the module docstring); callers that score many fits
     record one as a failure of that one fit.
@@ -424,15 +425,11 @@ def ls_pgd_solve(
     termination = "max_iters"
     iters = 0
     backtracks = 0
-    step_inf = math.inf
     for iters in range(1, opts.max_iters + 1):
         g = _finite(obj._gradient(ctx, w, pt))
         z, residual = _probe(w, g, s)
         if residual <= opts.tol_kkt:
             termination = "kkt_tol"
-            break
-        if step_inf <= opts.tol_step:
-            termination = "step_tol"
             break
         d = _newton_direction(ctx, w, pt, g, z, residual, CG_KKT_FRACTION * opts.tol_kkt)
         accepted = None
@@ -446,10 +443,7 @@ def ls_pgd_solve(
                 # the fallback stopped moving before the fit was certified
                 termination = "step_tol"
                 break
-        trial, pt, f_cur = accepted
-        moved = trial - w
-        step_inf = max(float(np.maximum.reduce(moved)), -float(np.minimum.reduce(moved)))
-        w = trial
+        w, pt, f_cur = accepted
         trace.append(f_cur)
     if termination == "max_iters":
         g = _finite(obj._gradient(ctx, w, pt))

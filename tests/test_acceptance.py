@@ -139,21 +139,20 @@ def test_criterion_04_simplex_projection():
 
 def test_criterion_05_line_search_descent_and_convexity():
     budget, t0 = 120.0, time.perf_counter()
-    opts = solvers.SolverOptions(tol_step=1e-14)
     worst_rise = -np.inf
     worst_resid = 0.0
     for k in range(20):
         graph = gen_graph(GraphSpec("gaussian", 10, seed=k))
         X = gen_signals(graph.laplacian, SignalSpec(n=100, epsilon=0.1, seed=7000 + k))
-        _, report = harness.learn(harness.ModelPreset("mugl_l", solver=opts), X)
+        _, report = harness.learn(harness.ModelPreset("mugl_l"), X)
         worst_rise = max(worst_rise, float(np.diff(report.objective_trace).max()))
         worst_resid = max(worst_resid, report.kkt_residual)
 
     rng = np.random.default_rng(55)
     ctx = oracles.random_context(rng, 8, n=20, rho1=0.0, rho2=0.8, s=8.0)
     mbar = edge_count(8)
-    a = solvers.ls_pgd_solve(ctx, np.full(mbar, 8.0 / mbar), opts)
-    b = solvers.ls_pgd_solve(ctx, oracles.random_interior(rng, mbar, 8.0), opts)
+    a = solvers.ls_pgd_solve(ctx, np.full(mbar, 8.0 / mbar))
+    b = solvers.ls_pgd_solve(ctx, oracles.random_interior(rng, mbar, 8.0))
     start_gap = abs(a.objective_trace[-1] - b.objective_trace[-1])
     dt = time.perf_counter() - t0
     ok = worst_rise <= 1e-12 and worst_resid <= 1e-6 and start_gap <= 1e-6 and dt < budget

@@ -123,8 +123,9 @@ def test_unknown_key_is_named(tmp_path, capsys):
     code = cli.main(["generate", "--config", write_config(tmp_path, config)])
     assert code == 2
     assert "'prob'" in capsys.readouterr().err
-    # removed solver options (the first step and the Armijo settings are constants now)
-    for key in ("step", "beta", "gamma", "max_backtracks", "eta_max"):
+    # removed solver options (the first step and the Armijo settings are
+    # constants now, and no step-size tolerance stops a solve)
+    for key in ("step", "beta", "gamma", "max_backtracks", "eta_max", "tol_step"):
         learn_config = {
             "signals": str(tmp_path / "signals.csv"),
             "preset": {"name": "mugl_o", "solver": {key: 0.01}},

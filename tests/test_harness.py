@@ -269,10 +269,10 @@ def test_summary_counts_capped_fits():
     capped = harness.ModelPreset(
         "mugl_l", label="capped", solver=solvers.SolverOptions(max_iters=1)
     )
-    # a loose step tolerance stops on step_tol before the residual meets
-    # tol_kkt (after 6 iterations, at residuals of 9e-6 to 5e-5)
+    # tol_kkt=0 cannot be met, so the fit runs until its fallback search
+    # stalls and stops on step_tol, uncertified
     early = harness.ModelPreset(
-        "mugl_l", label="early", solver=solvers.SolverOptions(tol_step=1e-3)
+        "mugl_l", label="early", solver=solvers.SolverOptions(tol_kkt=0.0)
     )
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l"), capped, early]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=3, master_seed=5)

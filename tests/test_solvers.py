@@ -182,17 +182,15 @@ def test_projected_step_predicts_a_decrease_up_to_round_off():
 def test_solver_options_validation():
     for kwargs in [
         {"max_iters": 0},
-        {"tol_step": -1.0},
         {"tol_kkt": -1.0},
-        {"tol_step": math.nan},
         {"tol_kkt": math.nan},
-        {"tol_step": math.inf},
         {"tol_kkt": math.inf},
     ]:
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
-    # the steps and the Armijo constants are module constants, not options
-    assert [f.name for f in fields(SolverOptions)] == ["max_iters", "tol_step", "tol_kkt"]
+    # the steps and the Armijo constants are module constants, not options,
+    # and no step-size tolerance stops a solve
+    assert [f.name for f in fields(SolverOptions)] == ["max_iters", "tol_kkt"]
 
 
 def test_pgd_linear_objective_finds_argmin_vertex():
@@ -247,7 +245,7 @@ def test_pgd_short_run_matches_tight_reference():
     ctx = generic_context(101, rho2=0.8, s=1.0)
     w0 = np.full(10, 0.1)
     short = ls_pgd_solve(ctx, w0)
-    ref = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=100_000, tol_step=0.0, tol_kkt=1e-9))
+    ref = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=100_000, tol_kkt=1e-9))
     assert ref.termination == "kkt_tol"
     assert abs(short.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-8
 
@@ -344,43 +342,34 @@ def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
         w0 = np.full(10, ctx.config.s / 10)
         # ETA_MAX sets the probe residual, the active set and the fallback
         # step; other values of it exercise each of them
-        for eta_max, opts in (
-            (1.0, SolverOptions()),
-            (1.0, SolverOptions(tol_step=0.0)),
-            (0.1, SolverOptions(tol_step=0.0)),
-            (10.0, SolverOptions(tol_step=0.0)),
-        ):
+        for eta_max in (1.0, 0.1, 10.0):
             monkeypatch.setattr(mugl.solvers, "ETA_MAX", eta_max)
             slopes.clear()
-            report = ls_pgd_solve(ctx, w0, opts)
+            report = ls_pgd_solve(ctx, w0)
             trace = np.array(report.objective_trace)
             assert np.all(np.diff(trace) <= 0.0)
             assert len(slopes) == len(trace) - 1
             assert all(slope < 0.0 for slope in slopes)
             assert np.isfinite(trace).all()
             assert validate_simplex(report.w_final, ctx.config.s)
-            if opts.tol_step == 0.0:
-                assert report.termination == "kkt_tol"
-            if report.termination == "kkt_tol":
-                # the stopping test bounds the residual at probe step ETA_MAX,
-                # which is the residual the report carries
-                residual = stationarity_residual(ctx, report.w_final)
-                assert report.kkt_residual == residual <= opts.tol_kkt
+            assert report.termination == "kkt_tol"
+            # the stopping test bounds the residual at probe step ETA_MAX,
+            # which is the residual the report carries
+            residual = stationarity_residual(ctx, report.w_final)
+            assert report.kkt_residual == residual <= SolverOptions().tol_kkt
 
 
 def test_step_tol_fires_only_before_certification(monkeypatch):
-    # the step-size stop is tested after the residual, so it fires only at a
-    # point that is not certified, and only after an accepted step of at most
-    # tol_step or a fallback search that accepted nothing (recorded as None)
+    # step_tol is the stall of the fallback search: it fires only at a point
+    # that is not certified, and only right after a search along z - w (the
+    # one with MAX_BACKTRACKS) that accepted nothing.  tol_kkt=0 cannot be
+    # met, so those fits run until the fallback stalls.
     real_search = mugl.solvers._search
-    steps = []
+    searches = []
 
     def spy(ctx_, w, pt, f_cur, g, d, budget):
         accepted, rejected = real_search(ctx_, w, pt, f_cur, g, d, budget)
-        if accepted is not None:
-            steps.append(float(np.abs(accepted[0] - w).max()))
-        elif budget == MAX_BACKTRACKS:
-            steps.append(None)
+        searches.append((budget, accepted is None))
         return accepted, rejected
 
     monkeypatch.setattr(mugl.solvers, "_search", spy)
@@ -395,22 +384,23 @@ def test_step_tol_fires_only_before_certification(monkeypatch):
             w0 = np.full(10, ctx.config.s / 10)
             for eta_max, opts in (
                 (1.0, SolverOptions()),
-                (1.0, SolverOptions(tol_step=1e-4, tol_kkt=0.0)),
-                (1.0, SolverOptions(tol_step=1e-2)),
-                (0.1, SolverOptions(tol_step=1e-3, tol_kkt=1e-9)),
+                (1.0, SolverOptions(tol_kkt=0.0)),
+                (0.1, SolverOptions(tol_kkt=1e-9)),
+                (0.1, SolverOptions(tol_kkt=0.0)),
             ):
                 monkeypatch.setattr(mugl.solvers, "ETA_MAX", eta_max)
-                steps.clear()
+                searches.clear()
                 report = ls_pgd_solve(ctx, w0, opts)
                 if report.termination == "step_tol":
                     fired.append(report.iters)
                     assert not report.certified
                     assert report.kkt_residual > opts.tol_kkt
-                    assert steps[-1] is None or steps[-1] <= opts.tol_step
+                    assert searches[-1] == (MAX_BACKTRACKS, True)
                     assert len(report.objective_trace) == report.iters
                 else:
                     assert report.termination == "kkt_tol"
-    assert len(fired) >= 10
+    # all 18 fits at tol_kkt=0 stall
+    assert len(fired) >= 18
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -439,11 +429,10 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
 
 
 @pytest.mark.parametrize("kwargs, opts, termination", [
-    (dict(rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),
-    (dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(tol_step=0.0), "kkt_tol"),
-    (dict(rho1=0.4, rho2=0.6, s=2.0), SolverOptions(tol_step=1e-2, tol_kkt=0.0), "step_tol"),
-    (dict(rho2=0.5, s=4.0, alpha=0.6), SolverOptions(max_iters=7, tol_step=0.0, tol_kkt=0.0),
-     "max_iters"),
+    (dict(rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(), "kkt_tol"),
+    (dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(), "kkt_tol"),
+    (dict(rho1=0.4, rho2=0.6, s=2.0), SolverOptions(tol_kkt=0.0), "step_tol"),
+    (dict(rho2=0.5, s=4.0, alpha=0.6), SolverOptions(max_iters=7, tol_kkt=0.0), "max_iters"),
 ])
 def test_ls_pgd_evaluates_one_gradient_per_point(monkeypatch, kwargs, opts, termination):
     # one gradient per iteration; both stopping tests come first in an
@@ -517,7 +506,7 @@ def test_ls_pgd_has_no_round_off_aborts_on_tight_headline_draws():
     # the objective by less than its round-off (about 1e-13 at g near 770);
     # the Armijo test reads those changes in difference form, so every fit
     # is certified, and no accepted step raises the trace.
-    tight = SolverOptions(tol_step=0.0, tol_kkt=1e-10, max_iters=1000)
+    tight = SolverOptions(tol_kkt=1e-10, max_iters=1000)
     seeds = run_seeds(1234, 10)
     for draw in (3, 6, 9):
         graph_seed, signal_seed = seeds[draw]
@@ -527,6 +516,23 @@ def test_ls_pgd_has_no_round_off_aborts_on_tight_headline_draws():
             _, report = learn(ModelPreset(name, solver=tight), X)
             assert report.termination == "kkt_tol"
             assert report.iters <= 50
+            assert np.all(np.diff(report.objective_trace) <= 0.0)
+
+
+def test_unreachable_tolerance_ends_on_a_stalled_fallback():
+    # No residual meets tol_kkt=0, and no step-size test stops the solve, so
+    # each fit runs until its fallback search accepts no trial: step_tol,
+    # uncertified, well inside the iteration cap.  On these two headline
+    # draws that takes 24 to 4498 iterations.
+    opts = SolverOptions(tol_kkt=0.0)
+    for graph_seed, signal_seed in run_seeds(0, 2):
+        graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=80, epsilon=0.1, seed=signal_seed))
+        for name in ("mugl_o", "mugl_l", "log_model"):
+            _, report = learn(ModelPreset(name, solver=opts), X)
+            assert report.termination == "step_tol"
+            assert report.iters < opts.max_iters
+            assert not report.certified and report.kkt_residual > 0.0
             assert np.all(np.diff(report.objective_trace) <= 0.0)
 
 
@@ -580,7 +586,7 @@ def test_ls_pgd_seeded_barrier_instance_converges():
     graph = gen_graph(GraphSpec("gaussian", 10, seed=0))
     X = gen_signals(graph.laplacian, SignalSpec(n=100, epsilon=0.1, seed=7000))
     moments = empirical_moments(X)
-    preset = ModelPreset("mugl_l", solver=SolverOptions(tol_step=1e-14))
+    preset = ModelPreset("mugl_l")
     ctx = build_context(moments, resolve_config(preset, moments, 10))
     report = ls_pgd_solve(ctx, np.full(45, 10.0 / 45.0), preset.solver)
     assert report.termination == "kkt_tol"
@@ -692,7 +698,7 @@ def test_stationarity_residual_decreases_along_pgd():
 def test_objective_trace_records_start_value():
     ctx = generic_context(101, rho2=0.8, s=1.0)
     w0 = np.full(10, 0.1)
-    report = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=3, tol_step=0.0, tol_kkt=0.0))
+    report = ls_pgd_solve(ctx, w0, SolverOptions(max_iters=3, tol_kkt=0.0))
     assert report.termination == "max_iters"
     assert report.iters == 3
     assert len(report.objective_trace) == 4
@@ -714,8 +720,8 @@ def test_gap_bounds_the_distance_to_a_tighter_solve():
     graph = gen_graph(GraphSpec("gaussian", 12, seed=3))
     X = gen_signals(graph.laplacian, SignalSpec(n=48, epsilon=0.1, seed=30))
     moments = empirical_moments(X)
-    loose = SolverOptions(tol_step=1e-4, tol_kkt=1e-3)
-    tight = SolverOptions(tol_step=1e-14, tol_kkt=1e-9)
+    loose = SolverOptions(tol_kkt=1e-3)
+    tight = SolverOptions(tol_kkt=1e-9)
     for name in ("mugl_o", "mugl_l", "log_model"):
         ctx = build_context(moments, resolve_config(ModelPreset(name), moments, 12))
         w0 = np.full(ctx.n_pairs, 12.0 / ctx.n_pairs)
@@ -793,10 +799,10 @@ def test_solve_certificates_match_pinned_bits():
 
 
 def test_default_fits_match_a_tight_solve():
-    # A default fit must land where a solve without the step stop and with
-    # tol_kkt=1e-10 lands: the same objective up to round-off and the same
-    # learned edges.  Both are certified at their own tolerance.
-    tight = SolverOptions(tol_step=0.0, tol_kkt=1e-10, max_iters=300)
+    # A default fit must land where a solve with tol_kkt=1e-10 lands: the
+    # same objective up to round-off and the same learned edges.  Both are
+    # certified at their own tolerance.
+    tight = SolverOptions(tol_kkt=1e-10, max_iters=300)
     for graph_seed, signal_seed in run_seeds(2024, 6):
         graph = gen_graph(GraphSpec("gaussian", 30, seed=graph_seed))
         X = gen_signals(graph.laplacian, SignalSpec(n=120, epsilon=0.1, seed=signal_seed))

@@ -147,9 +147,8 @@ class GeneratedGraph:
         """True when every node is reachable from node 0 along positive-weight
         pairs (breadth-first, one frontier per step)."""
         rows, cols = pair_indices(self.m)
-        nz = self.weights > 0
         adj = np.zeros((self.m, self.m), dtype=bool)
-        adj[rows[nz], cols[nz]] = True
+        adj[rows, cols] = self.weights > 0
         adj |= adj.T
         reached = np.zeros(self.m, dtype=bool)
         frontier = reached.copy()
@@ -178,7 +177,8 @@ def rbf_weights(coords: np.ndarray, sigma: float) -> np.ndarray:
 def _gaussian_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:
     """Random geometric graph with RBF weights, thresholded."""
     w = rbf_weights(rng.random((spec.m, 2)), spec.sigma)
-    return np.where(w >= spec.threshold, w, 0.0)
+    # RBF weights are finite and at least +0.0, so w * False is +0.0
+    return w * (w >= spec.threshold)
 
 
 def _er_weights(spec: GraphSpec, rng: np.random.Generator) -> np.ndarray:

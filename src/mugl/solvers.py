@@ -281,11 +281,23 @@ def _face_direction(
 ) -> np.ndarray | None:
     """Newton-CG direction that sends the active weights to zero.
 
-    Conjugate gradients minimize the model g @ d + d @ H d / 2 over the free
-    pairs' zero-sum directions (H from objective._hessian_vector), stopping
-    once the reduced residual falls to min(0.5, ||r0||) ||r0|| (Dembo,
-    Eisenstat & Steihaug 1982) or to cg_tol, or at nonpositive curvature
-    (Steihaug 1983).
+    The step d0 sends each active weight to zero and spreads their mass
+    evenly over the free pairs.  Conjugate gradients then minimize the model
+    g @ d + d @ H d / 2 over the free pairs' zero-sum steps from d0 (H from
+    objective._hessian_vector), starting from the residual -g - H d0 and
+    stopping once the reduced residual falls to min(0.5, ||r0||) ||r0||
+    (Dembo, Eisenstat & Steihaug 1982) or to cg_tol, or at nonpositive
+    curvature (Steihaug 1983).
+
+    d0 is -w times the active mask plus c = mass / free pairs times the free
+    mask, with no data-dependent indexing: an inactive entry is (-w_k) * 0
+    = +-0.0 plus c, which is exactly c, or +0.0 when c = +0.0.  The mass is
+    the pairwise sum of the active weights in pair order, np.compress's
+    gather.  When every active weight is exactly zero, d0 is the zero
+    vector and H d0 = +0.0 leaves the residual's bits as they are, so that
+    product is skipped.  Zero is tested by counting nonzero weights, not by
+    their sum: an admitted start entry may be as low as -1e-9 and cancel a
+    positive one.
     """
     n_active = np.count_nonzero(active)
     free = None
@@ -302,15 +314,15 @@ def _face_direction(
             x -= free * (np.add.reduce(x) / n_free)
         return x
 
-    # The active weights go to zero, their mass spread evenly over the free
-    # pairs (d0); CG then minimizes the model over the free pairs' zero-sum
-    # steps e from d0, so the direction is d0 + e.
+    # CG's steps e start from d0, so the direction is d0 + e
     r = np.negative(g)
     if n_active:
-        d0 = np.zeros_like(w)
-        d0[active] = -w[active]
-        d0 += free * (float(np.add.reduce(w[active])) / n_free)
-        r -= obj._hessian_vector(ctx, w, pt, d0)
+        moved = np.compress(active, w)
+        d0 = np.negative(w)
+        d0 *= active
+        d0 += free * (float(np.add.reduce(moved)) / n_free)
+        if np.count_nonzero(moved):
+            r -= obj._hessian_vector(ctx, w, pt, d0)
     r = reduce(r)
     rr = float(r @ r)
     if not rr > 0.0:

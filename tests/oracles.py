@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 
-from mugl import solvers
+from mugl import objective, solvers
 from mugl.laplacian import edge_count, pair_indices
 from mugl.moments import empirical_moments
 from mugl.objective import ModelConfig, build_context, gradient, objective_value
@@ -223,6 +223,58 @@ def project_simplex_reference(v: np.ndarray, s: float) -> np.ndarray:
     pos = w > 0
     w[pos] += (s - w.sum()) / pos.sum()
     return w
+
+
+def face_direction_reference(ctx, w, pt, g, active, cg_tol):
+    """solvers._face_direction as first written: the active weights and
+    their mass gathered by boolean indexing, and the product H d0 always
+    made, also where d0 is the zero vector.  The package must match it byte
+    for byte, signed zeros included.
+    """
+    n_active = int(active.sum())
+    free = (~active).astype(float)
+    n_free = w.size - n_active
+
+    def reduce(x):
+        if n_active == 0:
+            x -= x.sum() / w.size
+        else:
+            x *= free
+            x -= free * (x.sum() / n_free)
+        return x
+
+    r = -g
+    if n_active:
+        d0 = np.zeros_like(w)
+        d0[active] = -w[active]
+        d0 += free * (float(w[active].sum()) / n_free)
+        r = r - objective._hessian_vector(ctx, w, pt, d0)
+    r = reduce(r)
+    rr = float(r @ r)
+    if not rr > 0.0:
+        return None
+    target = max(min(0.25, rr) * rr, cg_tol * cg_tol)
+    e = np.zeros_like(w)
+    p = r.copy()
+    for k in range(n_free):
+        hp = reduce(objective._hessian_vector(ctx, w, pt, p))
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            if k == 0:
+                return None
+            break
+        step = rr / curvature
+        e = e + step * p
+        r = r - step * hp
+        rr_next = float(r @ r)
+        if rr_next <= target:
+            break
+        p = p * (rr_next / rr) + r
+        rr = rr_next
+    e = reduce(e)
+    if n_active:
+        e = e + d0
+    return e
 
 
 def worst_mean_risk_ascent(L, mean, rho1, n_starts=12, iters=5000, step=0.05, seed=0):

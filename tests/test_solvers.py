@@ -33,6 +33,7 @@ from mugl.solvers import (
     vertex_solve,
 )
 from oracles import (
+    face_direction_reference,
     project_simplex_bruteforce,
     project_simplex_reference,
     random_interior,
@@ -732,6 +733,101 @@ def test_gap_bounds_the_distance_to_a_tighter_solve():
             assert report.gap >= report.objective_trace[-1] - best
 
 
+FACE_CONFIGS = (
+    {"rho2": 0.5, "s": 4.0, "alpha": 0.6},
+    {"rho1": 0.3, "rho2": 0.5, "s": 2.0},
+    {"s": 3.0, "alpha": 0.5, "quad_weight": 0.5},
+)
+
+
+def face_at(ctx, rng, active_weights):
+    """(w, record, gradient, active mask) of a face whose first pairs are
+    active and hold active_weights; w is feasible for _check_feasible."""
+    k = len(active_weights)
+    w = random_interior(rng, ctx.n_pairs, ctx.config.s)
+    w[:k] = active_weights
+    w[k:] *= (ctx.config.s - math.fsum(active_weights)) / math.fsum(w[k:])
+    w = mugl.objective._check_feasible(ctx, w)
+    pt = mugl.objective._point(ctx, w)
+    active = np.zeros(ctx.n_pairs, dtype=bool)
+    active[:k] = True
+    return w, pt, mugl.objective._gradient(ctx, w, pt), active
+
+
+def spy_hessian_vector(monkeypatch):
+    """The vectors of every Hessian-vector product made, in call order."""
+    real = mugl.objective._hessian_vector
+    products = []
+
+    def spy(ctx, w, pt, v):
+        products.append(v.copy())
+        return real(ctx, w, pt, v)
+
+    monkeypatch.setattr(mugl.objective, "_hessian_vector", spy)
+    return products
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.tobytes() == b.tobytes()
+    )
+
+
+@pytest.mark.parametrize("kwargs", FACE_CONFIGS)
+def test_face_with_zero_active_weights_makes_no_product_for_d0(monkeypatch, kwargs):
+    # d0 is the zero vector when every active weight is exactly 0.0, and
+    # H 0 = +0.0 leaves r's bits as they are, so its product is skipped
+    ctx = generic_context(109, **kwargs)
+    w, pt, g, active = face_at(ctx, np.random.default_rng(7), [0.0, 0.0, 0.0])
+    products = spy_hessian_vector(monkeypatch)
+    expected = face_direction_reference(ctx, w, pt, g, active, 1e-9)
+    made_by_reference = len(products)
+    assert not np.any(products[0])
+    products.clear()
+    d = mugl.solvers._face_direction(ctx, w, pt, g, active, 1e-9)
+    assert d is not None and same_bits(d, expected)
+    assert len(products) == made_by_reference - 1
+    assert all(np.any(v) for v in products)
+
+
+@pytest.mark.parametrize("kwargs", FACE_CONFIGS)
+@pytest.mark.parametrize("active_weights", [[0.0, 1e-12, 0.0], [1e-10, -1e-10, 0.0]])
+def test_face_with_a_nonzero_active_weight_makes_the_product(monkeypatch, kwargs, active_weights):
+    # one active weight at 1e-12, or an admitted -1e-10 start entry whose
+    # mass cancels a +1e-10: d0 is nonzero though the active mass may be 0
+    ctx = generic_context(109, **kwargs)
+    w, pt, g, active = face_at(ctx, np.random.default_rng(7), active_weights)
+    products = spy_hessian_vector(monkeypatch)
+    expected = face_direction_reference(ctx, w, pt, g, active, 1e-9)
+    made_by_reference = len(products)
+    products.clear()
+    d = mugl.solvers._face_direction(ctx, w, pt, g, active, 1e-9)
+    assert same_bits(d, expected)
+    assert len(products) == made_by_reference
+    assert np.array_equal(products[0][active], -w[active])
+
+
+def test_face_direction_matches_its_reference_bitwise():
+    # random faces in the barrier domain: active weights at +-0.0, tiny,
+    # negative or interior, and active masks of every size
+    rng = np.random.default_rng(2028)
+    compared = 0
+    for seed in range(40):
+        for kwargs in FACE_CONFIGS:
+            ctx = generic_context(seed, **kwargs)
+            values = rng.choice([0.0, -0.0, 1e-12, -1e-10, 0.05], size=rng.integers(1, 4))
+            w, pt, g, active = face_at(ctx, rng, list(values))
+            if not math.isfinite(pt[0]):
+                continue
+            active |= rng.random(ctx.n_pairs) < 0.3
+            if active.all():
+                continue
+            got = mugl.solvers._face_direction(ctx, w, pt, g, active, 1e-9)
+            assert same_bits(got, face_direction_reference(ctx, w, pt, g, active, 1e-9))
+            compared += 1
+    assert compared >= 100
+
+
 def solve_digest(report):
     """sha256 over the final weights, the objective trace, iters and backtracks."""
     h = hashlib.sha256()
@@ -750,24 +846,47 @@ def solve_digest(report):
 # log_model does not calibrate.  Any digest change means the arithmetic of
 # a solve changed: the direction, the line search, the projection, the
 # stopping tests, the objective or, for the robust presets, the calibrated
-# radii.
+# radii.  At the formula radius the robust fits never send a pair to zero.
+# At rho2 = 1 their faces reach 60-72% active, and 28 of their 68 faces
+# hold only zero active weights, so the "rho2=1" rows pin the face solve's
+# active-set work, the skipped product H d0 included.
 PINNED_DIGESTS = {
     (0, "mugl_o"): "d13197718b82be5708fa50c342d39b191f690c66e693dfa6810ee5d620677e28",
     (0, "mugl_l"): "bc9b47750d116e2fd0c40cc9e419433cdee5ce9e9f79979923bf1379e694cfc6",
     (0, "log_model"): "77ae4a39ef49efc087f8900e6e4f1330d0a951bc5173cc7b4788a632b3782739",
+    (0, "mugl_o rho2=1"): "aa76a0e9ef988a233c41b51c092b86705a31425b0a95e23b5218c91e67b25248",
+    (0, "mugl_l rho2=1"): "29edc5be84926089a37aad35158a805a38cc1da22ee98f6e88efadcbf037f9dd",
     (1, "mugl_o"): "dee5218f8596e1086023aae2fbb1ab4061e958bd23e58826b16c6d6968ba6e0e",
     (1, "mugl_l"): "dded7373f8ad329f563722d6395202f71308bdb6afda93414652846ce5169bdb",
     (1, "log_model"): "f562bac5d1a31924d268d0198e9063e625581e6066a21bcaf89ade3342fed912",
+    (1, "mugl_o rho2=1"): "c28de3c9f2ddab643f73273feb6cf02dbc63fd019ec1cb7c3cb86646fc135585",
+    (1, "mugl_l rho2=1"): "d87579caf4a34446e86109559d8e9482fefc4df83975877c2670cf59797bea6e",
+}
+
+PINNED_PRESETS = {
+    "mugl_o": ModelPreset("mugl_o"),
+    "mugl_l": ModelPreset("mugl_l"),
+    "log_model": ModelPreset("log_model"),
+    "vsgl": ModelPreset("vsgl"),
+    "mugl_o rho2=1": ModelPreset("mugl_o", rho2=1.0),
+    "mugl_l rho2=1": ModelPreset("mugl_l", rho2=1.0),
 }
 
 
-def test_solves_match_pinned_digests():
-    got = {}
+def pinned_reports(names):
+    """{(draw, name): solve report} on the two pinned m=30 draws."""
+    reports = {}
     for draw, (graph_seed, signal_seed) in enumerate(run_seeds(2024, 2)):
         graph = gen_graph(GraphSpec("gaussian", 30, seed=graph_seed))
         X = gen_signals(graph.laplacian, SignalSpec(n=120, epsilon=0.1, seed=signal_seed))
-        for name in ("mugl_o", "mugl_l", "log_model"):
-            got[draw, name] = solve_digest(learn(ModelPreset(name), X)[1])
+        for name in names:
+            reports[draw, name] = learn(PINNED_PRESETS[name], X)[1]
+    return reports
+
+
+def test_solves_match_pinned_digests():
+    names = {name for _, name in PINNED_DIGESTS}
+    got = {key: solve_digest(report) for key, report in pinned_reports(names).items()}
     assert got == PINNED_DIGESTS
 
 
@@ -780,21 +899,23 @@ PINNED_CERTIFICATES = {
     (0, "mugl_l"): ("0x1.5d61a886ef161p-22", "0x1.5bfe0c0000000p-22"),
     (0, "log_model"): ("0x1.695fee994bcf3p-26", "0x1.fbe89cb000000p-24"),
     (0, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
+    (0, "mugl_o rho2=1"): ("0x1.1e0fb5230b41bp-21", "0x1.4b2f105000000p-20"),
+    (0, "mugl_l rho2=1"): ("0x1.7b19da3ea05cep-21", "0x1.7d64d65000000p-20"),
     (1, "mugl_o"): ("0x1.7dd51f8c6e176p-26", "0x1.9a40400000000p-26"),
     (1, "mugl_l"): ("0x1.3d3628496e496p-25", "0x1.7254e80000000p-23"),
     (1, "log_model"): ("0x1.f749f0d8ec9f8p-25", "0x1.6290613c00000p-21"),
     (1, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
+    (1, "mugl_o rho2=1"): ("0x1.b0b933276dcc3p-22", "0x1.a95b41c000000p-21"),
+    (1, "mugl_l rho2=1"): ("0x1.631e8db5b633ep-21", "0x1.66a35d4800000p-20"),
 }
 
 
 def test_solve_certificates_match_pinned_bits():
-    got = {}
-    for draw, (graph_seed, signal_seed) in enumerate(run_seeds(2024, 2)):
-        graph = gen_graph(GraphSpec("gaussian", 30, seed=graph_seed))
-        X = gen_signals(graph.laplacian, SignalSpec(n=120, epsilon=0.1, seed=signal_seed))
-        for name in ("mugl_o", "mugl_l", "log_model", "vsgl"):
-            report = learn(ModelPreset(name), X)[1]
-            got[draw, name] = (report.kkt_residual.hex(), report.gap.hex())
+    names = {name for _, name in PINNED_CERTIFICATES}
+    got = {
+        key: (report.kkt_residual.hex(), report.gap.hex())
+        for key, report in pinned_reports(names).items()
+    }
     assert got == PINNED_CERTIFICATES
 
 

@@ -2,7 +2,7 @@
 
 The package learns a graph Laplacian by minimizing the worst case of the
 Laplacian quadratic risk over an uncertainty region around the empirical
-signal moments, via projected gradient descent on the edge-weight simplex.
+signal moments, by projected Newton-CG on the edge-weight simplex.
 Callers import the submodules (harness, solvers, objective, ...) directly.
 """
 

@@ -2,14 +2,14 @@
 
 PRESETS is the model family, one row per preset name: whether the preset
 is robust (it takes rho1 and rho2 explicitly or, by default, from the
-sample-size calibration with the covariance spectral norm plugged in;
-otherwise both are 0), and whether it reads alpha (the log-degree barrier)
-and quad_weight (the squared off-diagonal penalty).  The simplex scale is
-tied to the node count (s = m), matching how the synthetic benchmarks are
-run.  A resolved config with no convex term (rho2 = 0, no barrier or
-penalty: vsgl, or mugl_o at rho2 = 0) is solved in closed form at its best
-vertex; every other config goes to the line-search solver, whose rejection
-of +inf trials keeps iterates inside the barrier domain.
+radius formulas at confidence level delta, with the sample covariance's
+spectral norm plugged in; otherwise both are 0), and whether it reads
+alpha (the log-degree barrier) and quad_weight (the squared off-diagonal
+penalty).  The simplex scale is tied to the node count (s = m), matching
+how the synthetic benchmarks are run.  Every resolved config is fitted by
+solvers.ls_pgd_solve from solvers.start_point, which is the best vertex of
+a config with no convex term (vsgl, or mugl_o at rho2 = 0) and the
+centroid otherwise.
 
 run_experiment draws (graph, signals) pairs from per-run child seeds of a
 master seed, learns every preset on every draw, scores edge recovery
@@ -30,8 +30,7 @@ import numpy as np
 from . import solvers
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
-from .laplacian import edge_count
-from .moments import EmpiricalMoments, RadiusParams, calibrated, empirical_moments, rho1_radius, rho2_radius
+from .moments import EmpiricalMoments, RadiusParams, empirical_moments, rho1_radius, rho2_radius
 from .objective import ModelConfig, build_context
 from .serialize import format_float
 
@@ -63,8 +62,8 @@ class ModelPreset:
 
     PRESETS[name] says which fields the preset reads; a field it never
     reads must keep its default (non-robust presets accept explicit zero
-    radii).  rho1/rho2 left as None means calibrate from the data via
-    radius_params.  alpha must be > 0 and quad_weight >= 0.  label
+    radii).  rho1/rho2 left as None means take it from the radius formulas
+    at radius_params.delta.  alpha must be > 0 and quad_weight >= 0.  label
     distinguishes multiple presets of the same name in one experiment,
     e.g. a grid over alpha.
     """
@@ -122,8 +121,10 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
         if preset.rho2 is not None:
             rho2 = preset.rho2
         else:
-            # only the covariance radius reads sigma, so only it calibrates
-            rho2 = rho2_radius(calibrated(params, moments.cov), m, moments.n)
+            # only the covariance radius reads sigma, so only it takes an
+            # eigenvalue; the floor keeps constant signals' scale positive
+            sigma = max(float(np.linalg.eigvalsh(moments.cov)[-1]), np.finfo(float).tiny)
+            rho2 = rho2_radius(params, sigma, m, moments.n)
     return ModelConfig(
         rho1=rho1,
         rho2=rho2,
@@ -136,21 +137,15 @@ def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> Mo
 def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.SolveReport]:
     """Fit the preset to signals X and return (resolved config, solve report).
 
-    Concave configs are solved exactly at their best vertex; the rest start
-    the line search from the simplex centroid.  The learned weights sit in
-    report.w_final; their Laplacian expand(report.w_final, m) has trace 2m.
+    The learned weights sit in report.w_final; their Laplacian
+    expand(report.w_final, m) has trace 2m.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     moments = empirical_moments(X)
     config = resolve_config(preset, moments, m)
     ctx = build_context(moments, config)
-    if solvers.is_concave(config):
-        report = solvers.vertex_solve(ctx, preset.solver)
-    else:
-        mbar = edge_count(m)
-        report = solvers.ls_pgd_solve(ctx, np.full(mbar, config.s / mbar), preset.solver)
-    return config, report
+    return config, solvers.ls_pgd_solve(ctx, solvers.start_point(ctx), preset.solver)
 
 
 @dataclass

@@ -11,8 +11,10 @@ holds exactly.  The radii come from sub-Gaussian concentration bounds: the
 mean estimate lives in an ellipsoid of radius rho1, the covariance estimate
 in a Frobenius ball of radius rho2, each shrinking in n at the usual
 1/sqrt(n) rate up to logarithmic factors in the confidence level delta.
-Absolute constants in those bounds are not identifiable from data, so they
-are exposed as parameters c0, c1, c2 defaulting to 1.
+The absolute constants in those bounds cannot be identified from data, so
+the formulas fix them at 1, and delta is the one parameter.  The covariance
+radius scales with the spectral norm of the covariance, for which the
+caller plugs in that of the sample covariance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +42,16 @@ class EmpiricalMoments:
 
 @dataclass(frozen=True)
 class RadiusParams:
-    """Knobs of the confidence-radius formulas.
-
-    sigma_norm is the spectral-norm scale of the covariance appearing in the
-    covariance bound; None means "plug in the spectral norm of the sample
-    covariance at calibration time".
-    """
+    """The confidence level delta of the radius formulas: each radius holds
+    with probability at least 1 - delta."""
 
     delta: float = 0.05
-    c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    sigma_norm: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.delta <= DELTA_MAX):
             raise ValueError(
                 f"delta must lie in (0, e^-2] ~ (0, {DELTA_MAX:.4f}], got {self.delta}"
             )
-        for name in ("c0", "c1", "c2"):
-            val = getattr(self, name)
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive, got {val}")
-        if self.sigma_norm is not None and not self.sigma_norm > 0.0:
-            raise ValueError(f"sigma_norm must be positive, got {self.sigma_norm}")
 
 
 def empirical_moments(X: np.ndarray) -> EmpiricalMoments:
@@ -85,53 +73,34 @@ def empirical_moments(X: np.ndarray) -> EmpiricalMoments:
 def rho1_radius(params: RadiusParams, n: int) -> float:
     """Confidence radius for the mean estimate after n observations.
 
-    Square root of the high-probability bound 4 c0 e^2 ln^2(1/delta) / n on
+    Square root of the high-probability bound 4 e^2 ln^2(1/delta) / n on
     the squared ellipsoid distance between sample and population mean.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got n={n}")
-    return math.sqrt(4.0 * params.c0 * math.e**2 * math.log(1.0 / params.delta) ** 2 / n)
+    return math.sqrt(4.0 * math.e**2 * math.log(1.0 / params.delta) ** 2 / n)
 
 
-def rho2_radius(params: RadiusParams, m: int, n: int) -> float:
+def rho2_radius(params: RadiusParams, sigma_norm: float, m: int, n: int) -> float:
     """Confidence radius for the covariance estimate in Frobenius norm.
 
     Two-term bound: a 1/sqrt(n) term scaled by the covariance spectral norm
-    with a log^{3/2}(2 m^{3/2}/delta) factor, plus a faster 1/n term.
-    Requires a concrete sigma_norm; calibrate one first if the params carry
-    the plug-in sentinel.
+    sigma_norm with a log^{3/2}(2 m^{3/2}/delta) factor, plus a faster 1/n
+    term.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got n={n}")
     if m < 1:
         raise ValueError(f"node count must be positive, got m={m}")
-    if params.sigma_norm is None:
-        raise ValueError(
-            "sigma_norm unresolved; replace the None sentinel with a concrete "
-            "spectral-norm scale before evaluating the covariance radius"
-        )
     slow = (
         4.0
-        * params.c1
         * (2.0 * math.e / 3.0) ** 1.5
         * math.log(2.0 * m**1.5 / params.delta) ** 1.5
-        * params.sigma_norm
+        * sigma_norm
         / math.sqrt(n)
     )
-    fast = 4.0 * params.c2 * math.e**2 * math.log(2.0 / params.delta) ** 2 / n
+    fast = 4.0 * math.e**2 * math.log(2.0 / params.delta) ** 2 / n
     return slow + fast
-
-
-def calibrated(params: RadiusParams, cov: np.ndarray) -> RadiusParams:
-    """Resolve the sigma_norm plug-in against a concrete sample covariance.
-
-    The plug-in is the covariance's largest eigenvalue, floored at the
-    smallest positive float so constant signals still give a valid scale.
-    """
-    if params.sigma_norm is not None:
-        return params
-    sigma_norm = max(float(np.linalg.eigvalsh(cov)[-1]), np.finfo(float).tiny)
-    return replace(params, sigma_norm=sigma_norm)
 
 
 def write_signals_csv(path, X: np.ndarray) -> None:

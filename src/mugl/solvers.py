@@ -1,4 +1,4 @@
-"""Solvers over the scaled weight simplex.
+"""One solver over the scaled weight simplex, and where it starts.
 
 * ls_pgd_solve: projected Newton-CG.  Each iteration identifies the
   epsilon-active set (Bertsekas 1982), sends those weights to zero and
@@ -14,16 +14,17 @@
   projections, so they stay feasible, and because a trial outside the
   log-barrier domain evaluates to +inf the backtracking also acts as the
   domain guard: iterates never leave the barrier domain.
-* vertex_solve: the closed form when no term is convex (rho2 = alpha =
-  quad_weight = 0): g is linear plus the concave sqrt(a @ w), so its
-  minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
-  Cor. 32.3.2).  Choosing it is O(p); the residual check on it costs one
-  projection.
+* start_point: where ls_pgd_solve starts.  When no term is convex (rho2 =
+  alpha = quad_weight = 0), g is linear plus the concave sqrt(a @ w), so
+  its minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
+  Cor. 32.3.2), and the start is that vertex, chosen in closed form in
+  O(p); the solve certifies it on its first gradient and takes no step.
+  Every other config starts at the simplex centroid.
 
 Stationarity is measured by the projected-gradient residual
 ||w - project(w - ETA_MAX * grad)|| / ETA_MAX, which vanishes exactly at
-constrained stationary points.  The iterative solver stops on one of
-three events: kkt_tol once the residual is at most tol_kkt, step_tol once
+constrained stationary points.  The solver stops on one of three
+events: kkt_tol once the residual is at most tol_kkt, step_tol once
 the projected-gradient fallback search accepts no trial, and max_iters at
 the iteration cap.  No test of the step size stops a solve: an accepted
 step always lowers the objective, and the certificate alone decides when
@@ -208,32 +209,22 @@ def _finite(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def is_concave(config: obj.ModelConfig) -> bool:
-    """True when no term is convex: w @ quad_coeff plus the concave sqrt(a @ w)."""
-    return config.rho2 == config.alpha == config.quad_weight == 0.0
+def start_point(ctx: obj.ObjectiveContext) -> np.ndarray:
+    """The start of ls_pgd_solve for ctx's config.
 
-
-def vertex_solve(ctx: obj.ObjectiveContext, opts: SolverOptions | None = None) -> SolveReport:
-    """Exact minimizer of a concave objective: all mass s on the pair k
-    minimizing g(s * e_k) / s = quad_coeff_k + sqrt(sqrt_coeff_k / s).
-
-    The projection of w - t * grad returns w there for every t, so the
-    residual is zero; where sqrt has no gradient (e.g. constant means), the
-    gradient raises NonsmoothPointError as in ls_pgd_solve.  The vertex is
-    checked and evaluated once, and its record serves value and gradient.
-    Of opts only tol_kkt is read, for the certified flag.
+    With no convex term (rho2 = alpha = quad_weight = 0) it is the exact
+    minimizer: all mass s on the pair k minimizing g(s * e_k) / s =
+    quad_coeff_k + sqrt(sqrt_coeff_k / s).  The projection of w - t * grad
+    returns w there for every t, so the solve stops on kkt_tol at its first
+    gradient with residual and gap 0.  Every other config starts at the
+    centroid, s / p on each of the p pairs.
     """
-    if not is_concave(ctx.config):
-        raise ValueError("vertex_solve needs rho2 = alpha = quad_weight = 0")
-    opts = opts or SolverOptions()
-    w = np.zeros(ctx.n_pairs)
-    w[int(np.argmin(ctx.quad_coeff + np.sqrt(ctx.sqrt_coeff / ctx.config.s)))] = ctx.config.s
-    w = obj._check_feasible(ctx, w)
-    pt = obj._point(ctx, w)
-    g = _finite(obj._gradient(ctx, w, pt))
-    _, residual = _probe(w, g, ctx.config.s)
-    gap = _gap(w, g, ctx.config.s)
-    return SolveReport(w, [pt[0]], 0, residual, "kkt_tol", 0, gap, residual <= opts.tol_kkt)
+    config = ctx.config
+    if config.rho2 == config.alpha == config.quad_weight == 0.0:
+        w = np.zeros(ctx.n_pairs)
+        w[int(np.argmin(ctx.quad_coeff + np.sqrt(ctx.sqrt_coeff / config.s)))] = config.s
+        return w
+    return np.full(ctx.n_pairs, config.s / ctx.n_pairs)
 
 
 def _probe(w: np.ndarray, g: np.ndarray, s: float) -> tuple[np.ndarray, float]:

@@ -21,22 +21,22 @@ from mugl.objective import ModelConfig, build_context, gradient, objective_value
 mpmath.mp.dps = 50
 
 
-def rho1_mp(c0, delta, n):
+def rho1_mp(delta, n):
     """Mean-radius formula evaluated in 50-digit arithmetic."""
     e = mpmath.e
-    return mpmath.sqrt(4 * mpmath.mpf(c0) * e**2 * mpmath.log(1 / mpmath.mpf(delta)) ** 2 / n)
+    return mpmath.sqrt(4 * e**2 * mpmath.log(1 / mpmath.mpf(delta)) ** 2 / n)
 
 
-def rho2_mp(c1, c2, sigma, delta, m, n):
+def rho2_mp(sigma, delta, m, n):
     """Covariance-radius formula evaluated in 50-digit arithmetic."""
     e = mpmath.e
     delta = mpmath.mpf(delta)
     slow = (
-        4 * mpmath.mpf(c1) * (2 * e / 3) ** mpmath.mpf("1.5")
+        4 * (2 * e / 3) ** mpmath.mpf("1.5")
         * mpmath.log(2 * mpmath.mpf(m) ** mpmath.mpf("1.5") / delta) ** mpmath.mpf("1.5")
         * sigma / mpmath.sqrt(n)
     )
-    fast = 4 * mpmath.mpf(c2) * e**2 * mpmath.log(2 / delta) ** 2 / n
+    fast = 4 * e**2 * mpmath.log(2 / delta) ** 2 / n
     return slow + fast
 
 

@@ -220,12 +220,12 @@ def test_criterion_09_radius_formulas():
     sigma, m = 1.5, 20
     worst = 0.0
     for delta in (0.001, 0.005, 0.01, 0.05, 0.1):
-        params = RadiusParams(delta=delta, sigma_norm=sigma)
+        params = RadiusParams(delta=delta)
         for n in (10, 30, 100, 300, 1000):
             got1 = rho1_radius(params, n)
-            want1 = float(oracles.rho1_mp(1, delta, n))
-            got2 = rho2_radius(params, m, n)
-            want2 = float(oracles.rho2_mp(1, 1, sigma, delta, m, n))
+            want1 = float(oracles.rho1_mp(delta, n))
+            got2 = rho2_radius(params, sigma, m, n)
+            want2 = float(oracles.rho2_mp(sigma, delta, m, n))
             worst = max(worst, abs(got1 - want1) / want1, abs(got2 - want2) / want2)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-12 and dt < budget

@@ -133,6 +133,16 @@ def test_unknown_key_is_named(tmp_path, capsys):
         code = cli.main(["learn", "--config", write_config(tmp_path, learn_config, "learn.json")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+    # removed radius keys (the formulas' constants are 1, and the spectral
+    # norm is always the sample covariance's)
+    for key in ("c0", "c1", "c2", "sigma_norm"):
+        learn_config = {
+            "signals": str(tmp_path / "signals.csv"),
+            "preset": {"name": "mugl_o", "radius_params": {key: 1.0}},
+        }
+        code = cli.main(["learn", "--config", write_config(tmp_path, learn_config, "learn.json")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_graph_parameter_of_another_family_is_config_error(tmp_path, capsys):
@@ -244,7 +254,7 @@ def test_config_schema_round_trips(tmp_path):
         label="robust",
         rho1=0.25,
         rho2=1.5,
-        radius_params=RadiusParams(delta=0.01, c1=2.0, sigma_norm=3.0),
+        radius_params=RadiusParams(delta=0.01),
         solver=SolverOptions(max_iters=500, tol_kkt=1e-7),
     )
     assert cli.parse_fields(harness.ModelPreset, harness.preset_doc(preset), "preset") == preset

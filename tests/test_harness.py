@@ -7,7 +7,7 @@ import mugl.objective
 from mugl import harness, serialize, solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from mugl.laplacian import edge_count, expand
-from mugl.moments import calibrated, empirical_moments, rho1_radius, rho2_radius
+from mugl.moments import empirical_moments, rho1_radius, rho2_radius
 from mugl.objective import build_context, objective_value
 from oracles import is_laplacian
 
@@ -104,19 +104,23 @@ def test_resolve_config_per_preset():
     assert explicit.rho1 == 0.3 and explicit.rho2 == 0.7 and explicit.alpha == 0.0
 
     auto = harness.resolve_config(harness.ModelPreset("mugl_o"), mom, 8)
-    params = calibrated(harness.ModelPreset("mugl_o").radius_params, mom.cov)
+    params = harness.ModelPreset("mugl_o").radius_params
     assert auto.rho1 == rho1_radius(params, mom.n)
-    assert auto.rho2 == rho2_radius(params, 8, mom.n)
+    assert auto.rho2 == rho2_radius(params, np.linalg.eigvalsh(mom.cov)[-1], 8, mom.n)
 
 
 def test_explicit_rho2_skips_the_spectral_norm(monkeypatch):
     # only the covariance radius reads sigma, so a preset with an explicit
-    # rho2 never calibrates, even where rho1 comes from the formula
-    def refuse(params, cov):
-        raise AssertionError("calibrated called")
-
-    monkeypatch.setattr(harness, "calibrated", refuse)
+    # rho2 never takes an eigenvalue, even where rho1 comes from the formula
     _, X = small_instance(11, 12, m=8)
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(1)
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for preset in (
         harness.ModelPreset("mugl_l", rho1=0.5, rho2=1.0),
         harness.ModelPreset("mugl_o", rho2=1.0),
@@ -124,6 +128,10 @@ def test_explicit_rho2_skips_the_spectral_norm(monkeypatch):
         config, report = harness.learn(preset, X)
         assert config.rho2 == 1.0
         assert report.certified
+    assert calls == []
+    # the formula rho2 takes exactly one
+    harness.learn(harness.ModelPreset("mugl_o"), X)
+    assert calls == [1]
 
 
 def test_zero_radius_robust_preset_matches_baseline():
@@ -160,7 +168,7 @@ def test_mugl_o_without_rho2_is_solved_at_its_best_vertex(n):
         X = gen_signals(graph.laplacian, SignalSpec(n=n, epsilon=0.1, seed=signal_seed))
         config, report = harness.learn(harness.ModelPreset("mugl_o", rho2=0.0), X)
         assert config.rho1 > 0.0
-        assert (report.iters, report.kkt_residual, report.gap) == (0, 0.0, 0.0)
+        assert (report.iters, report.kkt_residual, report.gap) == (1, 0.0, 0.0)
         assert np.count_nonzero(report.w_final) == 1
         ctx = build_context(empirical_moments(X), config)
         starts = np.random.default_rng(signal_seed).dirichlet(np.ones(190), size=4) * 20.0

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mugl.harness import ModelPreset, resolve_config
 from mugl.laplacian import expand
 from mugl.moments import (
     DELTA_MAX,
     EmpiricalMoments,
     RadiusParams,
-    calibrated,
     empirical_moments,
     read_signals_csv,
     rho1_radius,
@@ -118,43 +118,47 @@ def test_rho1_rejects_delta_outside_range():
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("field", ["c0", "c1", "c2", "sigma_norm"])
 def test_radius_params_reject_a_nonpositive_constant(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+    # the formulas' constants are fixed at 1 and the caller passes sigma_norm
+    # to rho2_radius, so RadiusParams takes none of them, at any value
+    with pytest.raises(TypeError, match=field):
         RadiusParams(**{field: value})
 
 
 def test_rho2_rejects_empty_sizes():
-    params = RadiusParams(sigma_norm=1.0)
+    params = RadiusParams()
     with pytest.raises(ValueError, match="sample count must be positive, got n=0"):
-        rho2_radius(params, m=3, n=0)
+        rho2_radius(params, 1.0, m=3, n=0)
     with pytest.raises(ValueError, match="node count must be positive, got m=0"):
-        rho2_radius(params, m=0, n=10)
+        rho2_radius(params, 1.0, m=0, n=10)
 
 
 def test_rho1_matches_arbitrary_precision():
     for delta in (0.01, 0.05, 0.1):
         for n in (10, 80, 1000):
-            got = rho1_radius(RadiusParams(delta=delta, c0=2.5), n)
-            want = float(rho1_mp(2.5, delta, n))
+            got = rho1_radius(RadiusParams(delta=delta), n)
+            want = float(rho1_mp(delta, n))
             assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rho2_matches_arbitrary_precision():
-    got = rho2_radius(RadiusParams(delta=0.05, sigma_norm=1.0), m=20, n=80)
-    want = float(rho2_mp(1, 1, 1, 0.05, 20, 80))
-    assert got == pytest.approx(want, rel=1e-12)
+    for sigma in (1.0, 2.5):
+        got = rho2_radius(RadiusParams(delta=0.05), sigma, m=20, n=80)
+        want = float(rho2_mp(sigma, 0.05, 20, 80))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rho2_linear_in_sigma_norm():
     delta, m, n = 0.05, 12, 50
-    base = rho2_radius(RadiusParams(delta=delta, sigma_norm=1.3), m, n)
-    doubled = rho2_radius(RadiusParams(delta=delta, sigma_norm=2.6), m, n)
+    base = rho2_radius(RadiusParams(delta=delta), 1.3, m, n)
+    doubled = rho2_radius(RadiusParams(delta=delta), 2.6, m, n)
     fast = 4 * math.e**2 * math.log(2 / delta) ** 2 / n
     # doubling sigma_norm doubles the slow summand and leaves the fast one alone
     assert doubled == pytest.approx(2 * base - fast, rel=1e-12)
 
 
 def test_rho2_requires_resolved_sigma_norm():
-    with pytest.raises(ValueError, match="sigma_norm"):
+    # no sentinel stands in for the spectral norm: the caller passes one
+    with pytest.raises(TypeError, match="sigma_norm"):
         rho2_radius(RadiusParams(), m=5, n=10)
 
 
@@ -163,40 +167,44 @@ def test_radii_monotone_in_n_and_delta():
     ns = [10, 30, 100, 300, 1000, 10**6]
     deltas = [0.12, 0.05, 0.01, 0.001]
     r1 = [rho1_radius(RadiusParams(delta=0.05), n) for n in ns]
-    r2 = [rho2_radius(RadiusParams(delta=0.05, sigma_norm=sigma), 15, n) for n in ns]
+    r2 = [rho2_radius(RadiusParams(delta=0.05), sigma, 15, n) for n in ns]
     assert all(a > b for a, b in zip(r1, r1[1:]))
     assert all(a > b for a, b in zip(r2, r2[1:]))
     d1 = [rho1_radius(RadiusParams(delta=d), 50) for d in deltas]
-    d2 = [rho2_radius(RadiusParams(delta=d, sigma_norm=sigma), 15, 50) for d in deltas]
+    d2 = [rho2_radius(RadiusParams(delta=d), sigma, 15, 50) for d in deltas]
     assert all(a < b for a, b in zip(d1, d1[1:]))
     assert all(a < b for a, b in zip(d2, d2[1:]))
 
 
+def calibrated_rho2(moments, m):
+    """The formula rho2 that resolve_config gives a robust preset."""
+    return resolve_config(ModelPreset("mugl_o"), moments, m).rho2
+
+
 def test_calibrated_plugs_in_sample_spectral_norm():
+    # the formula rho2 plugs in the sample covariance's largest eigenvalue
     rng = np.random.default_rng(31)
     for m, n in ((2, 5), (5, 40), (9, 12)):
-        cov = empirical_moments(rng.standard_normal((m, n))).cov
-        params = calibrated(RadiusParams(), cov)
-        assert params.sigma_norm == np.linalg.eigvalsh(cov)[-1]
-        assert params.sigma_norm == pytest.approx(np.linalg.norm(cov, 2), rel=1e-12)
-    # explicit values pass through untouched
-    explicit = RadiusParams(sigma_norm=3.25)
-    assert calibrated(explicit, cov) is explicit
+        mom = empirical_moments(rng.standard_normal((m, n)))
+        sigma = np.linalg.eigvalsh(mom.cov)[-1]
+        assert sigma == pytest.approx(np.linalg.norm(mom.cov, 2), rel=1e-12)
+        assert calibrated_rho2(mom, m) == rho2_radius(RadiusParams(), sigma, m, n)
 
 
 def test_calibrated_floors_a_zero_covariance():
     c = np.array([1.0, -2.0, 0.5, 4.0])
-    cov = empirical_moments(np.column_stack([c, c, c])).cov
-    assert calibrated(RadiusParams(), cov).sigma_norm == np.finfo(float).tiny
+    mom = empirical_moments(np.column_stack([c, c, c]))
+    tiny = np.finfo(float).tiny
+    assert calibrated_rho2(mom, 4) == rho2_radius(RadiusParams(), tiny, 4, 3)
 
 
 def test_calibrated_deterministic():
     rng = np.random.default_rng(29)
     A = rng.standard_normal((6, 6))
     S = A @ A.T
-    sigma = calibrated(RadiusParams(), S).sigma_norm
-    assert calibrated(RadiusParams(), S).sigma_norm == sigma
-    assert calibrated(RadiusParams(), S.copy()).sigma_norm == sigma
+    rho2 = calibrated_rho2(EmpiricalMoments(np.zeros(6), S, 20), 6)
+    assert calibrated_rho2(EmpiricalMoments(np.zeros(6), S, 20), 6) == rho2
+    assert calibrated_rho2(EmpiricalMoments(np.zeros(6), S.copy(), 20), 6) == rho2
 
 
 def test_signals_csv_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 """The benchmark under perfbench/ still drives the package.
 
 perfbench/ is versioned with its own contract and reaches into mugl by name
-(harness.learn, harness.resolve_config, moments.calibrated, ...).  Each
+(harness.learn, harness.resolve_config, solvers.TERMINATIONS, ...).  Each
 workload runs once at its toy size, with the benchmark's correctness gate
 on, so a change that drops or renames a name the benchmark uses fails here
 rather than in a benchmark run.

@@ -27,10 +27,9 @@ from mugl.solvers import (
     MAX_BACKTRACKS,
     NEWTON_BACKTRACKS,
     SolverOptions,
-    is_concave,
     ls_pgd_solve,
     project_simplex,
-    vertex_solve,
+    start_point,
 )
 from oracles import (
     face_direction_reference,
@@ -272,25 +271,26 @@ def test_pgd_nonsmooth_abort_on_constant_mean():
     assert np.array_equal(w0, np.full(3, 1.0 / 3.0))
 
 
-def test_vertex_solve_matches_line_search_on_linear_instance():
+def test_vertex_start_matches_line_search_on_linear_instance():
     ctx = generic_context(101, s=2.0)
-    assert is_concave(ctx.config)
-    report = vertex_solve(ctx)
     vertex = np.zeros(10)
     vertex[np.argmin(ctx.quad_coeff)] = 2.0
+    assert np.array_equal(start_point(ctx), vertex)
+    report = ls_pgd_solve(ctx, start_point(ctx))
     assert np.array_equal(report.w_final, vertex)
     assert report.termination == "kkt_tol"
-    assert report.iters == 0
+    assert report.iters == 1
     assert report.kkt_residual == 0.0
     assert report.objective_trace == [objective_value(ctx, vertex)]
     ref = ls_pgd_solve(ctx, np.full(10, 0.2))
     assert ref.termination == "kkt_tol" and ref.certified
     assert abs(report.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-9
-    with pytest.raises(ValueError):
-        vertex_solve(generic_context(101, rho2=0.8, s=2.0))
+    # a convex term moves the start to the centroid
+    for kwargs in (dict(rho2=0.8), dict(alpha=0.5), dict(quad_weight=0.5)):
+        assert np.array_equal(start_point(generic_context(101, s=2.0, **kwargs)), np.full(10, 0.2))
 
 
-def test_vertex_solve_checks_and_evaluates_its_vertex_once(monkeypatch):
+def test_vertex_start_is_checked_and_evaluated_once(monkeypatch):
     # one feasibility check and one record, which serves value and gradient
     names = {"check": "_check_feasible", "point": "_point", "gradient": "_gradient"}
     calls = dict.fromkeys(names, 0)
@@ -302,9 +302,31 @@ def test_vertex_solve_checks_and_evaluates_its_vertex_once(monkeypatch):
         monkeypatch.setattr(mugl.objective, attr, counting)
     for kwargs in (dict(s=2.0), dict(rho1=0.5, s=2.0)):
         calls.update(dict.fromkeys(names, 0))
-        report = vertex_solve(generic_context(101, **kwargs))
+        ctx = generic_context(101, **kwargs)
+        report = ls_pgd_solve(ctx, start_point(ctx))
         assert calls == {"check": 1, "point": 1, "gradient": 1}
         assert report.certified and report.kkt_residual == 0.0
+
+
+@pytest.mark.parametrize("preset", [ModelPreset("vsgl"), ModelPreset("mugl_o", rho2=0.0)])
+def test_vertex_start_is_the_best_of_every_vertex(preset):
+    # brute force over all p vertices s * e_k of the headline draws: the
+    # closed-form start has the least objective, and the solve certifies it
+    # on its first gradient without moving
+    for graph_seed, signal_seed in run_seeds(0, 20):
+        graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
+        X = gen_signals(graph.laplacian, SignalSpec(n=80, epsilon=0.1, seed=signal_seed))
+        moments = empirical_moments(X)
+        ctx = build_context(moments, resolve_config(preset, moments, 20))
+        s = ctx.config.s
+        values = [objective_value(ctx, s * np.eye(1, ctx.n_pairs, k)[0]) for k in range(ctx.n_pairs)]
+        w0 = start_point(ctx)
+        assert np.count_nonzero(w0) == 1 and w0.max() == s
+        assert objective_value(ctx, w0) == min(values)
+        report = ls_pgd_solve(ctx, w0)
+        assert np.array_equal(report.w_final, w0)
+        assert (report.termination, report.certified, report.iters) == ("kkt_tol", True, 1)
+        assert (report.kkt_residual, report.gap, report.backtracks) == (0.0, 0.0, 0)
 
 
 def test_ls_pgd_fixed_point_terminates_immediately():
@@ -412,7 +434,7 @@ def test_step_tol_fires_only_before_certification(monkeypatch):
 def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     # w0 and every trial point, accepted or rejected, get one record each;
     # the start point is not evaluated twice, so backtracks count exactly the
-    # rejected trial points; the vertex solver takes none
+    # rejected trial points; a solve from a vertex start takes none
     ctx = generic_context(109, **kwargs)
     real_point = mugl.objective._point
     records = []
@@ -426,7 +448,8 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     assert report.backtracks > 0
     assert len(records) == len(report.objective_trace) + report.backtracks
     monkeypatch.undo()
-    assert vertex_solve(generic_context(101, s=1.0)).backtracks == 0
+    vertex_ctx = generic_context(101, s=1.0)
+    assert ls_pgd_solve(vertex_ctx, start_point(vertex_ctx)).backtracks == 0
 
 
 @pytest.mark.parametrize("kwargs, opts, termination", [
@@ -714,7 +737,8 @@ def test_gap_is_nonnegative_and_zero_at_the_vertex():
     ):
         report = ls_pgd_solve(generic_context(109, **kwargs), np.full(10, kwargs["s"] / 10))
         assert report.gap >= -1e-12
-    assert vertex_solve(generic_context(101, s=2.0)).gap == 0.0
+    vertex_ctx = generic_context(101, s=2.0)
+    assert ls_pgd_solve(vertex_ctx, start_point(vertex_ctx)).gap == 0.0
 
 
 def test_gap_bounds_the_distance_to_a_tighter_solve():
@@ -842,25 +866,31 @@ def solve_digest(report):
 # a floor at CG_KKT_FRACTION * tol_kkt, a difference-form Armijo test); the
 # projection is the sort-based one that oracles.project_simplex_reference
 # checks bit for bit.
-# mugl_o and mugl_l calibrate their radii with sigma = eigvalsh(cov)[-1];
-# log_model does not calibrate.  Any digest change means the arithmetic of
-# a solve changed: the direction, the line search, the projection, the
-# stopping tests, the objective or, for the robust presets, the calibrated
-# radii.  At the formula radius the robust fits never send a pair to zero.
+# mugl_o and mugl_l take their formula radii with sigma = eigvalsh(cov)[-1];
+# log_model and vsgl have none.  Any digest change means the arithmetic of
+# a solve changed: the start, the direction, the line search, the
+# projection, the stopping tests, the objective or, for the robust presets,
+# the formula radii.  At the formula radius the robust fits never send a pair to zero.
 # At rho2 = 1 their faces reach 60-72% active, and 28 of their 68 faces
 # hold only zero active weights, so the "rho2=1" rows pin the face solve's
-# active-set work, the skipped product H d0 included.
+# active-set work, the skipped product H d0 included.  vsgl and mugl_o at
+# rho2 = 0 have no convex term: their rows pin the closed-form vertex start
+# and its certification on the first gradient (iters 1).
 PINNED_DIGESTS = {
     (0, "mugl_o"): "d13197718b82be5708fa50c342d39b191f690c66e693dfa6810ee5d620677e28",
     (0, "mugl_l"): "bc9b47750d116e2fd0c40cc9e419433cdee5ce9e9f79979923bf1379e694cfc6",
     (0, "log_model"): "77ae4a39ef49efc087f8900e6e4f1330d0a951bc5173cc7b4788a632b3782739",
     (0, "mugl_o rho2=1"): "aa76a0e9ef988a233c41b51c092b86705a31425b0a95e23b5218c91e67b25248",
     (0, "mugl_l rho2=1"): "29edc5be84926089a37aad35158a805a38cc1da22ee98f6e88efadcbf037f9dd",
+    (0, "vsgl"): "b2b100d3c6b1d3f7bc391217dea9bcd4bd610348a6cab1751edd920266a02d7e",
+    (0, "mugl_o rho2=0"): "7df01afcee70590daa8b44424ccd3e51fe07613889ead015e0f33184e5c7de16",
     (1, "mugl_o"): "dee5218f8596e1086023aae2fbb1ab4061e958bd23e58826b16c6d6968ba6e0e",
     (1, "mugl_l"): "dded7373f8ad329f563722d6395202f71308bdb6afda93414652846ce5169bdb",
     (1, "log_model"): "f562bac5d1a31924d268d0198e9063e625581e6066a21bcaf89ade3342fed912",
     (1, "mugl_o rho2=1"): "c28de3c9f2ddab643f73273feb6cf02dbc63fd019ec1cb7c3cb86646fc135585",
     (1, "mugl_l rho2=1"): "d87579caf4a34446e86109559d8e9482fefc4df83975877c2670cf59797bea6e",
+    (1, "vsgl"): "fccfdd493ab195bfe009237dc87e645909f8998601846e84fe124b7839dbbd53",
+    (1, "mugl_o rho2=0"): "c46eb28f848dcccab512d567137ce44a6033b24e25cfba65c30277573057ca51",
 }
 
 PINNED_PRESETS = {
@@ -870,6 +900,7 @@ PINNED_PRESETS = {
     "vsgl": ModelPreset("vsgl"),
     "mugl_o rho2=1": ModelPreset("mugl_o", rho2=1.0),
     "mugl_l rho2=1": ModelPreset("mugl_l", rho2=1.0),
+    "mugl_o rho2=0": ModelPreset("mugl_o", rho2=0.0),
 }
 
 
@@ -890,8 +921,8 @@ def test_solves_match_pinned_digests():
     assert got == PINNED_DIGESTS
 
 
-# float.hex of (kkt_residual, gap) on the PINNED_DIGESTS draws, vsgl's
-# vertex_solve included.  solve_digest covers neither: both come from the
+# float.hex of (kkt_residual, gap) on the PINNED_DIGESTS draws, the vertex
+# starts of vsgl and mugl_o at rho2 = 0 included.  solve_digest covers neither: both come from the
 # gradient at the returned point, through the projection, a 2-norm and a
 # minimum, so any change to those reductions shows here first.
 PINNED_CERTIFICATES = {
@@ -907,6 +938,8 @@ PINNED_CERTIFICATES = {
     (1, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
     (1, "mugl_o rho2=1"): ("0x1.b0b933276dcc3p-22", "0x1.a95b41c000000p-21"),
     (1, "mugl_l rho2=1"): ("0x1.631e8db5b633ep-21", "0x1.66a35d4800000p-20"),
+    (0, "mugl_o rho2=0"): ("0x0.0p+0", "0x0.0p+0"),
+    (1, "mugl_o rho2=0"): ("0x0.0p+0", "0x0.0p+0"),
 }
 
 

@@ -11,15 +11,17 @@ trace(expand(w, m) @ M) == w @ adjoint(M) for every symmetric m x m M.
 Constraining w to the scaled simplex {w >= 0, sum(w) = s} is equivalent to
 constraining L to the set of Laplacians with trace 2s, which is how the
 optimization modules use these maps.
+
+Edge-list files carry w as text.  Their lines end at \\n, \\r\\n or \\r, and
+``read_edge_list`` parses them in one ``np.loadtxt`` call; for a file it
+refuses, ``_first_failing_line`` bisects for the first bad line to name.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import re
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -198,115 +200,88 @@ def write_edge_list(path, w: np.ndarray, m: int) -> None:
 def read_edge_list(path) -> tuple[np.ndarray, int]:
     """Parse an edge-list file back into (weights, m).
 
+    One ``np.loadtxt`` call reads the lines after the ``# m=<nodes>`` header.
     Unlisted pairs get weight zero.  Malformed headers or lines, out-of-range
     node labels, i <= j, duplicate pairs, and negative or non-finite weights
-    all raise ValueError with the offending line number.
+    all raise ValueError, naming the first bad line.
     """
     try:
-        return _load_edge_list_bulk(path)
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    header, _, body = text.partition("\n")
+    if not header.startswith("# m="):
+        raise ValueError(f"{path}: missing '# m=<nodes>' header")
+    try:
+        m = int(header[len("# m=") :])
     except ValueError:
-        # Anything the bulk parser rejects is re-read line by line, which
-        # either accepts it or names the failing line.
-        return _read_edge_list_rows(path)
+        raise ValueError(f"{path}: unparseable node count in header {_excerpt(header)}") from None
+    if m < 2:
+        raise ValueError(f"{path}: node count must be at least 2, got {m}")
+    lines = body.split("\n")
+    parse = partial(_parse_edges, m=m)
+    try:
+        return parse(lines), m
+    except ValueError:
+        k = _first_failing_line(parse, lines)
+    raise ValueError(f"{path}:{k + 2}: {_edge_line_error(lines[k], m)}")
 
 
-# Labels are parsed as integers, so "2.0" fails here as it fails int().
+# Labels are parsed as integers, so "2.0" is refused.
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
-# Line breaks of str.splitlines() other than "\n" ("\r" is already
-# translated on reading).  loadtxt splits fields at them instead.
-_OTHER_LINE_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
-
-def _has_other_line_break(text: str) -> bool:
-    """True when text holds one of _OTHER_LINE_BREAKS.  ASCII text (a
-    constant-time test) can hold only the first five, found by ``in``."""
-    if text.isascii():
-        return "\v" in text or "\f" in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
-    return _OTHER_LINE_BREAKS.search(text) is not None
-
-
-def _load_edge_list_bulk(path) -> tuple[np.ndarray, int]:
-    """Parse a well-formed edge list with one ``np.loadtxt`` call.
-
-    Raises ValueError on every input it cannot vouch for; what it does return
-    equals ``_read_edge_list_rows``'s result bit for bit.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    header, _, body = text.partition("\n")
-    if not header.startswith("# m=") or _has_other_line_break(text):
-        raise ValueError("not a plain edge list")
-    m = int(header[len("# m=") :])
-    if m < 2:
-        raise ValueError("fewer than two nodes")
+def _parse_edges(lines: list[str], m: int) -> np.ndarray:
+    """Pair weights of the edge lines ``lines``; ValueError if any is bad."""
     w = np.zeros(edge_count(m))
-    # loadtxt warns on a body without data; an edgeless graph has none.
-    if not body or body.isspace():
-        return w, m
-    edges = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW, comments=None, ndmin=1)
+    # loadtxt warns on input without data; an edgeless graph has none.
+    if not any(map(str.strip, lines)):
+        return w
+    edges = np.loadtxt(lines, dtype=_EDGE_ROW, comments=None, ndmin=1)
     k = pair_to_linear(edges["i"], edges["j"], m) - 1
-    weight = edges["w"]
-    if not np.all((0 <= weight) & (weight < math.inf)):
+    if not np.all((0 <= edges["w"]) & (edges["w"] < math.inf)):
         raise ValueError("weight out of range")
-    # O(p) duplicate test: k repeats a pair exactly when it marks fewer
-    # distinct pairs than it has entries
-    seen = np.zeros(w.size, dtype=bool)
-    seen[k] = True
-    if np.count_nonzero(seen) != k.size:
+    if np.bincount(k).max() > 1:
         raise ValueError("duplicate pair")
-    w[k] = weight
-    return w, m
+    w[k] = edges["w"]
+    return w
+
+
+def _edge_line_error(line: str, m: int) -> str:
+    """Why _parse_edges refuses ``line``, the first line it refuses."""
+    if len(line.split()) != 3:
+        return f"expected 'i j weight', got {_excerpt(line)}"
+    try:
+        i, j, weight = np.loadtxt([line], dtype=_EDGE_ROW, comments=None).tolist()
+    except ValueError:
+        return f"unparseable edge line {_excerpt(line)}"
+    if not 0 <= weight < math.inf:
+        return f"weight must be finite and nonnegative, got {_excerpt(line)}"
+    try:
+        pair_to_linear(i, j, m)
+    except ValueError as exc:
+        return str(exc)
+    return f"duplicate pair ({i},{j})"  # the one check that spans lines
+
+
+def _first_failing_line(parse, lines: list[str]) -> int:
+    """Index of the first of ``lines`` that ``parse`` refuses with ValueError:
+    the last line of the shortest refused prefix, found by bisection.  Each
+    check of ``parse`` applies to one line or, like a repeated pair, stays
+    failed on every longer prefix, so the refused prefixes are contiguous."""
+    good, bad = 0, len(lines)  # parse(lines[:good]) passes, parse(lines[:bad]) fails
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parse(lines[:mid])
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
 
 
 def _excerpt(line: str) -> str:
     """repr of line for an error message, cut after 80 characters and then
     followed by the line's length, so a huge field cannot flood the message."""
-    if len(line) <= 80:
-        return repr(line)
-    return f"{line[:80]!r}... ({len(line)} characters)"
-
-
-def _read_edge_list_rows(path) -> tuple[np.ndarray, int]:
-    """Line-by-line parse of an edge list, citing the line of any error."""
-    with open(path) as fh:
-        try:
-            raw = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not raw or not raw[0].startswith("# m="):
-        raise ValueError(f"{path}: missing '# m=<nodes>' header")
-    try:
-        m = int(raw[0][len("# m=") :])
-    except ValueError:
-        raise ValueError(
-            f"{path}: unparseable node count in header {_excerpt(raw[0])}"
-        ) from None
-    if m < 2:
-        raise ValueError(f"{path}: node count must be at least 2, got {m}")
-    w = np.zeros(edge_count(m))
-    seen = set()
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'i j weight', got {_excerpt(line)}")
-        try:
-            i, j, weight = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparseable edge line {_excerpt(line)}") from None
-        if not 0 <= weight < math.inf:
-            raise ValueError(
-                f"{path}:{lineno}: weight must be finite and nonnegative, "
-                f"got {_excerpt(line)}"
-            )
-        try:
-            k = pair_to_linear(i, j, m)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if k in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate pair ({i},{j})")
-        seen.add(k)
-        w[k - 1] = weight
-    return w, m
+    return repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"

@@ -15,6 +15,9 @@ The absolute constants in those bounds cannot be identified from data, so
 the formulas fix them at 1, and delta is the one parameter.  The covariance
 radius scales with the spectral norm of the covariance, for which the
 caller plugs in that of the sample covariance.
+
+Signals reach a fit as a CSV of one row per observation, whose rows
+``read_signals_csv`` parses in one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .laplacian import _first_failing_line
 
 # delta may not exceed exp(-2); beyond that the mean bound's derivation no
 # longer applies, so we reject rather than silently extrapolate.
@@ -116,7 +122,7 @@ def write_signals_csv(path, X: np.ndarray) -> None:
     m = X.shape[0]
     row_format = ",".join(["%.17g"] * m) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_signal_header(m)) + "\r\n")
+        fh.write(",".join(f"node_{i}" for i in range(1, m + 1)) + "\r\n")
         # One row at a time: a whole-matrix string would cost megabytes.
         fh.writelines(row_format % tuple(row.tolist()) for row in X.T)
 
@@ -124,100 +130,59 @@ def write_signals_csv(path, X: np.ndarray) -> None:
 def read_signals_csv(path) -> np.ndarray:
     """Parse a signals CSV back into an m x n matrix.
 
-    The header fixes m; every data row must have exactly m finite fields.
-    Errors cite the offending row number.
+    The csv module reads the header, which fixes m; the rows after it are
+    streamed through one ``np.loadtxt`` call.  Every row must have exactly
+    m finite fields, and errors cite the first bad row.
     """
     try:
-        return _load_signals_bulk(path)
-    except ValueError:
-        # Anything the bulk parser rejects is re-read row by row, which either
-        # accepts it or names the failing row.
-        return _read_signals_csv_rows(path)
-
-
-def _signal_header(m: int) -> list[str]:
-    return [f"node_{i}" for i in range(1, m + 1)]
-
-
-def _load_signals_bulk(path) -> np.ndarray:
-    """Parse a well-formed signals CSV in one ``np.loadtxt`` call.
-
-    Raises ValueError on every input it cannot vouch for; the values it does
-    return are bit-equal to ``_read_signals_csv_rows``'s ``float()`` parse.
-    """
-    with open(path, newline="") as fh:
-        header = next(_csv_rows(path, fh), None)
-        if not header or header != _signal_header(len(header)):
-            raise ValueError("bad header")
-        # loadtxt warns on a body without data, so the first row must have some.
-        first = next(fh, "")
-        if not first.strip():
-            raise ValueError("no first row")
-        X = np.loadtxt(
-            _refuse_separator_controls(itertools.chain([first], fh)),
-            delimiter=",", comments=None, ndmin=2,
-        )
-    if X.shape[1] != len(header):
-        raise ValueError("wrong field count")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite value")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty signals file")
+            m = len(header)
+            if header != [f"node_{i}" for i in range(1, m + 1)]:
+                raise ValueError(f"{path}: bad header {header[:4]}..., expected node_1..node_{m}")
+            parse = partial(_parse_signals, m=m)
+            try:
+                X = parse(fh)
+            except ValueError:
+                # a header that matches is one line, so the rows start on line 2
+                fh.seek(0)
+                lines = fh.readlines()[1:]
+                k = _first_failing_line(parse, lines)
+                raise ValueError(f"{path}: row {k + 2} {_signals_row_error(lines[k], m)}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        # such as a header field longer than csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not len(X):
+        raise ValueError(f"{path}: no observation rows")
     return X.T
 
 
-def _refuse_separator_controls(lines):
-    """Pass lines through, raising ValueError at any with a \\x1c-\\x1f control.
+def _parse_signals(lines, m: int) -> np.ndarray:
+    """n x m values of the signal rows ``lines``; ValueError if any is bad."""
+    lines = iter(lines)
+    # loadtxt warns on input without data, so it starts at the first row.
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    if first is None:
+        return np.empty((0, m))
+    X = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+    if X.shape[1] != m or not np.isfinite(X).all():
+        raise ValueError("bad row")
+    return X
 
-    loadtxt strips those from a field as whitespace; float() rejects them.
-    """
-    for line in lines:
-        if any(c in line for c in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("separator control in a field")
-        yield line
 
-
-def _csv_rows(path, fh):
-    """csv.reader rows of fh, with the csv module's own errors (such as a
-    field longer than csv.field_size_limit()) and undecodable bytes raised
-    as ValueError naming the file."""
-    reader = csv.reader(fh)
+def _signals_row_error(line: str, m: int) -> str:
+    """What is wrong with ``line``, the first signal row _parse_signals refuses."""
+    fields = line.count(",") + 1
+    if fields != m:
+        return f"has {fields} fields, expected {m}"
     try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_signals_csv_rows(path) -> np.ndarray:
-    """Row-by-row parse of a signals CSV, citing the row of any error."""
-    with open(path, newline="") as fh:
-        reader = _csv_rows(path, fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty signals file") from None
-        expected = _signal_header(len(header))
-        if header != expected:
-            raise ValueError(
-                f"{path}: bad header {header[:4]}..., expected node_1..node_{len(header)}"
-            )
-        m = len(header)
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != m:
-                raise ValueError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {m}"
-                )
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum} has a non-numeric field") from None
-            # nan, inf and values that overflow to inf, such as a long run of digits
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: row {rownum} has a non-finite field")
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no observation rows")
-    return np.array(rows).T
+        np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError:
+        return "has a non-numeric field"
+    # nan, inf and values that overflow to inf, such as a long run of digits
+    return "has a non-finite field"

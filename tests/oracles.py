@@ -9,6 +9,8 @@ that shares no code with the implementation under test.
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -360,3 +362,33 @@ def _key_reference(key) -> str:
     if key is None or isinstance(key, (int, float)):
         return f'"{dumps_reference(key)}"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def first_refused_line(read, path):
+    """1-based number of the first line of the file at path whose prefix
+    ``read`` refuses, or None when no line is refused.
+
+    Writes the file's first k lines to a scratch file for k = 2, 3, ...,
+    splitting the bytes at \\n, \\r\\n and \\r only, and reads each in turn:
+    a linear scan, where the readers bisect.  A refusal with the same message
+    as the header line alone gets (a bad header, or no data rows yet) names
+    no line, so it does not count.
+    """
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / Path(path).name
+
+        def refusal(k):
+            prefix.write_bytes(b"".join(lines[:k]))
+            try:
+                read(prefix)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        header_only = refusal(1)
+        for k in range(2, len(lines) + 1):
+            message = refusal(k)
+            if message is not None and message != header_only:
+                return k
+    return None

@@ -247,13 +247,19 @@ def test_read_edge_list_errors(tmp_path):
 
 @pytest.mark.parametrize("pad", ["", "\xa0"], ids=["ascii", "non_ascii"])
 @pytest.mark.parametrize("brk", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
-def test_read_edge_list_splits_lines_at_every_line_break(tmp_path, brk, pad):
-    # str.splitlines() ends the line at brk, leaving two short lines; the
-    # whitespace split of the bulk parser alone would see one valid edge
+def test_read_edge_list_reads_other_line_breaks_inside_a_line(tmp_path, brk, pad):
+    # lines end at \n, \r\n and \r only; every other character that
+    # str.splitlines() breaks at is whitespace between fields
     path = tmp_path / "g.edges"
-    path.write_text(f"# m=3\n2 1{brk}0.5{pad}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r":2: expected 'i j weight'"):
+    path.write_text(f"# m=3\n2 1{brk}0.5{pad}\n3 1 1{brk}2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: expected 'i j weight'"):
         read_edge_list(path)
+    path.write_text(f"# m=3{brk}2 1 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unparseable node count"):
+        read_edge_list(path)
+    path.write_text(f"# m=3\n2 1{brk}0.5{pad}\r3 2{brk}{pad}1\r\n{brk}\n", encoding="utf-8")
+    w, m = read_edge_list(path)
+    assert m == 3 and w.tolist() == [0.5, 0.0, 1.0]
 
 
 def test_read_edge_list_cites_line_numbers(tmp_path):

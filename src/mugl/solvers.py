@@ -4,7 +4,8 @@
   epsilon-active set (Bertsekas 1982), sends those weights to zero and
   minimizes a quadratic model over the remaining face by conjugate
   gradients (CG) with an inexact-Newton forcing term (Dembo, Eisenstat &
-  Steihaug 1982), truncated at nonpositive curvature (Steihaug 1983).  The
+  Steihaug 1982), tight on the full simplex face and loose where pairs are
+  active, truncated at nonpositive curvature (Steihaug 1983).  The
   model's Hessian-vector products (objective._hessian_vector) cost O(p)
   in the number of node pairs p and need no matrix.  One monotone Armijo
   search (_search) runs along that direction; where the model has no
@@ -86,6 +87,13 @@ ACTIVE_EPS = 0.1
 # residual after a full Newton step is about CG's, and the stopping test
 # needs no less.
 CG_KKT_FRACTION = 0.1
+
+# Caps on CG's forcing term min(cap, ||r0||): on the full simplex face (no
+# active pair) the model is the whole local problem and an accurate step pays
+# for itself; on a face with active pairs the active set is still changing,
+# and a loose solve costs less.
+CG_FORCING_FULL = 0.1
+CG_FORCING_FACE = 0.5
 
 
 @dataclass(frozen=True)
@@ -276,9 +284,12 @@ def _face_direction(
     evenly over the free pairs.  Conjugate gradients then minimize the model
     g @ d + d @ H d / 2 over the free pairs' zero-sum steps from d0 (H from
     objective._hessian_vector), starting from the residual -g - H d0 and
-    stopping once the reduced residual falls to min(0.5, ||r0||) ||r0||
+    stopping once the reduced residual falls to min(cap, ||r0||) ||r0||
     (Dembo, Eisenstat & Steihaug 1982) or to cg_tol, or at nonpositive
-    curvature (Steihaug 1983).
+    curvature (Steihaug 1983).  The cap is CG_FORCING_FULL on the full
+    simplex face, where the model is the whole local problem, and
+    CG_FORCING_FACE on a face with active pairs, which the next iterations
+    may still change.
 
     d0 is -w times the active mask plus c = mass / free pairs times the free
     mask, with no data-dependent indexing: an inactive entry is (-w_k) * 0
@@ -318,8 +329,9 @@ def _face_direction(
     rr = float(r @ r)
     if not rr > 0.0:
         return None
-    # ||r|| <= max(min(0.5, ||r0||) ||r0||, cg_tol), compared in squares
-    target = max(min(0.25, rr) * rr, cg_tol * cg_tol)
+    # ||r|| <= max(min(cap, ||r0||) ||r0||, cg_tol), compared in squares
+    cap = CG_FORCING_FACE if n_active else CG_FORCING_FULL
+    target = max(min(cap * cap, rr) * rr, cg_tol * cg_tol)
     e = np.zeros_like(w)
     p = r.copy()
     for k in range(w.size - n_active):

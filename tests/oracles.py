@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from mugl import objective, solvers
+from mugl import datagen, harness, objective, solvers
 from mugl.laplacian import edge_count, pair_indices
 from mugl.moments import empirical_moments
 from mugl.objective import ModelConfig, build_context, gradient, objective_value
@@ -230,8 +230,10 @@ def project_simplex_reference(v: np.ndarray, s: float) -> np.ndarray:
 def face_direction_reference(ctx, w, pt, g, active, cg_tol):
     """solvers._face_direction as first written: the active weights and
     their mass gathered by boolean indexing, and the product H d0 always
-    made, also where d0 is the zero vector.  The package must match it byte
-    for byte, signed zeros included.
+    made, also where d0 is the zero vector.  CG's forcing term is
+    min(cap, ||r0||) with cap 0.1 on the full simplex face and 0.5 on a face
+    with active pairs.  The package must match it byte for byte, signed
+    zeros included.
     """
     n_active = int(active.sum())
     free = (~active).astype(float)
@@ -255,7 +257,8 @@ def face_direction_reference(ctx, w, pt, g, active, cg_tol):
     rr = float(r @ r)
     if not rr > 0.0:
         return None
-    target = max(min(0.25, rr) * rr, cg_tol * cg_tol)
+    cap = 0.5 if n_active else 0.1
+    target = max(min(cap * cap, rr) * rr, cg_tol * cg_tol)
     e = np.zeros_like(w)
     p = r.copy()
     for k in range(n_free):
@@ -277,6 +280,56 @@ def face_direction_reference(ctx, w, pt, g, active, cg_tol):
     if n_active:
         e = e + d0
     return e
+
+
+def solver_work(presets, draws):
+    """{name: {"iters", "hessian_vector_products", "projections",
+    "backtracks"}}, each summed over one harness.learn fit per draw.
+
+    presets maps a name to a harness.ModelPreset, and draws is an iterable
+    of signal matrices X.  Products and projections are counted by wrapping
+    objective._hessian_vector and solvers.project_simplex for the duration
+    of the call; iterations and backtracks come from each fit's report.
+    """
+    targets = {"hessian_vector_products": (objective, "_hessian_vector"),
+               "projections": (solvers, "project_simplex")}
+    originals = {key: getattr(module, attr) for key, (module, attr) in targets.items()}
+    calls = dict.fromkeys(targets, 0)
+
+    def counting(key):
+        def wrapped(*args):
+            calls[key] += 1
+            return originals[key](*args)
+
+        return wrapped
+
+    keys = ("iters", "hessian_vector_products", "projections", "backtracks")
+    work = {name: dict.fromkeys(keys, 0) for name in presets}
+    for key, (module, attr) in targets.items():
+        setattr(module, attr, counting(key))
+    try:
+        for X in draws:
+            for name, preset in presets.items():
+                calls.update(dict.fromkeys(calls, 0))
+                _, report = harness.learn(preset, X)
+                work[name]["iters"] += report.iters
+                work[name]["backtracks"] += report.backtracks
+                for key, n in calls.items():
+                    work[name][key] += n
+    finally:
+        for key, (module, attr) in targets.items():
+            setattr(module, attr, originals[key])
+    return work
+
+
+def gaussian_draws(master_seed, count, m=20, n=80):
+    """Signal matrices of the first count draws of master_seed on Gaussian
+    graphs, the headline shape by default."""
+    for graph_seed, signal_seed in harness.run_seeds(master_seed, count):
+        graph = datagen.gen_graph(datagen.GraphSpec("gaussian", m, seed=graph_seed))
+        yield datagen.gen_signals(
+            graph.laplacian, datagen.SignalSpec(n=n, epsilon=0.1, seed=signal_seed)
+        )
 
 
 def worst_mean_risk_ascent(L, mean, rho1, n_starts=12, iters=5000, step=0.05, seed=0):

@@ -33,9 +33,11 @@ from mugl.solvers import (
 )
 from oracles import (
     face_direction_reference,
+    gaussian_draws,
     project_simplex_bruteforce,
     project_simplex_reference,
     random_interior,
+    solver_work,
     stationarity_residual,
 )
 
@@ -385,8 +387,9 @@ def test_ls_pgd_trace_non_increasing_and_descent(monkeypatch):
 def test_step_tol_fires_only_before_certification(monkeypatch):
     # step_tol is the stall of the fallback search: it fires only at a point
     # that is not certified, and only right after a search along z - w (the
-    # one with MAX_BACKTRACKS) that accepted nothing.  tol_kkt=0 cannot be
-    # met, so those fits run until the fallback stalls.
+    # one with MAX_BACKTRACKS) that accepted nothing.  tol_kkt=0 is met only
+    # at a point whose residual is exactly 0.0; every other fit at it runs
+    # until the fallback stalls.
     real_search = mugl.solvers._search
     searches = []
 
@@ -402,7 +405,7 @@ def test_step_tol_fires_only_before_certification(monkeypatch):
         dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5),
         dict(rho2=1.0, s=3.0, quad_weight=0.5),
     ]:
-        for seed in (101, 103, 107):
+        for seed in (101, 103, 104, 107):
             ctx = generic_context(seed, **kwargs)
             w0 = np.full(10, ctx.config.s / 10)
             for eta_max, opts in (
@@ -422,7 +425,9 @@ def test_step_tol_fires_only_before_certification(monkeypatch):
                     assert len(report.objective_trace) == report.iters
                 else:
                     assert report.termination == "kkt_tol"
-    # all 18 fits at tol_kkt=0 stall
+                    if opts.tol_kkt == 0.0:
+                        assert report.certified and report.kkt_residual == 0.0
+    # 22 of the 24 fits at tol_kkt=0 stall; two certify at residual 0.0
     assert len(fired) >= 18
 
 
@@ -435,7 +440,7 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     # w0 and every trial point, accepted or rejected, get one record each;
     # the start point is not evaluated twice, so backtracks count exactly the
     # rejected trial points; a solve from a vertex start takes none
-    ctx = generic_context(109, **kwargs)
+    ctx = generic_context(110, **kwargs)
     real_point = mugl.objective._point
     records = []
 
@@ -452,17 +457,18 @@ def test_ls_pgd_builds_one_record_per_evaluated_point(monkeypatch, kwargs):
     assert ls_pgd_solve(vertex_ctx, start_point(vertex_ctx)).backtracks == 0
 
 
+# kwargs are generic_context's, the draw's seed included
 @pytest.mark.parametrize("kwargs, opts, termination", [
-    (dict(rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(), "kkt_tol"),
-    (dict(rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(), "kkt_tol"),
-    (dict(rho1=0.4, rho2=0.6, s=2.0), SolverOptions(tol_kkt=0.0), "step_tol"),
-    (dict(rho2=0.5, s=4.0, alpha=0.6), SolverOptions(max_iters=7, tol_kkt=0.0), "max_iters"),
+    (dict(seed=103, rho2=1.0, s=3.0, quad_weight=0.5), SolverOptions(), "kkt_tol"),
+    (dict(seed=103, rho1=0.4, rho2=0.6, s=5.0, alpha=0.5), SolverOptions(), "kkt_tol"),
+    (dict(seed=101, rho1=0.4, rho2=0.6, s=2.0), SolverOptions(tol_kkt=0.0), "step_tol"),
+    (dict(seed=103, rho2=0.5, s=4.0, alpha=0.6), SolverOptions(max_iters=7, tol_kkt=0.0), "max_iters"),
 ])
 def test_ls_pgd_evaluates_one_gradient_per_point(monkeypatch, kwargs, opts, termination):
     # one gradient per iteration; both stopping tests come first in an
     # iteration, so a kkt_tol or step_tol stop certifies with the gradient it
     # holds, and only a max_iters stop takes one more at the last point
-    ctx = generic_context(103, **kwargs)
+    ctx = generic_context(**kwargs)
     real_gradient = mugl.objective._gradient
     calls = []
 
@@ -547,7 +553,7 @@ def test_unreachable_tolerance_ends_on_a_stalled_fallback():
     # No residual meets tol_kkt=0, and no step-size test stops the solve, so
     # each fit runs until its fallback search accepts no trial: step_tol,
     # uncertified, well inside the iteration cap.  On these two headline
-    # draws that takes 24 to 4498 iterations.
+    # draws that takes 16 to 1939 iterations.
     opts = SolverOptions(tol_kkt=0.0)
     for graph_seed, signal_seed in run_seeds(0, 2):
         graph = gen_graph(GraphSpec("gaussian", 20, seed=graph_seed))
@@ -582,7 +588,7 @@ def test_headline_fits_are_certified_with_unchanged_masks():
 
 def test_mugl_l_on_er_draw_converges_within_iteration_guard():
     # fixed steps needed 481 iterations on this draw, spectral projected
-    # gradient about 115; Newton-CG takes 10
+    # gradient about 115; Newton-CG takes 9
     graph = gen_graph(GraphSpec("er", 100, seed=0))
     X = gen_signals(graph.laplacian, SignalSpec(n=400, epsilon=0.1, seed=100))
     _, report = learn(ModelPreset("mugl_l"), X)
@@ -852,6 +858,38 @@ def test_face_direction_matches_its_reference_bitwise():
     assert compared >= 100
 
 
+def test_full_face_solve_meets_the_tight_forcing_term():
+    # headline draw 2 of master 0, log_model, at the centroid: no pair is
+    # active, so CG must leave a reduced model residual of at most
+    # max(min(0.1, ||r0||) ||r0||, cg_tol).  Capped at 0.5, CG stops after
+    # one step at 0.164 ||r0||, and that step drives one node's degree from
+    # 2 to 0.03.
+    X = list(gaussian_draws(0, 3))[2]
+    moments = empirical_moments(X)
+    preset = ModelPreset("log_model")
+    ctx = build_context(moments, resolve_config(preset, moments, 20))
+    w = start_point(ctx)
+    pt = mugl.objective._point(ctx, w)
+    g = mugl.objective._gradient(ctx, w, pt)
+    cg_tol = mugl.solvers.CG_KKT_FRACTION * preset.solver.tol_kkt
+    d = mugl.solvers._face_direction(ctx, w, pt, g, np.zeros(w.size, dtype=bool), cg_tol)
+
+    def reduced_norm(x):
+        return float(np.linalg.norm(x - x.mean()))
+
+    r0 = reduced_norm(-g)
+    residual = reduced_norm(-g - mugl.objective._hessian_vector(ctx, w, pt, d))
+    assert residual <= max(min(0.1, r0) * r0, cg_tol)
+
+
+def test_log_model_headline_fits_stay_within_their_work():
+    # the 20 log_model fits of headline master 0 take 149 iterations in
+    # total; with CG forcing capped at 0.5 on the full face as well they
+    # took 226
+    work = solver_work({"log_model": ModelPreset("log_model")}, gaussian_draws(0, 20))
+    assert work["log_model"]["iters"] <= 160
+
+
 def solve_digest(report):
     """sha256 over the final weights, the objective trace, iters and backtracks."""
     h = hashlib.sha256()
@@ -862,7 +900,8 @@ def solve_digest(report):
 
 
 # Recorded with numpy 2.4 on x86-64 from the projected Newton-CG solver
-# (epsilon-active set, one blocking pass, CG forcing min(0.5, ||r0||) with
+# (epsilon-active set, one blocking pass, CG forcing min(0.1, ||r0||) on the
+# full simplex face and min(0.5, ||r0||) on a face with active pairs, with
 # a floor at CG_KKT_FRACTION * tol_kkt, a difference-form Armijo test); the
 # projection is the sort-based one that oracles.project_simplex_reference
 # checks bit for bit.
@@ -871,24 +910,24 @@ def solve_digest(report):
 # a solve changed: the start, the direction, the line search, the
 # projection, the stopping tests, the objective or, for the robust presets,
 # the formula radii.  At the formula radius the robust fits never send a pair to zero.
-# At rho2 = 1 their faces reach 60-72% active, and 28 of their 68 faces
+# At rho2 = 1 their faces reach 60-72% active, and 31 of their 66 faces
 # hold only zero active weights, so the "rho2=1" rows pin the face solve's
 # active-set work, the skipped product H d0 included.  vsgl and mugl_o at
 # rho2 = 0 have no convex term: their rows pin the closed-form vertex start
 # and its certification on the first gradient (iters 1).
 PINNED_DIGESTS = {
-    (0, "mugl_o"): "d13197718b82be5708fa50c342d39b191f690c66e693dfa6810ee5d620677e28",
-    (0, "mugl_l"): "bc9b47750d116e2fd0c40cc9e419433cdee5ce9e9f79979923bf1379e694cfc6",
-    (0, "log_model"): "77ae4a39ef49efc087f8900e6e4f1330d0a951bc5173cc7b4788a632b3782739",
-    (0, "mugl_o rho2=1"): "aa76a0e9ef988a233c41b51c092b86705a31425b0a95e23b5218c91e67b25248",
-    (0, "mugl_l rho2=1"): "29edc5be84926089a37aad35158a805a38cc1da22ee98f6e88efadcbf037f9dd",
+    (0, "mugl_o"): "f733c2dbb07d8a5d0886aba4938cde3fa6075600500ee63ac792635973eefb52",
+    (0, "mugl_l"): "680b33d2a69a18b72531f37cdb22f03171117dfc5bdf837d61fd422ead2d9c2f",
+    (0, "log_model"): "651c9c0a3007cf76618cfd1c2376c7c24917a49bbde4738ac82f0d26612249f3",
+    (0, "mugl_o rho2=1"): "26a3a565d37557d7ed9272a53d6004f9fb2695dd54fa1625b2ecfd2f7e12a4bd",
+    (0, "mugl_l rho2=1"): "b5d7b95242bc0a7b9d3f2cd20e29327073aa6a72aa3d18e08500846727c4593b",
     (0, "vsgl"): "b2b100d3c6b1d3f7bc391217dea9bcd4bd610348a6cab1751edd920266a02d7e",
     (0, "mugl_o rho2=0"): "7df01afcee70590daa8b44424ccd3e51fe07613889ead015e0f33184e5c7de16",
-    (1, "mugl_o"): "dee5218f8596e1086023aae2fbb1ab4061e958bd23e58826b16c6d6968ba6e0e",
-    (1, "mugl_l"): "dded7373f8ad329f563722d6395202f71308bdb6afda93414652846ce5169bdb",
-    (1, "log_model"): "f562bac5d1a31924d268d0198e9063e625581e6066a21bcaf89ade3342fed912",
-    (1, "mugl_o rho2=1"): "c28de3c9f2ddab643f73273feb6cf02dbc63fd019ec1cb7c3cb86646fc135585",
-    (1, "mugl_l rho2=1"): "d87579caf4a34446e86109559d8e9482fefc4df83975877c2670cf59797bea6e",
+    (1, "mugl_o"): "31ed9d7f015d2cf82db8a6686cfbaa44e3967a2b2a3ac431d85535613f32ca83",
+    (1, "mugl_l"): "de2538b52584d2c108e22adc4ea065a7131dea1d81a653dd8ef141ec57aced2e",
+    (1, "log_model"): "9135fd8764355ff0c33960d54dd7e8bf2c26d4c14f5f6324809883348a9dcc37",
+    (1, "mugl_o rho2=1"): "e6bef9b4361f4ddcdd543d959df007edd555fdb46f9ce0cd6dfc0a1926080083",
+    (1, "mugl_l rho2=1"): "4c17baa91486dfaba120f801ae3e047f9aad0f69b470fd655d8410b6835ff1ee",
     (1, "vsgl"): "fccfdd493ab195bfe009237dc87e645909f8998601846e84fe124b7839dbbd53",
     (1, "mugl_o rho2=0"): "c46eb28f848dcccab512d567137ce44a6033b24e25cfba65c30277573057ca51",
 }
@@ -926,18 +965,18 @@ def test_solves_match_pinned_digests():
 # gradient at the returned point, through the projection, a 2-norm and a
 # minimum, so any change to those reductions shows here first.
 PINNED_CERTIFICATES = {
-    (0, "mugl_o"): ("0x1.49e08b14537ebp-22", "0x1.a50f780000000p-22"),
-    (0, "mugl_l"): ("0x1.5d61a886ef161p-22", "0x1.5bfe0c0000000p-22"),
-    (0, "log_model"): ("0x1.695fee994bcf3p-26", "0x1.fbe89cb000000p-24"),
+    (0, "mugl_o"): ("0x1.adde56d30ca35p-22", "0x1.125b820000000p-21"),
+    (0, "mugl_l"): ("0x1.a0fe9c5e22a06p-22", "0x1.9f57000000000p-22"),
+    (0, "log_model"): ("0x1.eb1e544c29844p-25", "0x1.74c0119000000p-21"),
     (0, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
-    (0, "mugl_o rho2=1"): ("0x1.1e0fb5230b41bp-21", "0x1.4b2f105000000p-20"),
-    (0, "mugl_l rho2=1"): ("0x1.7b19da3ea05cep-21", "0x1.7d64d65000000p-20"),
-    (1, "mugl_o"): ("0x1.7dd51f8c6e176p-26", "0x1.9a40400000000p-26"),
-    (1, "mugl_l"): ("0x1.3d3628496e496p-25", "0x1.7254e80000000p-23"),
-    (1, "log_model"): ("0x1.f749f0d8ec9f8p-25", "0x1.6290613c00000p-21"),
+    (0, "mugl_o rho2=1"): ("0x1.61589f9a2a707p-21", "0x1.b570d8e000000p-20"),
+    (0, "mugl_l rho2=1"): ("0x1.e3e02d31d6b90p-22", "0x1.f82669c000000p-21"),
+    (1, "mugl_o"): ("0x1.acfcf5532c840p-26", "0x1.ccf4400000000p-26"),
+    (1, "mugl_l"): ("0x1.448d4433451a0p-25", "0x1.7b78180000000p-23"),
+    (1, "log_model"): ("0x1.0cdf67072708ep-26", "0x1.8701748000000p-24"),
     (1, "vsgl"): ("0x0.0p+0", "0x0.0p+0"),
-    (1, "mugl_o rho2=1"): ("0x1.b0b933276dcc3p-22", "0x1.a95b41c000000p-21"),
-    (1, "mugl_l rho2=1"): ("0x1.631e8db5b633ep-21", "0x1.66a35d4800000p-20"),
+    (1, "mugl_o rho2=1"): ("0x1.09dfc26433dc1p-20", "0x1.f16e40f000000p-20"),
+    (1, "mugl_l rho2=1"): ("0x1.66c32d56199f6p-22", "0x1.3849b01000000p-21"),
     (0, "mugl_o rho2=0"): ("0x0.0p+0", "0x0.0p+0"),
     (1, "mugl_o rho2=0"): ("0x0.0p+0", "0x0.0p+0"),
 }

@@ -5,9 +5,9 @@ and a signals CSV, `learn` turns a signals CSV into a learned edge-list plus
 a solve report, `eval` scores a predicted edge-list against a truth
 edge-list, and `bench` runs the whole seeded loop and writes summary tables.
 All configuration comes from a JSON file.  Each section is decoded from the
-fields of its dataclass, and unknown keys, null where a field is not
-optional, and non-finite numbers are rejected so typos fail fast.  Outputs
-are deterministic functions of the config and master seed.
+fields of its dataclass, and unknown or repeated keys, null where a field
+is not optional, and non-finite numbers are rejected so typos fail fast.
+Outputs are deterministic functions of the config and master seed.
 
 Exit codes are part of the contract:
 
@@ -75,8 +75,17 @@ def load_config(path) -> dict:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise config_error(f"{path}: {exc}") from None
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, val in pairs:
+            if key in doc:
+                raise config_error(f"{path}: repeated key {key!r}")
+            doc[key] = val
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise config_error(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -346,10 +355,10 @@ def cmd_bench(args) -> int:
     )
 
     os.makedirs(out, exist_ok=True)
-    harness.write_summary_csv(os.path.join(out, SUMMARY_CSV), summary)
-    serialize.write_json(os.path.join(out, SUMMARY_JSON), harness.summary_doc(summary))
+    harness.write_summary_csv(os.path.join(out, SUMMARY_CSV), summary["stats"])
+    serialize.write_json(os.path.join(out, SUMMARY_JSON), summary)
     info(args, f"wrote {SUMMARY_CSV}, {SUMMARY_JSON} to {out}")
-    if len(summary.failures) == n_seeds * len(presets):
+    if len(summary["failures"]) == n_seeds * len(presets):
         raise CliError(EXIT_ALL_SEEDS_FAILED, "every seed failed for every preset")
     return EXIT_OK
 

@@ -13,10 +13,10 @@ centroid otherwise.
 
 run_experiment draws (graph, signals) pairs from per-run child seeds of a
 master seed, learns every preset on every draw, scores edge recovery
-against the generating graph, and aggregates mean and normalized standard
-deviation per model and metric.  A solver failure on one draw is recorded
-and skipped, never fatal.  Results are deterministic functions of the
-master seed, including under seed-level threading.
+against the generating graph, aggregates mean and normalized standard
+deviation per model and metric, and returns the summary.json document.  A
+solver failure on one draw is recorded and skipped, never fatal.  Results
+are deterministic functions of the master seed, also under seed threads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import solvers
+from . import __version__, solvers
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
 from .moments import EmpiricalMoments, RadiusParams, empirical_moments, rho1_radius, rho2_radius
@@ -148,21 +148,6 @@ def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.Solv
     return config, solvers.ls_pgd_solve(ctx, solvers.start_point(ctx), preset.solver)
 
 
-@dataclass
-class ExperimentSummary:
-    """Everything a benchmark run produced, aggregated and per-seed."""
-
-    graph_spec: GraphSpec
-    signal_spec: SignalSpec
-    presets: tuple[ModelPreset, ...]
-    n_seeds: int
-    master_seed: int
-    rel_threshold: float
-    records: list[dict]
-    failures: list[dict]
-    stats: list[dict]
-
-
 def run_seeds(master_seed: int, n_seeds: int) -> list[tuple[int, int]]:
     """Per-run (graph_seed, signal_seed) pairs derived from the master seed.
 
@@ -220,11 +205,10 @@ def run_experiment(
     master_seed: int = 0,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
     threads: int = 1,
-) -> ExperimentSummary:
-    """Generate, learn, and score n_seeds independent draws.
-
-    threads > 1 runs whole seeds concurrently; results are merged in seed
-    order so the output is identical to the sequential run.
+) -> dict:
+    """Generate, learn, and score n_seeds independent draws into the
+    summary.json document.  threads > 1 runs whole seeds concurrently;
+    results are merged in seed order, so the output is the sequential run's.
     """
     presets = tuple(presets)
     if not presets:
@@ -255,18 +239,18 @@ def run_experiment(
         for label, entry in rec["models"].items()
         if "error" in entry
     ]
-    stats = summarize(records, labels)
-    return ExperimentSummary(
-        graph_spec=graph_spec,
-        signal_spec=signal_spec,
-        presets=presets,
-        n_seeds=n_seeds,
-        master_seed=master_seed,
-        rel_threshold=rel_threshold,
-        records=records,
-        failures=failures,
-        stats=stats,
-    )
+    return {
+        "version": __version__,
+        "graph_spec": asdict(graph_spec),
+        "signal_spec": asdict(signal_spec),
+        "presets": [preset_doc(p) for p in presets],
+        "n_seeds": n_seeds,
+        "master_seed": master_seed,
+        "rel_threshold": rel_threshold,
+        "records": records,
+        "failures": failures,
+        "stats": summarize(records, labels),
+    }
 
 
 def summarize(records: list[dict], labels) -> list[dict]:
@@ -307,12 +291,12 @@ def summarize(records: list[dict], labels) -> list[dict]:
     return stats
 
 
-def write_summary_csv(path, summary: ExperimentSummary) -> None:
-    """Aggregate table: one row per model and metric."""
+def write_summary_csv(path, stats: list[dict]) -> None:
+    """Aggregate table: one row per model and metric, from the summary's stats."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "metric", "mean", "normalized_std_percent", "n_seeds"])
-        for row in summary.stats:
+        for row in stats:
             writer.writerow(
                 [
                     row["model"],
@@ -322,24 +306,6 @@ def write_summary_csv(path, summary: ExperimentSummary) -> None:
                     row["n_seeds"],
                 ]
             )
-
-
-def summary_doc(summary: ExperimentSummary) -> dict:
-    """JSON-ready document with provenance, per-seed records, and stats."""
-    from . import __version__
-
-    return {
-        "version": __version__,
-        "graph_spec": asdict(summary.graph_spec),
-        "signal_spec": asdict(summary.signal_spec),
-        "presets": [preset_doc(p) for p in summary.presets],
-        "n_seeds": summary.n_seeds,
-        "master_seed": summary.master_seed,
-        "rel_threshold": summary.rel_threshold,
-        "records": summary.records,
-        "failures": summary.failures,
-        "stats": summary.stats,
-    }
 
 
 def preset_doc(preset: ModelPreset) -> dict:

@@ -213,8 +213,10 @@ def read_edge_list(path) -> tuple[np.ndarray, int]:
     header, _, body = text.partition("\n")
     if not header.startswith("# m="):
         raise ValueError(f"{path}: missing '# m=<nodes>' header")
+    count = header[len("# m=") :]
     try:
-        m = int(header[len("# m=") :])
+        # int() alone also takes "1_0" and non-ASCII digits; the body refuses both
+        m = int(count if count.isascii() and "_" not in count else "refused")
     except ValueError:
         raise ValueError(f"{path}: unparseable node count in header {_excerpt(header)}") from None
     if m < 2:

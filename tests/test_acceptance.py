@@ -201,7 +201,7 @@ def test_criterion_08_benchmark_ordering():
         master_seed=1234,
     )
     mean_f = {
-        row["model"]: row["mean"] for row in summary.stats if row["metric"] == "f_measure"
+        row["model"]: row["mean"] for row in summary["stats"] if row["metric"] == "f_measure"
     }
     order_l = mean_f["mugl_l"] > mean_f["vsgl"]
     order_o = mean_f["mugl_o"] > mean_f["vsgl"]

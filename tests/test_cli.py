@@ -486,6 +486,30 @@ def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, command
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("generate", '{"graph": {"family": "er", "m": 5, "p": 0.5}, "graph": {"family": "complete", '
+                 '"m": 5}, "signals": {"n": 30, "epsilon": 0.1}}', "graph"),
+    ("learn", '{"signals": "signals.csv", "preset": {"name": "vsgl"}, "signals": "other.csv"}',
+     "signals"),
+    ("eval", '{"truth": "truth.edges", "predicted": "pred.edges", "threshold": 0.1, '
+             '"threshold": 0.2}', "threshold"),
+    ("bench", '{"graph": {"family": "er", "m": 5, "p": 0.5}, "signals": {"n": 20, "epsilon": 0.1}, '
+              '"presets": [{"name": "vsgl"}], "n_seeds": 1, "n_seeds": 2}', "n_seeds"),
+    ("bench", '{"graph": {"family": "er", "m": 5, "p": 0.5, "m": 6}, "signals": {"n": 20, '
+              '"epsilon": 0.1}, "presets": [{"name": "vsgl"}], "n_seeds": 1}', "m"),
+], ids=["generate", "learn", "eval", "bench", "bench_section"])
+def test_repeated_config_key_is_config_error(tmp_path, monkeypatch, capsys, command, text, key):
+    # json.loads would keep the last value; no input file exists, so a
+    # command that read one first would exit 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(text)
+    assert cli.main([command, "--config", "config.json", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config.json: repeated key {key!r}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("command, bad", [
     ("learn", "config.json"), ("learn", "signals.csv"), ("eval", "truth.edges"),
     ("eval", "pred.edges"),
@@ -730,6 +754,16 @@ def test_bench_deterministic_across_runs_and_threads(tmp_path):
     assert (out_b / "summary.csv").read_bytes() == csv_bytes
     assert (out_c / "summary.csv").read_bytes() == csv_bytes
     assert (out_b / "summary.json").read_bytes() == (out_a / "summary.json").read_bytes()
+
+
+def test_bench_summary_json_matches_golden_file(tmp_path):
+    # vsgl and mugl_o at rho2 = 0 are certified at their closed-form vertex
+    # on the first iteration, so no solver change moves these bytes
+    config = {**BENCH_CONFIG, "presets": [{"name": "vsgl"}, {"name": "mugl_o", "rho2": 0.0}]}
+    code, out = run_bench(tmp_path, config)
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "data" / "summary_golden.json"
+    assert (out / "summary.json").read_bytes() == golden.read_bytes()
 
 
 def test_bench_fit_records_carry_the_learn_report_fields(tmp_path):

@@ -245,26 +245,26 @@ def test_run_experiment_deterministic_and_thread_invariant():
     first = harness.run_experiment(*args, n_seeds=2, master_seed=7)
     again = harness.run_experiment(*args, n_seeds=2, master_seed=7)
     threaded = harness.run_experiment(*args, n_seeds=2, master_seed=7, threads=4)
-    doc = serialize.dumps(harness.summary_doc(first))
-    assert serialize.dumps(harness.summary_doc(again)) == doc
-    assert serialize.dumps(harness.summary_doc(threaded)) == doc
+    doc = serialize.dumps(first)
+    assert serialize.dumps(again) == doc
+    assert serialize.dumps(threaded) == doc
 
 
 def test_single_seed_has_zero_spread():
     summary = harness.run_experiment(
         SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, master_seed=3
     )
-    assert all(row["normalized_std_percent"] == 0.0 for row in summary.stats)
-    assert all(row["n_seeds"] == 1 for row in summary.stats)
+    assert all(row["normalized_std_percent"] == 0.0 for row in summary["stats"])
+    assert all(row["n_seeds"] == 1 for row in summary["stats"])
 
 
 def test_stats_recomputable_from_records():
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=3, master_seed=5)
-    for row in summary.stats:
+    for row in summary["stats"]:
         vals = np.array([
             rec["models"][row["model"]][row["metric"]]
-            for rec in summary.records
+            for rec in summary["records"]
             if "error" not in rec["models"][row["model"]]
         ])
         assert row["n_seeds"] == vals.size
@@ -284,16 +284,16 @@ def test_summary_counts_capped_fits():
     )
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l"), capped, early]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=3, master_seed=5)
-    assert all(rec["models"]["capped"]["termination"] == "max_iters" for rec in summary.records)
-    assert all(rec["models"]["early"]["termination"] == "step_tol" for rec in summary.records)
-    assert all(rec["models"]["mugl_l"]["termination"] == "kkt_tol" for rec in summary.records)
-    n_capped = {row["model"]: row["n_capped"] for row in summary.stats}
+    assert all(rec["models"]["capped"]["termination"] == "max_iters" for rec in summary["records"])
+    assert all(rec["models"]["early"]["termination"] == "step_tol" for rec in summary["records"])
+    assert all(rec["models"]["mugl_l"]["termination"] == "kkt_tol" for rec in summary["records"])
+    n_capped = {row["model"]: row["n_capped"] for row in summary["stats"]}
     assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 0}
     tol_kkt = {preset.display_name: preset.solver.tol_kkt for preset in presets}
-    for rec in summary.records:
+    for rec in summary["records"]:
         for label, entry in rec["models"].items():
             assert entry["certified"] is (entry["kkt_residual"] <= tol_kkt[label])
-    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary.stats}
+    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary["stats"]}
     assert n_uncertified == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 3}
 
 
@@ -302,20 +302,20 @@ def test_stalled_fit_is_scored_and_counted_uncertified(stalled_line_search):
     # start: it is scored like any fit and flagged, not counted as a failure
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
-    assert summary.failures == []
-    for rec in summary.records:
+    assert summary["failures"] == []
+    for rec in summary["records"]:
         entry = rec["models"]["mugl_o"]
         assert entry["termination"] == "step_tol" and entry["iters"] == 1
         assert entry["certified"] is False
         assert math.isfinite(entry["f_measure"])
-    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary.stats}
+    n_uncertified = {row["model"]: row["n_uncertified"] for row in summary["stats"]}
     assert n_uncertified == {"vsgl": 0, "mugl_o": 2}
 
 
 def test_records_carry_the_gap():
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_l")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=5)
-    for rec in summary.records:
+    for rec in summary["records"]:
         assert rec["models"]["vsgl"]["gap"] == 0.0
         assert rec["models"]["mugl_l"]["gap"] >= -1e-12
         # backtracks sit beside iters; the exact vertex solve takes none
@@ -328,7 +328,7 @@ def test_summary_csv_matches_golden_file(tmp_path):
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
     out = tmp_path / "summary.csv"
-    harness.write_summary_csv(out, summary)
+    harness.write_summary_csv(out, summary["stats"])
     import pathlib
     golden = pathlib.Path(__file__).parent / "data" / "summary_golden.csv"
     assert out.read_bytes() == golden.read_bytes()
@@ -347,10 +347,10 @@ def test_solver_failure_skips_one_seed_only(monkeypatch):
     monkeypatch.setattr(harness, "learn", flaky_learn)
     presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
-    assert summary.failures == [
+    assert summary["failures"] == [
         {"seed_index": 0, "model": "mugl_o", "error": "synthetic solver failure"}
     ]
-    by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
+    by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary["stats"]}
     assert by_model[("vsgl", "f_measure")] == 2
     assert by_model[("mugl_o", "f_measure")] == 1
 
@@ -373,30 +373,30 @@ def test_non_finite_gradient_fails_one_fit_only(monkeypatch):
     monkeypatch.setattr(mugl.objective, "_point", counting_point)
     presets = [harness.ModelPreset("mugl_o"), harness.ModelPreset("mugl_l")]
     summary = harness.run_experiment(SMALL_GRAPH, SMALL_SIGNALS, presets, n_seeds=2, master_seed=7)
-    assert [(f["seed_index"], f["model"]) for f in summary.failures] == [(0, "mugl_l"), (1, "mugl_l")]
+    assert [(f["seed_index"], f["model"]) for f in summary["failures"]] == [(0, "mugl_l"), (1, "mugl_l")]
     # each mugl_l fit aborts at its first gradient, having evaluated only w0
     assert len(barrier_values) == 2
-    assert all("non-finite gradient" in f["error"] for f in summary.failures)
-    by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary.stats}
+    assert all("non-finite gradient" in f["error"] for f in summary["failures"])
+    by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary["stats"]}
     assert by_model[("mugl_o", "f_measure")] == 2
 
 
 def assert_every_cell_scored_or_failed(summary):
     """Each (seed, preset) cell holds a metric entry or an error entry, and
     the failures list and stats rows agree with the cells."""
-    labels = [p.display_name for p in summary.presets]
+    labels = [p["label"] for p in summary["presets"]]
     failed = []
-    for rec in summary.records:
+    for rec in summary["records"]:
         assert list(rec["models"]) == labels
         for label, entry in rec["models"].items():
             if "error" in entry:
                 failed.append((rec["seed_index"], label))
             else:
                 assert all(np.isfinite(entry[metric]) for metric in harness.SUMMARY_METRICS)
-    assert [(f["seed_index"], f["model"]) for f in summary.failures] == failed
-    for row in summary.stats:
+    assert [(f["seed_index"], f["model"]) for f in summary["failures"]] == failed
+    for row in summary["stats"]:
         n_failed = sum(label == row["model"] for _, label in failed)
-        assert row["n_seeds"] == summary.n_seeds - n_failed
+        assert row["n_seeds"] == summary["n_seeds"] - n_failed
 
 
 ALL_PRESETS = [harness.ModelPreset(name) for name in harness.PRESET_NAMES]
@@ -406,7 +406,7 @@ def test_run_experiment_on_disconnected_truths():
     sparse = GraphSpec("er", 20, seed=0, p=0.05)
     signals = SignalSpec(n=80, epsilon=0.1, seed=0)
     summary = harness.run_experiment(sparse, signals, ALL_PRESETS, n_seeds=4, master_seed=0)
-    assert not all(rec["connected"] for rec in summary.records)
+    assert not all(rec["connected"] for rec in summary["records"])
     assert_every_cell_scored_or_failed(summary)
 
 
@@ -416,7 +416,7 @@ def test_run_experiment_with_fewer_signals_than_nodes():
     few = SignalSpec(n=5, epsilon=0.1, seed=0)
     summary = harness.run_experiment(graph, few, ALL_PRESETS, n_seeds=6, master_seed=0)
     assert_every_cell_scored_or_failed(summary)
-    assert summary.failures == []
+    assert summary["failures"] == []
 
 
 def test_run_experiment_input_validation():
@@ -437,7 +437,6 @@ def test_summary_doc_is_serializable():
     summary = harness.run_experiment(
         SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, master_seed=0
     )
-    doc = harness.summary_doc(summary)
-    text = serialize.dumps(doc)
+    text = serialize.dumps(summary)
     assert '"master_seed": 0' in text
-    assert doc["presets"][0]["label"] == "vsgl"
+    assert summary["presets"][0]["label"] == "vsgl"

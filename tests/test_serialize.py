@@ -172,9 +172,8 @@ def test_dumps_matches_reference_writer_on_corpus(doc, depth):
 
 def test_dumps_matches_reference_writer_on_a_headline_summary():
     presets = [harness.ModelPreset(name) for name in harness.PRESET_NAMES]
-    summary = harness.run_experiment(GraphSpec(family="gaussian", m=20, seed=0),
-                                     SignalSpec(n=80, epsilon=0.1, seed=0), presets, 20)
-    doc = harness.summary_doc(summary)
+    doc = harness.run_experiment(GraphSpec(family="gaussian", m=20, seed=0),
+                                 SignalSpec(n=80, epsilon=0.1, seed=0), presets, 20)
     assert dumps(doc) == dumps_reference(doc)
     assert dumps(_nested(doc, 2)) == dumps_reference(_nested(doc, 2))
 

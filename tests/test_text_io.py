@@ -189,6 +189,9 @@ EDGE_CORPUS = {
     "one_node_no_newline": ("# m=1", ": node count must be at least 2, got 1"),
     "bad_node_count": ("# m=x\n2 1 0.5\n", ": unparseable node count in header '# m=x'"),
     "padded_node_count": ("# m= 3 \n2 1 0.5\n", (3, {(2, 1): 0.5})),
+    "header_underscore": ("# m=1_0\n2 1 0.5\n", ": unparseable node count in header '# m=1_0'"),
+    "header_unicode_digit": ("# m=\u0663\n2 1 0.5\n",
+                             ": unparseable node count in header '# m=\u0663'"),
 }
 
 SIGNALS_CORPUS = {

@@ -4,10 +4,11 @@ The four subcommands compose through files: `generate` writes an edge-list
 and a signals CSV, `learn` turns a signals CSV into a learned edge-list plus
 a solve report, `eval` scores a predicted edge-list against a truth
 edge-list, and `bench` runs the whole seeded loop and writes summary tables.
-All configuration comes from a JSON file.  Each section is decoded from the
-fields of its dataclass, and unknown or repeated keys, null where a field
-is not optional, and non-finite numbers are rejected so typos fail fast.
-Outputs are deterministic functions of the config and master seed.
+All configuration comes from a JSON file, and parse_value decodes every
+value, a section from its dataclass's fields.  Unknown or repeated keys, null
+where a field is not optional, and non-finite numbers are rejected so typos
+fail fast, even in a value a flag overrides.  Outputs are deterministic
+functions of the config and master seed, and write_json writes every JSON file.
 
 Exit codes are part of the contract:
 
@@ -30,10 +31,11 @@ import functools
 import json
 import os
 import sys
+import types
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
 
-from . import __version__, harness, serialize
+from . import __version__, harness
 from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
 from .laplacian import read_edge_list, write_edge_list
@@ -120,23 +122,27 @@ def _schema(cls) -> dict:
 
 
 def parse_value(hint, val, where: str):
-    """Decode one JSON value as `hint`: int, float, str, a config dataclass,
-    tuple[float, ...] (from a list of numbers), or a union of one of them with None.
-    Numbers must be finite; null is accepted only where the hint admits None."""
-    kinds = typing.get_args(hint) or (hint,)
-    if val is None and type(None) in kinds:
-        return None
-    kind = next(k for k in kinds if k is not type(None))
-    if is_dataclass(kind):
-        return parse_fields(kind, val, where)
-    if kind is str:
-        if not isinstance(val, str):
-            raise config_error(f"{where} must be a string, got {val!r}")
-        return val
-    if typing.get_origin(kind) is tuple:
+    """Decode one JSON value as `hint`: bool, int, float, str, a config
+    dataclass, tuple[T, ...] of a decodable T (from a list), or a union of
+    one of them with None.  Numbers must be finite; null is accepted only
+    where the hint admits None."""
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+        kinds = typing.get_args(hint)
+        if val is None and type(None) in kinds:
+            return None
+        hint = next(k for k in kinds if k is not type(None))
+    if is_dataclass(hint):
+        return parse_fields(hint, val, where)
+    if typing.get_origin(hint) is tuple:
         if not isinstance(val, list):
-            raise config_error(f"{where} must be a list of numbers, got {val!r}")
-        return tuple(parse_value(float, x, f"{where}[{i}]") for i, x in enumerate(val))
+            raise config_error(f"{where} must be a list, got {val!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(parse_value(item, x, f"{where}[{i}]") for i, x in enumerate(val))
+    if hint in (str, bool):
+        if not isinstance(val, hint):
+            kind = "string" if hint is str else "boolean"
+            raise config_error(f"{where} must be a {kind}, got {val!r}")
+        return val
     # the bound also rejects NaN, and ints too large for a float
     if (
         isinstance(val, bool)
@@ -144,9 +150,9 @@ def parse_value(hint, val, where: str):
         or not abs(val) <= sys.float_info.max
     ):
         raise config_error(f"{where} must be a finite number, got {val!r}")
-    if kind is int and val != int(val):
+    if hint is int and val != int(val):
         raise config_error(f"{where} must be an integer, got {val!r}")
-    return kind(val)
+    return hint(val)
 
 
 def parse_fields(cls, doc, where: str, **fixed):
@@ -217,16 +223,31 @@ def info(args, message: str) -> None:
         print(message)
 
 
+def dumps(doc) -> str:
+    """Two-space indented JSON text of a document of dicts/lists/strs/numbers/
+    bools/None.  Floats are spelled as their shortest repr, which reads back to
+    the same bits, and NaN and infinities are refused."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def write_json(path, doc) -> None:
+    """Write the document, or raise before creating the file if it cannot be
+    serialized."""
+    text = dumps(doc) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     check_keys(config, {"graph", "signals", "seed", "out"}, {"graph", "signals"}, "config")
-    master = args.seed if args.seed is not None else config.get("seed")
+    master = parse_value(int | None, config.get("seed"), "config.seed")
+    master = args.seed if args.seed is not None else master
     graph_fixed = signal_fixed = {}
     if master is not None:
-        master = parse_value(int, master, "config.seed")
         graph_fixed, signal_fixed = ({"seed": seed} for seed in harness.run_seeds(master, 1)[0])
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", **graph_fixed)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", **signal_fixed)
@@ -249,7 +270,7 @@ def cmd_generate(args) -> int:
         "connected": graph.connected,
         "files": {"graph": GRAPH_FILE, "signals": SIGNALS_FILE},
     }
-    serialize.write_json(os.path.join(out, PROVENANCE_FILE), provenance)
+    write_json(os.path.join(out, PROVENANCE_FILE), provenance)
     info(args, f"wrote {GRAPH_FILE}, {SIGNALS_FILE}, {PROVENANCE_FILE} to {out}")
     return EXIT_OK
 
@@ -257,15 +278,12 @@ def cmd_generate(args) -> int:
 def cmd_learn(args) -> int:
     config = load_config(args.config)
     check_keys(config, {"signals", "preset", "out", "trace"}, {"signals", "preset"}, "config")
-    if not isinstance(config["signals"], str):
-        raise config_error("'signals' must be a path string")
-    want_trace = config.get("trace", False)
-    if not isinstance(want_trace, bool):
-        raise config_error("'trace' must be a boolean")
+    signals = parse_value(str, config["signals"], "config.signals")
+    want_trace = parse_value(bool, config.get("trace", False), "config.trace")
     preset = parse_fields(harness.ModelPreset, config["preset"], "config.preset")
     out = resolve_out_dir(args, config)
 
-    X = read_signals_csv(config["signals"])
+    X = read_signals_csv(signals)
     m, n = X.shape
     resolved, report = harness.learn(preset, X)
 
@@ -273,16 +291,16 @@ def cmd_learn(args) -> int:
     write_edge_list(os.path.join(out, LEARNED_FILE), report.w_final, m)
     doc = {
         "version": __version__,
-        "signals": config["signals"],
+        "signals": signals,
         "m": m,
         "n": n,
-        "preset": harness.preset_doc(preset),
+        "preset": asdict(preset),
         "resolved": asdict(resolved),
         **report.record(),
     }
     if want_trace:
         doc["objective_trace"] = list(report.objective_trace)
-    serialize.write_json(os.path.join(out, REPORT_FILE), doc)
+    write_json(os.path.join(out, REPORT_FILE), doc)
     info(args, f"wrote {LEARNED_FILE}, {REPORT_FILE} to {out} ({report.termination})")
     return EXIT_MAX_ITERS if report.termination == "max_iters" else EXIT_OK
 
@@ -290,9 +308,8 @@ def cmd_learn(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     check_keys(config, {"truth", "predicted", "threshold", "out"}, {"truth", "predicted"}, "config")
-    for key in ("truth", "predicted"):
-        if not isinstance(config[key], str):
-            raise config_error(f"'{key}' must be a path string")
+    truth = parse_value(str, config["truth"], "config.truth")
+    predicted = parse_value(str, config["predicted"], "config.predicted")
     threshold = parse_value(
         float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
     )
@@ -301,18 +318,18 @@ def cmd_eval(args) -> int:
     out = None
     if args.out is not None or config.get("out") is not None:
         out = resolve_out_dir(args, config)
-    w_truth, m_truth = read_edge_list(config["truth"])
-    w_pred, m_pred = read_edge_list(config["predicted"])
+    w_truth, m_truth = read_edge_list(truth)
+    w_pred, m_pred = read_edge_list(predicted)
     if m_truth != m_pred:
         raise CliError(
             EXIT_M_MISMATCH,
             f"node-count mismatch: truth has m={m_truth}, prediction has m={m_pred}",
         )
     record = metric_record(w_pred, w_truth > 0, threshold)
-    print(serialize.dumps(record))
+    print(dumps(record))
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        serialize.write_json(os.path.join(out, "metrics.json"), record)
+        write_json(os.path.join(out, "metrics.json"), record)
     return EXIT_OK
 
 
@@ -328,14 +345,11 @@ def cmd_bench(args) -> int:
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", seed=0)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", seed=0)
     reject_section_seeds(config)
-    master = args.seed if args.seed is not None else config.get("seed", 0)
-    master = parse_value(int, master, "config.seed")
-    if not isinstance(config["presets"], list) or not config["presets"]:
-        raise config_error("'presets' must be a non-empty list")
-    presets = [
-        parse_fields(harness.ModelPreset, p, f"config.presets[{i}]")
-        for i, p in enumerate(config["presets"])
-    ]
+    master = parse_value(int, config.get("seed", 0), "config.seed")
+    master = args.seed if args.seed is not None else master
+    presets = parse_value(tuple[harness.ModelPreset, ...], config["presets"], "config.presets")
+    if not presets:
+        raise config_error("config.presets must not be empty")
     n_seeds = parse_value(int, config["n_seeds"], "config.n_seeds")
     threshold = parse_value(
         float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
@@ -356,7 +370,7 @@ def cmd_bench(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     harness.write_summary_csv(os.path.join(out, SUMMARY_CSV), summary["stats"])
-    serialize.write_json(os.path.join(out, SUMMARY_JSON), summary)
+    write_json(os.path.join(out, SUMMARY_JSON), summary)
     info(args, f"wrote {SUMMARY_CSV}, {SUMMARY_JSON} to {out}")
     if len(summary["failures"]) == n_seeds * len(presets):
         raise CliError(EXIT_ALL_SEEDS_FAILED, "every seed failed for every preset")

@@ -32,7 +32,6 @@ from .datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from .evaluation import DEFAULT_REL_THRESHOLD, check_threshold, metric_record
 from .moments import EmpiricalMoments, RadiusParams, empirical_moments, rho1_radius, rho2_radius
 from .objective import ModelConfig, build_context
-from .serialize import format_float
 
 
 class PresetRow(NamedTuple):
@@ -65,7 +64,7 @@ class ModelPreset:
     radii).  rho1/rho2 left as None means take it from the radius formulas
     at radius_params.delta.  alpha must be > 0 and quad_weight >= 0.  label
     distinguishes multiple presets of the same name in one experiment,
-    e.g. a grid over alpha.
+    e.g. a grid over alpha; left as None it becomes the name.
     """
 
     name: str
@@ -80,6 +79,8 @@ class ModelPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}, expected one of {PRESET_NAMES}")
+        if self.label is None:
+            object.__setattr__(self, "label", self.name)
         row = PRESETS[self.name]
         if not row.robust:
             for radius in (self.rho1, self.rho2):
@@ -99,10 +100,6 @@ class ModelPreset:
         for radius in (self.rho1, self.rho2):
             if radius is not None and not radius >= 0:
                 raise ValueError(f"radii must be nonnegative, got {radius}")
-
-    @property
-    def display_name(self) -> str:
-        return self.label if self.label is not None else self.name
 
     @property
     def uses_barrier(self) -> bool:
@@ -189,11 +186,11 @@ def _run_one(
         try:
             _, report = learn(preset, X)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
-            record["models"][preset.display_name] = {"error": str(exc)}
+            record["models"][preset.label] = {"error": str(exc)}
             continue
         entry = metric_record(report.w_final, truth_mask, rel_threshold)
         entry.update(report.record())
-        record["models"][preset.display_name] = entry
+        record["models"][preset.label] = entry
     return record
 
 
@@ -216,7 +213,7 @@ def run_experiment(
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got n_seeds={n_seeds}")
     check_threshold(rel_threshold)
-    labels = [p.display_name for p in presets]
+    labels = [p.label for p in presets]
     if len(set(labels)) != len(labels):
         raise ValueError(f"preset labels must be unique, got {labels}")
     seeds = run_seeds(master_seed, n_seeds)
@@ -243,7 +240,7 @@ def run_experiment(
         "version": __version__,
         "graph_spec": asdict(graph_spec),
         "signal_spec": asdict(signal_spec),
-        "presets": [preset_doc(p) for p in presets],
+        "presets": [asdict(p) for p in presets],
         "n_seeds": n_seeds,
         "master_seed": master_seed,
         "rel_threshold": rel_threshold,
@@ -291,6 +288,18 @@ def summarize(records: list[dict], labels) -> list[dict]:
     return stats
 
 
+def format_float(x: float) -> str:
+    """%.17g with a guaranteed decimal point or exponent, so the token reads
+    back as a float: the fixed spelling of the summary CSV."""
+    text = "%.17g" % x
+    if "." in text or "e" in text:
+        return text
+    # only inf, -inf and nan print with an "n"
+    if "n" in text:
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    return text + ".0"
+
+
 def write_summary_csv(path, stats: list[dict]) -> None:
     """Aggregate table: one row per model and metric, from the summary's stats."""
     with open(path, "w", newline="") as fh:
@@ -306,9 +315,3 @@ def write_summary_csv(path, stats: list[dict]) -> None:
                     row["n_seeds"],
                 ]
             )
-
-
-def preset_doc(preset: ModelPreset) -> dict:
-    doc = asdict(preset)
-    doc["label"] = preset.display_name
-    return doc

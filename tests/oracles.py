@@ -375,7 +375,7 @@ def random_cov_in_ball(cov, rho2, rng):
 # indentation, one member per line, strings quoted by json.dumps, floats
 # as their shortest round-trip repr, NaN and infinities refused, and keys
 # and other values handled as the json module handles them.  The package's
-# serialize.dumps must produce the same bytes and raise the same errors.
+# cli.dumps must produce the same bytes and raise the same errors.
 def dumps_reference(doc, indent: int = 0) -> str:
     """JSON text of a document of dicts/lists/strs/numbers/bools/None."""
     pad = "  " * indent

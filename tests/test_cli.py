@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -22,6 +23,13 @@ from mugl.solvers import SolverOptions
 GEN_CONFIG = {
     "graph": {"family": "er", "m": 5, "seed": 2, "p": 0.5},
     "signals": {"n": 30, "epsilon": 0.1, "seed": 102},
+}
+
+# a master seed in place of section seeds
+GEN_MASTER_CONFIG = {
+    "graph": {"family": "er", "m": 5, "p": 0.5},
+    "signals": {"n": 30, "epsilon": 0.1},
+    "seed": 7,
 }
 
 BENCH_CONFIG = {
@@ -257,7 +265,7 @@ def test_config_schema_round_trips(tmp_path):
         radius_params=RadiusParams(delta=0.01),
         solver=SolverOptions(max_iters=500, tol_kkt=1e-7),
     )
-    assert cli.parse_fields(harness.ModelPreset, harness.preset_doc(preset), "preset") == preset
+    assert cli.parse_fields(harness.ModelPreset, asdict(preset), "preset") == preset
 
     config = {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "mu_star": [0.5, 0, -1, 2, 0.25]}}
     text = (run_generate(tmp_path, config) / "provenance.json").read_text()
@@ -272,14 +280,49 @@ def test_config_schema_round_trips(tmp_path):
 
 
 def test_null_only_where_a_field_is_optional(tmp_path, capsys):
+    # a null label becomes the preset's name
     parsed = cli.parse_fields(harness.ModelPreset, {"name": "vsgl", "label": None}, "preset")
-    assert parsed.label is None
+    assert parsed.label == "vsgl"
     cfg = write_config(tmp_path, {
         "signals": str(tmp_path / "signals.csv"),
         "preset": {"name": "mugl_o", "alpha": None},
     })
     assert cli.main(["learn", "--config", cfg, "--quiet"]) == 2
     assert "config.preset.alpha" in capsys.readouterr().err
+
+
+def test_parse_value_bool_is_true_or_false():
+    assert cli.parse_value(bool, False, "config.trace") is False
+    for val in (1, "true"):
+        with pytest.raises(cli.CliError) as exc:
+            cli.parse_value(bool, val, "config.trace")
+        assert str(exc.value) == f"config.trace must be a boolean, got {val!r}"
+
+
+def test_parse_value_tuple_decodes_each_item():
+    hint = tuple[harness.ModelPreset, ...]
+    got = cli.parse_value(hint, [{"name": "vsgl"}, {"name": "vsgl", "label": "b"}], "config.presets")
+    assert got == (harness.ModelPreset("vsgl"), harness.ModelPreset("vsgl", label="b"))
+    for item, message in [
+        ("vsgl", "config.presets[1] must be an object"),
+        ({"name": "nope"}, "config.presets[1]: unknown preset 'nope'"),
+    ]:
+        with pytest.raises(cli.CliError) as exc:
+            cli.parse_value(hint, [{"name": "vsgl"}, item], "config.presets")
+        assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("val", ["a", None, 5, ["a"]])
+def test_parse_value_reads_typing_optional_as_a_union_with_none(val):
+    # on Python 3.10 get_type_hints spells a field that defaults to None
+    # as typing.Optional, not as X | None
+    def decoded(hint):
+        try:
+            return cli.parse_value(hint, val, "config.out")
+        except cli.CliError as exc:
+            return f"error: {exc}"
+
+    assert decoded(typing.Optional[str]) == decoded(str | None)
 
 
 @pytest.mark.parametrize("preset", [
@@ -464,14 +507,14 @@ EVAL_CONFIG = {"truth": "truth.edges", "predicted": "pred.edges"}
     ("generate", [GEN_CONFIG], "config.json: top-level config must be a JSON object"),
     ("generate", {"graph": GEN_CONFIG["graph"]}, "missing required key 'signals' in config"),
     ("generate", {**GEN_CONFIG, "signals": {**GEN_CONFIG["signals"], "mu_star": 1.0}},
-     "config.signals.mu_star must be a list of numbers, got 1.0"),
+     "config.signals.mu_star must be a list, got 1.0"),
     ("bench", {**BENCH_CONFIG, "n_seeds": 2.5}, "config.n_seeds must be an integer, got 2.5"),
     ("generate", {**GEN_CONFIG, "graph": "er"}, "config.graph must be an object"),
     ("bench", {**BENCH_CONFIG, "presets": ["vsgl"]}, "config.presets[0] must be an object"),
-    ("learn", {**LEARN_CONFIG, "signals": 5}, "'signals' must be a path string"),
-    ("learn", {**LEARN_CONFIG, "trace": 1}, "'trace' must be a boolean"),
-    ("eval", {**EVAL_CONFIG, "truth": 1}, "'truth' must be a path string"),
-    ("eval", {**EVAL_CONFIG, "predicted": None}, "'predicted' must be a path string"),
+    ("learn", {**LEARN_CONFIG, "signals": 5}, "config.signals must be a string, got 5"),
+    ("learn", {**LEARN_CONFIG, "trace": 1}, "config.trace must be a boolean, got 1"),
+    ("eval", {**EVAL_CONFIG, "truth": 1}, "config.truth must be a string, got 1"),
+    ("eval", {**EVAL_CONFIG, "predicted": None}, "config.predicted must be a string, got None"),
 ], ids=["top_level_list", "missing_key", "mu_star_scalar", "n_seeds_fraction", "graph_string",
         "preset_string", "signals_number", "trace_number", "truth_number", "predicted_null"])
 def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, command, config,
@@ -766,6 +809,27 @@ def test_bench_summary_json_matches_golden_file(tmp_path):
     assert (out / "summary.json").read_bytes() == golden.read_bytes()
 
 
+def test_command_json_files_match_golden_files(tmp_path, monkeypatch, capsys):
+    # vsgl is certified at its closed-form vertex on the first iteration
+    # (iters 1, residual and gap 0), so no solver change moves its report;
+    # relative paths keep tmp_path out of the files
+    monkeypatch.chdir(tmp_path)
+    configs = {
+        "generate": GEN_MASTER_CONFIG,
+        "learn": {"signals": "signals.csv", "preset": {"name": "vsgl"}, "trace": True},
+        "eval": {"truth": "graph.edges", "predicted": "learned.edges"},
+    }
+    for command, config in configs.items():
+        cfg = write_config(tmp_path, config, f"{command}.json")
+        assert cli.main([command, "--config", cfg, "--out", ".", "--quiet"]) == 0
+    golden = pathlib.Path(__file__).parent / "data"
+    for name in ("provenance", "solve_report", "metrics"):
+        want = (golden / f"{name}_golden.json").read_bytes()
+        assert (tmp_path / f"{name}.json").read_bytes() == want
+    # eval prints the record it writes
+    assert capsys.readouterr().out == (tmp_path / "metrics.json").read_text()
+
+
 def test_bench_fit_records_carry_the_learn_report_fields(tmp_path):
     # a bench per-fit record is the draw's metrics followed by exactly the
     # fit fields of solve_report.json, in the same order
@@ -815,9 +879,12 @@ def test_bench_robust_model_orders_above_baseline(tmp_path):
 
 
 def test_bench_empty_presets_rejected(tmp_path, capsys):
-    code, _ = run_bench(tmp_path, {**BENCH_CONFIG, "presets": []})
+    code, out = run_bench(tmp_path, {**BENCH_CONFIG, "presets": []})
     assert code == 2
-    assert "non-empty" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config.presets must not be empty\n"
+    assert not out.exists()
 
 
 def test_bench_rejects_per_section_seeds(tmp_path, capsys):
@@ -848,6 +915,27 @@ def test_negative_master_seed_is_named(tmp_path, command, config, capsys):
     assert code == 2
     assert "master seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, seed, message", [
+    ("generate", "not-a-seed", "must be a finite number, got 'not-a-seed'"),
+    ("generate", 2.5, "must be an integer, got 2.5"),
+    ("bench", "not-a-seed", "must be a finite number, got 'not-a-seed'"),
+    ("bench", 2.5, "must be an integer, got 2.5"),
+    ("bench", None, "must be a finite number, got None"),
+], ids=["generate_string", "generate_fraction", "bench_string", "bench_fraction", "bench_null"])
+@pytest.mark.parametrize("flag", [(), ("--seed", "3")], ids=["config", "flag"])
+def test_invalid_config_seed_is_config_error(tmp_path, monkeypatch, capsys, command, seed,
+                                             message, flag):
+    # --seed replaces a config seed only after it is decoded, as --out does 'out'
+    monkeypatch.chdir(tmp_path)
+    config = {"generate": GEN_MASTER_CONFIG, "bench": BENCH_CONFIG}[command]
+    write_config(tmp_path, {**config, "seed": seed})
+    assert cli.main([command, "--config", "config.json", "--out", "out", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config.seed {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_bench_all_failures_exit_code(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mugl.objective
-from mugl import harness, serialize, solvers
+from mugl import cli, harness, solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from mugl.laplacian import edge_count, expand
 from mugl.moments import empirical_moments, rho1_radius, rho2_radius
@@ -79,8 +79,8 @@ def test_preset_flags():
     assert harness.ModelPreset("log_model").uses_barrier
     assert not harness.ModelPreset("mugl_o").uses_barrier
     assert not harness.ModelPreset("vsgl").uses_barrier
-    assert harness.ModelPreset("vsgl").display_name == "vsgl"
-    assert harness.ModelPreset("vsgl", label="baseline").display_name == "baseline"
+    assert harness.ModelPreset("vsgl").label == "vsgl"
+    assert harness.ModelPreset("vsgl", label="baseline").label == "baseline"
 
 
 def test_resolve_config_per_preset():
@@ -245,9 +245,9 @@ def test_run_experiment_deterministic_and_thread_invariant():
     first = harness.run_experiment(*args, n_seeds=2, master_seed=7)
     again = harness.run_experiment(*args, n_seeds=2, master_seed=7)
     threaded = harness.run_experiment(*args, n_seeds=2, master_seed=7, threads=4)
-    doc = serialize.dumps(first)
-    assert serialize.dumps(again) == doc
-    assert serialize.dumps(threaded) == doc
+    doc = cli.dumps(first)
+    assert cli.dumps(again) == doc
+    assert cli.dumps(threaded) == doc
 
 
 def test_single_seed_has_zero_spread():
@@ -289,7 +289,7 @@ def test_summary_counts_capped_fits():
     assert all(rec["models"]["mugl_l"]["termination"] == "kkt_tol" for rec in summary["records"])
     n_capped = {row["model"]: row["n_capped"] for row in summary["stats"]}
     assert n_capped == {"vsgl": 0, "mugl_l": 0, "capped": 3, "early": 0}
-    tol_kkt = {preset.display_name: preset.solver.tol_kkt for preset in presets}
+    tol_kkt = {preset.label: preset.solver.tol_kkt for preset in presets}
     for rec in summary["records"]:
         for label, entry in rec["models"].items():
             assert entry["certified"] is (entry["kkt_residual"] <= tol_kkt[label])
@@ -339,7 +339,7 @@ def test_solver_failure_skips_one_seed_only(monkeypatch):
     calls = []
 
     def flaky_learn(preset, X):
-        calls.append(preset.display_name)
+        calls.append(preset.label)
         if len(calls) == 2:  # seed 0, second preset
             raise RuntimeError("synthetic solver failure")
         return real_learn(preset, X)
@@ -437,6 +437,6 @@ def test_summary_doc_is_serializable():
     summary = harness.run_experiment(
         SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, master_seed=0
     )
-    text = serialize.dumps(summary)
+    text = cli.dumps(summary)
     assert '"master_seed": 0' in text
     assert summary["presets"][0]["label"] == "vsgl"

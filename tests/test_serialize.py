@@ -8,8 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mugl import harness
+from mugl.cli import dumps, write_json
 from mugl.datagen import GraphSpec, SignalSpec
-from mugl.serialize import dumps, format_float, write_json
+from mugl.harness import format_float
 from oracles import dumps_reference
 
 

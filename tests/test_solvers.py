@@ -890,6 +890,23 @@ def test_log_model_headline_fits_stay_within_their_work():
     assert work["log_model"]["iters"] <= 160
 
 
+def test_scale_fits_stay_within_their_work():
+    # the scale shape (m=300, n=1200), one draw each of masters 0, 2800,
+    # 2810 and 2820: mugl_l takes 48 iterations and 327 Hessian-vector
+    # products in total, log_model 19 and 35.  The bounds leave room for a
+    # different BLAS thread count moving the last bits (13-14 mugl_l
+    # iterations and up to 106 products per draw).  Without the blocked-pair
+    # re-solve mugl_l took 992 products, and without the ACTIVE_EPS cap 1,081.
+    draws = [X for master in (0, 2800, 2810, 2820)
+             for X in gaussian_draws(master, 1, m=300, n=1200)]
+    presets = {name: ModelPreset(name) for name in ("mugl_l", "log_model")}
+    work = solver_work(presets, draws)
+    assert work["mugl_l"]["iters"] <= 60
+    assert work["mugl_l"]["hessian_vector_products"] <= 450
+    assert work["log_model"]["iters"] <= 28
+    assert work["log_model"]["hessian_vector_products"] <= 60
+
+
 def solve_digest(report):
     """sha256 over the final weights, the objective trace, iters and backtracks."""
     h = hashlib.sha256()

@@ -14,7 +14,8 @@ Exit codes are part of the contract:
 
   0  success
   2  config error (malformed JSON, unknown or invalid keys, or a size that
-     cannot be allocated)
+     cannot be allocated), or a malformed signals CSV or edge list (the
+     error names the file and the line at fault)
   3  I/O error (missing or unreadable/unwritable files)
   4  learn hit the iteration cap (result still written, flagged)
   5  solver abort (nonsmooth point, barrier domain or non-finite
@@ -159,18 +160,20 @@ def parse_fields(cls, doc, where: str, **fixed):
     """Build dataclass `cls` from the JSON object `doc`.
 
     The allowed keys are the dataclass's fields; the required ones are those
-    without a default that `fixed` does not supply.  Values in `fixed` take
-    precedence over the document and are not decoded.
+    without a default that `fixed` does not supply.  `fixed` carries only the
+    section seeds a master seed derives, so the document may not set them.
     """
     if not isinstance(doc, dict):
         raise config_error(f"{where} must be an object")
+    for name in fixed:
+        if name in doc:
+            raise config_error(f"{where}: per-run seeds derive from the master seed; "
+                               f"remove {name!r} from this section")
     schema = _schema(cls)
     required = [name for name, (_, needed) in schema.items() if needed and name not in fixed]
     check_keys(doc, schema, required, where)
     kwargs = {
-        name: parse_value(schema[name][0], val, f"{where}.{name}")
-        for name, val in doc.items()
-        if name not in fixed
+        name: parse_value(schema[name][0], val, f"{where}.{name}") for name, val in doc.items()
     }
     try:
         return cls(**kwargs, **fixed)
@@ -211,13 +214,6 @@ def check_makedirs(path: str) -> None:
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 
-def reject_section_seeds(config: dict) -> None:
-    """A master seed derives the section seeds, so the sections may not set their own."""
-    if "seed" in config["graph"] or "seed" in config["signals"]:
-        raise config_error("per-run seeds derive from the master seed; "
-                           "remove 'seed' from the graph/signals sections")
-
-
 def info(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -251,8 +247,6 @@ def cmd_generate(args) -> int:
         graph_fixed, signal_fixed = ({"seed": seed} for seed in harness.run_seeds(master, 1)[0])
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", **graph_fixed)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", **signal_fixed)
-    if master is not None:
-        reject_section_seeds(config)
     out = resolve_out_dir(args, config)
 
     graph = gen_graph(graph_spec)
@@ -344,7 +338,6 @@ def cmd_bench(args) -> int:
     # per-run seeds replace the placeholder 0 in run_experiment
     graph_spec = parse_fields(GraphSpec, config["graph"], "config.graph", seed=0)
     signal_spec = parse_fields(SignalSpec, config["signals"], "config.signals", seed=0)
-    reject_section_seeds(config)
     master = parse_value(int, config.get("seed", 0), "config.seed")
     master = args.seed if args.seed is not None else master
     presets = parse_value(tuple[harness.ModelPreset, ...], config["presets"], "config.presets")

@@ -98,7 +98,11 @@ def test_generate_rejects_section_seeds_beside_a_master_seed(tmp_path, capsys, e
     out = tmp_path / "data"
     cfg = write_config(tmp_path, config, "gen.json")
     assert cli.main(["generate", "--config", cfg, "--out", str(out), "--quiet", *extra]) == 2
-    assert "per-run seeds derive from the master seed" in capsys.readouterr().err
+    # the graph section is decoded first, so its seed is the one named
+    assert capsys.readouterr().err == (
+        "error: config.graph: per-run seeds derive from the master seed; "
+        "remove 'seed' from this section\n"
+    )
     assert not out.exists()
 
 
@@ -887,11 +891,18 @@ def test_bench_empty_presets_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bench_rejects_per_section_seeds(tmp_path, capsys):
-    config = {**BENCH_CONFIG, "graph": {"family": "er", "m": 5, "p": 0.5, "seed": 3}}
-    code, _ = run_bench(tmp_path, config)
+@pytest.mark.parametrize("section", ["graph", "signals"])
+def test_bench_rejects_per_section_seeds(tmp_path, capsys, section):
+    config = {**BENCH_CONFIG, section: {**BENCH_CONFIG[section], "seed": 3}}
+    code, out = run_bench(tmp_path, config)
     assert code == 2
-    assert "master seed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config.{section}: per-run seeds derive from the master seed; "
+        "remove 'seed' from this section\n"
+    )
+    assert not out.exists()
 
 
 def test_bench_bad_threshold_rejected_before_first_draw(tmp_path, monkeypatch, capsys):
@@ -962,7 +973,11 @@ def test_help_lists_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes:" in out
-    for line in ("4  learn hit the iteration cap", "7  bench: every seed failed"):
+    for line in (
+        "or a malformed signals CSV or edge list",
+        "4  learn hit the iteration cap",
+        "7  bench: every seed failed",
+    ):
         assert line in out
 
 

@@ -334,14 +334,16 @@ def test_summary_csv_matches_golden_file(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
-def test_solver_failure_skips_one_seed_only(monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError],
+                         ids=["RuntimeError", "LinAlgError"])
+def test_solver_failure_skips_one_seed_only(monkeypatch, error):
     real_learn = harness.learn
     calls = []
 
     def flaky_learn(preset, X):
         calls.append(preset.label)
         if len(calls) == 2:  # seed 0, second preset
-            raise RuntimeError("synthetic solver failure")
+            raise error("synthetic solver failure")
         return real_learn(preset, X)
 
     monkeypatch.setattr(harness, "learn", flaky_learn)

@@ -121,8 +121,10 @@ class SignalSpec:
             object.__setattr__(self, "mu_star", tuple(map(float, self.mu_star)))
         if self.n < 1:
             raise ValueError(f"need at least one observation, got n={self.n}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"noise scale must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if self.mu_star is not None and not np.isfinite(self.mu_star).all():
+            raise ValueError(f"mu_star must be finite, got {self.mu_star}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

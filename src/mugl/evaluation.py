@@ -11,27 +11,10 @@ outcome worth recording.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_REL_THRESHOLD = 0.01
-
-
-@dataclass(frozen=True)
-class EdgeConfusion:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
-@dataclass(frozen=True)
-class PrfScores:
-    precision: float
-    recall: float
-    f_measure: float
-    degenerate: bool
 
 
 def check_threshold(rel_threshold: float) -> None:
@@ -50,58 +33,24 @@ def binarize(w: np.ndarray, rel_threshold: float = DEFAULT_REL_THRESHOLD) -> np.
     return w > rel_threshold * float(w.max(initial=0.0))
 
 
-def confusion(pred: np.ndarray, truth: np.ndarray) -> EdgeConfusion:
-    """Pairwise confusion counts between boolean indicator vectors.
-
-    Three reductions count tp, |pred| and |truth|; fp, fn and tn follow by
-    subtraction.
-    """
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    tp = int(np.count_nonzero(pred & truth))
-    fp = int(np.count_nonzero(pred)) - tp
-    fn = int(np.count_nonzero(truth)) - tp
-    return EdgeConfusion(tp, fp, fn, pred.size - tp - fp - fn)
-
-
-def prf(c: EdgeConfusion) -> PrfScores:
-    """Precision, recall, and F-measure with explicit 0/0 handling."""
-    degenerate = False
-    if c.tp + c.fp > 0:
-        precision = c.tp / (c.tp + c.fp)
-    else:
-        precision, degenerate = 0.0, True
-    if c.tp + c.fn > 0:
-        recall = c.tp / (c.tp + c.fn)
-    else:
-        recall, degenerate = 0.0, True
-    if precision + recall > 0:
-        f_measure = 2.0 * precision * recall / (precision + recall)
-    else:
-        f_measure, degenerate = 0.0, True
-    return PrfScores(precision, recall, f_measure, degenerate)
-
-
-def nmi(c: EdgeConfusion) -> float:
+def nmi(tp: int, fp: int, fn: int, tn: int) -> float:
     """Normalized mutual information 2 I / (H(truth) + H(pred)), natural log,
-    between the indicator vectors behind the confusion counts c.
+    between the indicator vectors behind the confusion counts.
 
     When either indicator has zero entropy the ratio is defined by
     convention: 1 if the vectors are identical (exactly when fp == fn == 0),
     else 0.
     """
-    total = c.tp + c.fp + c.fn + c.tn
+    total = tp + fp + fn + tn
     if total == 0:
         raise ValueError("empty indicator vectors")
-    joint = np.array([[c.tn, c.fn], [c.fp, c.tp]], dtype=float) / total
+    joint = np.array([[tn, fn], [fp, tp]], dtype=float) / total
     p_pred = joint.sum(axis=1)
     p_truth = joint.sum(axis=0)
     h_pred = _entropy(p_pred)
     h_truth = _entropy(p_truth)
     if h_pred == 0.0 or h_truth == 0.0:
-        return 1.0 if c.fp == c.fn == 0 else 0.0
+        return 1.0 if fp == fn == 0 else 0.0
     mi = 0.0
     for a in range(2):
         for b in range(2):
@@ -120,19 +69,35 @@ def metric_record(
     truth_mask: np.ndarray,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
 ) -> dict:
-    """Flat record of every edge-recovery metric for a learned weight vector,
-    all from one confusion count."""
-    c = confusion(binarize(w_pred, rel_threshold), truth_mask)
-    scores = prf(c)
+    """Flat record of every edge-recovery metric for a learned weight vector.
+
+    Three reductions count tp, |pred| and |truth|; fp, fn and tn follow by
+    subtraction.  A 0/0 ratio reads 0 and sets degenerate.
+    """
+    pred = binarize(w_pred, rel_threshold)
+    truth = np.asarray(truth_mask, dtype=bool)
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    tn = pred.size - tp - fp - fn
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    if precision + recall > 0:
+        f_measure = 2.0 * precision * recall / (precision + recall)
+    else:
+        f_measure = 0.0
     return {
-        "precision": scores.precision,
-        "recall": scores.recall,
-        "f_measure": scores.f_measure,
-        "nmi": nmi(c),
-        "tp": c.tp,
-        "fp": c.fp,
-        "fn": c.fn,
-        "tn": c.tn,
+        "precision": precision,
+        "recall": recall,
+        "f_measure": f_measure,
+        "nmi": nmi(tp, fp, fn, tn),
+        "tp": tp,
+        "fp": fp,
+        "fn": fn,
+        "tn": tn,
         "threshold": rel_threshold,
-        "degenerate": scores.degenerate,
+        # tp == 0 makes F 0/0, and precision or recall too where its denominator is 0
+        "degenerate": tp == 0,
     }

@@ -62,9 +62,10 @@ class ModelPreset:
     PRESETS[name] says which fields the preset reads; a field it never
     reads must keep its default (non-robust presets accept explicit zero
     radii).  rho1/rho2 left as None means take it from the radius formulas
-    at radius_params.delta.  alpha must be > 0 and quad_weight >= 0.  label
-    distinguishes multiple presets of the same name in one experiment,
-    e.g. a grid over alpha; left as None it becomes the name.
+    at radius_params.delta.  alpha must be > 0, quad_weight >= 0 and every
+    coefficient finite.  label distinguishes multiple presets of the same
+    name in one experiment, e.g. a grid over alpha; left as None it becomes
+    the name.
     """
 
     name: str
@@ -100,6 +101,9 @@ class ModelPreset:
         for radius in (self.rho1, self.rho2):
             if radius is not None and not radius >= 0:
                 raise ValueError(f"radii must be nonnegative, got {radius}")
+        for name in ("rho1", "rho2", "alpha", "quad_weight"):
+            if getattr(self, name) == np.inf:
+                raise ValueError(f"{name} must be finite, got inf")
 
     @property
     def uses_barrier(self) -> bool:
@@ -212,6 +216,8 @@ def run_experiment(
         raise ValueError("need at least one preset")
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got n_seeds={n_seeds}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     check_threshold(rel_threshold)
     labels = [p.label for p in presets]
     if len(set(labels)) != len(labels):

@@ -84,14 +84,12 @@ class ModelConfig:
     quad_weight: float = 0.0
 
     def __post_init__(self):
-        if not (self.rho1 >= 0 and self.rho2 >= 0):
-            raise ValueError(f"radii must be nonnegative, got rho1={self.rho1}, rho2={self.rho2}")
-        if not self.s > 0:
-            raise ValueError(f"simplex scale must be positive, got s={self.s}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not self.quad_weight >= 0:
-            raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
+        for name in ("rho1", "rho2", "alpha", "quad_weight"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"simplex scale must be finite and positive, got s={self.s}")
 
 
 @dataclass(frozen=True)

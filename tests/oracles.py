@@ -284,26 +284,34 @@ def face_direction_reference(ctx, w, pt, g, active, cg_tol):
 
 def solver_work(presets, draws):
     """{name: {"iters", "hessian_vector_products", "projections",
-    "backtracks"}}, each summed over one harness.learn fit per draw.
+    "backtracks", "fallback_searches"}}, each summed over one harness.learn
+    fit per draw.
 
     presets maps a name to a harness.ModelPreset, and draws is an iterable
-    of signal matrices X.  Products and projections are counted by wrapping
-    objective._hessian_vector and solvers.project_simplex for the duration
-    of the call; iterations and backtracks come from each fit's report.
+    of signal matrices X.  Products, projections and fallback searches are
+    counted by wrapping objective._hessian_vector, solvers.project_simplex
+    and solvers._search for the duration of the call; a fallback search is a
+    _search call with budget MAX_BACKTRACKS, the projected-gradient one.
+    Iterations and backtracks come from each fit's report.
     """
     targets = {"hessian_vector_products": (objective, "_hessian_vector"),
-               "projections": (solvers, "project_simplex")}
+               "projections": (solvers, "project_simplex"),
+               "fallback_searches": (solvers, "_search")}
+    counted = {"fallback_searches": lambda args: args[-1] == solvers.MAX_BACKTRACKS}
     originals = {key: getattr(module, attr) for key, (module, attr) in targets.items()}
     calls = dict.fromkeys(targets, 0)
 
     def counting(key):
+        counts = counted.get(key, lambda args: True)
+
         def wrapped(*args):
-            calls[key] += 1
+            calls[key] += counts(args)
             return originals[key](*args)
 
         return wrapped
 
-    keys = ("iters", "hessian_vector_products", "projections", "backtracks")
+    keys = ("iters", "hessian_vector_products", "projections", "backtracks",
+            "fallback_searches")
     work = {name: dict.fromkeys(keys, 0) for name in presets}
     for key, (module, attr) in targets.items():
         setattr(module, attr, counting(key))
@@ -320,6 +328,15 @@ def solver_work(presets, draws):
         for key, (module, attr) in targets.items():
             setattr(module, attr, originals[key])
     return work
+
+
+def indicator_pair(tp, fp, fn, tn):
+    """Boolean (pred, truth) vectors whose confusion counts are tp, fp, fn
+    and tn.  A boolean prediction binarizes to itself at any threshold in
+    [0, 1), so metric_record(pred, truth) scores exactly these counts."""
+    sizes = [tp, fp, fn, tn]
+    return (np.repeat([True, True, False, False], sizes),
+            np.repeat([True, False, True, False], sizes))
 
 
 def gaussian_draws(master_seed, count, m=20, n=80):

@@ -72,6 +72,11 @@ def test_signal_spec_validation():
                    dict(n=5, epsilon=0.1, seed=-2), dict(n=5, epsilon=math.nan, seed=0)]:
         with pytest.raises(ValueError):
             SignalSpec(**kwargs)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        SignalSpec(n=5, epsilon=math.inf, seed=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mu_star must be finite"):
+            SignalSpec(n=5, epsilon=0.1, seed=0, mu_star=(0.0, bad, 1.0))
 
 
 def test_stream_rngs_are_distinct_and_stable():

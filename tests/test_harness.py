@@ -34,6 +34,10 @@ def test_preset_validation():
         harness.ModelPreset("mugl_o", rho1=-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         harness.ModelPreset("mugl_l", rho2=float("nan"))
+    for name, field in [("mugl_o", "rho1"), ("mugl_l", "rho2"), ("mugl_l", "alpha"),
+                        ("log_model", "quad_weight")]:
+        with pytest.raises(ValueError, match=f"{field} must be finite, got inf"):
+            harness.ModelPreset(name, **{field: math.inf})
 
 
 def test_preset_rejects_alpha_without_a_barrier():
@@ -433,6 +437,11 @@ def test_run_experiment_input_validation():
         harness.run_experiment(
             SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, master_seed=-1
         )
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            harness.run_experiment(
+                SMALL_GRAPH, SMALL_SIGNALS, [harness.ModelPreset("vsgl")], n_seeds=1, threads=threads
+            )
 
 
 def test_summary_doc_is_serializable():

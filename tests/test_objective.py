@@ -81,6 +81,8 @@ def test_model_config_validation():
         ModelConfig(rho1=-1)
     with pytest.raises(ValueError):
         ModelConfig(s=0)
+    with pytest.raises(ValueError, match="simplex scale must be finite"):
+        ModelConfig(s=math.inf)
     with pytest.raises(ValueError):
         ModelConfig(alpha=-0.1)
     with pytest.raises(ValueError):
@@ -92,6 +94,9 @@ def test_model_config_rejects_a_nan_coefficient(field):
     # NaN > 0 is false, so a NaN coefficient would silently switch its term off
     with pytest.raises(ValueError, match="nonnegative"):
         ModelConfig(**{field: math.nan})
+    # inf >= 0 holds, but an infinite coefficient turns inf * 0 into NaN
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelConfig(**{field: math.inf})
 
 
 def test_objective_reduces_to_empirical_risk():

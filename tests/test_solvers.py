@@ -12,7 +12,7 @@ import mugl.objective
 import mugl.solvers
 from mugl.datagen import GraphSpec, SignalSpec, gen_graph, gen_signals
 from mugl.evaluation import binarize
-from mugl.harness import ModelPreset, learn, resolve_config, run_seeds
+from mugl.harness import PRESET_NAMES, ModelPreset, learn, resolve_config, run_seeds
 from mugl.laplacian import degrees, validate_simplex
 from mugl.moments import EmpiricalMoments, empirical_moments
 from mugl.objective import (
@@ -888,6 +888,24 @@ def test_log_model_headline_fits_stay_within_their_work():
     # took 226
     work = solver_work({"log_model": ModelPreset("log_model")}, gaussian_draws(0, 20))
     assert work["log_model"]["iters"] <= 160
+
+
+def test_headline_fits_take_no_fallback_search():
+    # every Newton search of headline masters 0 and 1 accepts a trial, so the
+    # projected-gradient fallback along z - w never runs
+    presets = {name: ModelPreset(name) for name in PRESET_NAMES}
+    for master in (0, 1):
+        work = solver_work(presets, gaussian_draws(master, 20))
+        assert {name: w["fallback_searches"] for name, w in work.items()} == dict.fromkeys(
+            presets, 0
+        )
+
+
+def test_stalled_fit_takes_one_fallback_search(stalled_line_search):
+    # the Newton search from the centroid accepts nothing, so the fit falls
+    # back once, accepts nothing there either and stops on step_tol
+    work = solver_work({"log_model": ModelPreset("log_model")}, gaussian_draws(0, 1))
+    assert work["log_model"]["fallback_searches"] == 1
 
 
 def test_scale_fits_stay_within_their_work():

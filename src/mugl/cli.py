@@ -59,16 +59,6 @@ SUMMARY_CSV = "summary.csv"
 SUMMARY_JSON = "summary.json"
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def config_error(message: str) -> CliError:
-    return CliError(EXIT_CONFIG, message)
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -77,39 +67,39 @@ def load_config(path) -> dict:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise config_error(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
 
     def unique_keys(pairs):
         doc = {}
         for key, val in pairs:
             if key in doc:
-                raise config_error(f"{path}: repeated key {key!r}")
+                raise ValueError(f"{path}: repeated key {key!r}")
             doc[key] = val
         return doc
 
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise config_error(
+        raise ValueError(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     except RecursionError as exc:
         # a RuntimeError, which main would report as a solver abort
-        raise config_error(f"{path}: JSON parse error: {exc}") from None
+        raise ValueError(f"{path}: JSON parse error: {exc}") from None
     if not isinstance(doc, dict):
-        raise config_error(f"{path}: top-level config must be a JSON object")
+        raise ValueError(f"{path}: top-level config must be a JSON object")
     return doc
 
 
 def check_keys(doc: dict, allowed, required, where: str) -> None:
     for key in doc:
         if key not in allowed:
-            raise config_error(
+            raise ValueError(
                 f"unknown key {key!r} in {where} (expected one of: {', '.join(sorted(allowed))})"
             )
     for key in required:
         if key not in doc:
-            raise config_error(f"missing required key {key!r} in {where}")
+            raise ValueError(f"missing required key {key!r} in {where}")
 
 
 @functools.cache
@@ -136,13 +126,13 @@ def parse_value(hint, val, where: str):
         return parse_fields(hint, val, where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(val, list):
-            raise config_error(f"{where} must be a list, got {val!r}")
+            raise ValueError(f"{where} must be a list, got {val!r}")
         item = typing.get_args(hint)[0]
         return tuple(parse_value(item, x, f"{where}[{i}]") for i, x in enumerate(val))
     if hint in (str, bool):
         if not isinstance(val, hint):
             kind = "string" if hint is str else "boolean"
-            raise config_error(f"{where} must be a {kind}, got {val!r}")
+            raise ValueError(f"{where} must be a {kind}, got {val!r}")
         return val
     # the bound also rejects NaN, and ints too large for a float
     if (
@@ -150,9 +140,9 @@ def parse_value(hint, val, where: str):
         or not isinstance(val, (int, float))
         or not abs(val) <= sys.float_info.max
     ):
-        raise config_error(f"{where} must be a finite number, got {val!r}")
+        raise ValueError(f"{where} must be a finite number, got {val!r}")
     if hint is int and val != int(val):
-        raise config_error(f"{where} must be an integer, got {val!r}")
+        raise ValueError(f"{where} must be an integer, got {val!r}")
     return hint(val)
 
 
@@ -164,11 +154,11 @@ def parse_fields(cls, doc, where: str, **fixed):
     section seeds a master seed derives, so the document may not set them.
     """
     if not isinstance(doc, dict):
-        raise config_error(f"{where} must be an object")
+        raise ValueError(f"{where} must be an object")
     for name in fixed:
         if name in doc:
-            raise config_error(f"{where}: per-run seeds derive from the master seed; "
-                               f"remove {name!r} from this section")
+            raise ValueError(f"{where}: per-run seeds derive from the master seed; "
+                             f"remove {name!r} from this section")
     schema = _schema(cls)
     required = [name for name, (_, needed) in schema.items() if needed and name not in fixed]
     check_keys(doc, schema, required, where)
@@ -178,7 +168,7 @@ def parse_fields(cls, doc, where: str, **fixed):
     try:
         return cls(**kwargs, **fixed)
     except ValueError as exc:
-        raise config_error(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def resolve_out_dir(args, config: dict) -> str:
@@ -188,7 +178,7 @@ def resolve_out_dir(args, config: dict) -> str:
     if args.out is not None:
         out = args.out
     if not out:
-        raise config_error("no output directory: set 'out' in the config or pass --out")
+        raise ValueError("no output directory: set 'out' in the config or pass --out")
     check_makedirs(out)
     return out
 
@@ -315,10 +305,9 @@ def cmd_eval(args) -> int:
     w_truth, m_truth = read_edge_list(truth)
     w_pred, m_pred = read_edge_list(predicted)
     if m_truth != m_pred:
-        raise CliError(
-            EXIT_M_MISMATCH,
-            f"node-count mismatch: truth has m={m_truth}, prediction has m={m_pred}",
-        )
+        print(f"error: node-count mismatch: truth has m={m_truth}, prediction has m={m_pred}",
+              file=sys.stderr)
+        return EXIT_M_MISMATCH
     record = metric_record(w_pred, w_truth > 0, threshold)
     print(dumps(record))
     if out is not None:
@@ -342,13 +331,13 @@ def cmd_bench(args) -> int:
     master = args.seed if args.seed is not None else master
     presets = parse_value(tuple[harness.ModelPreset, ...], config["presets"], "config.presets")
     if not presets:
-        raise config_error("config.presets must not be empty")
+        raise ValueError("config.presets must not be empty")
     n_seeds = parse_value(int, config["n_seeds"], "config.n_seeds")
     threshold = parse_value(
         float, config.get("threshold", DEFAULT_REL_THRESHOLD), "config.threshold"
     )
     if args.threads < 1:
-        raise config_error(f"--threads must be at least 1, got {args.threads}")
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     out = resolve_out_dir(args, config)
 
     summary = harness.run_experiment(
@@ -366,7 +355,8 @@ def cmd_bench(args) -> int:
     write_json(os.path.join(out, SUMMARY_JSON), summary)
     info(args, f"wrote {SUMMARY_CSV}, {SUMMARY_JSON} to {out}")
     if len(summary["failures"]) == n_seeds * len(presets):
-        raise CliError(EXIT_ALL_SEEDS_FAILED, "every seed failed for every preset")
+        print("error: every seed failed for every preset", file=sys.stderr)
+        return EXIT_ALL_SEEDS_FAILED
     return EXIT_OK
 
 
@@ -418,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  Codes 0, 4, 6 and 7 are
+    the command's own return value; 2, 3 and 5 come from the type of the
+    exception it raises."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except OSError as exc:
         # "file not found: <path>", "permission denied: <path>", "not a directory: <path>"
         if isinstance(exc, FileNotFoundError):

@@ -171,8 +171,11 @@ def rbf_weights(coords: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exp(-dist^2 / (2 sigma^2)) in pair-index order."""
     coords = np.asarray(coords, dtype=float)
     rows, cols = pair_indices(coords.shape[0])
-    diff = coords[rows] - coords[cols]
-    dist_sq = np.sum(diff * diff, axis=1)
+    # one coordinate at a time: a 1-D gather each, added in np.sum's order
+    dist_sq = np.zeros(len(rows))
+    for x in coords.T:
+        gap = x[rows] - x[cols]
+        dist_sq += gap * gap
     return np.exp(-dist_sq / (2.0 * sigma**2))
 
 

@@ -9,12 +9,13 @@
   model's Hessian-vector products (objective._hessian_vector) cost O(p)
   in the number of node pairs p and need no matrix.  One monotone Armijo
   search (_search) runs along that direction; where the model has no
-  positive curvature (a linear or concave objective) or no Newton trial is
-  accepted, the same search runs along the projected-gradient step z - w
-  instead.  Trial points are convex combinations of feasible points or
-  projections, so they stay feasible, and because a trial outside the
-  log-barrier domain evaluates to +inf the backtracking also acts as the
-  domain guard: iterates never leave the barrier domain.
+  positive curvature (a linear or concave objective), is the barrier's
+  alone (no Frobenius or squared term), or no Newton trial is accepted,
+  the same search runs along the projected-gradient step z - w instead.
+  Trial points are convex combinations of feasible points or projections,
+  so they stay feasible, and because a trial outside the log-barrier
+  domain evaluates to +inf the backtracking also acts as the domain guard:
+  iterates never leave the barrier domain.
 * start_point: where ls_pgd_solve starts.  When no term is convex (rho2 =
   alpha = quad_weight = 0), g is linear plus the concave sqrt(a @ w), so
   its minimum over the simplex sits at a vertex s * e_k (Rockafellar 1970,
@@ -252,7 +253,14 @@ def _newton_direction(
     residual: float, cg_tol: float,
 ) -> np.ndarray | None:
     """Projected Newton-CG direction at w, or None where the model has no
-    positive curvature along the reduced gradient.
+    positive curvature along the reduced gradient or no Frobenius or squared
+    term (rho2 = quad_weight = 0).
+
+    Without those terms the only positive curvature is the barrier's alpha
+    B^T D^-2 B (B maps the p pair weights to the m degrees), of rank at most
+    m, so the model is flat along most pair directions and its steps are
+    almost never accepted; returning None sends the iteration straight to
+    the fallback, without a CG solve and a rejected search first.
 
     The epsilon-active set (Bertsekas 1982) holds the pairs with w_k <= eps
     whose probe projection z_k is zero, eps = min(ACTIVE_EPS * s / p,
@@ -260,6 +268,8 @@ def _newton_direction(
     that face would push below zero joins it, and the direction is solved
     once more on the smaller face.  cg_tol is passed to _face_direction.
     """
+    if ctx.config.rho2 == ctx.config.quad_weight == 0.0:
+        return None
     near = np.less_equal(w, min(ACTIVE_EPS * ctx.config.s / w.size, residual))
     active = np.logical_and(near, np.equal(z, 0.0))
     d = _face_direction(ctx, w, pt, g, active, cg_tol)
@@ -411,16 +421,16 @@ def ls_pgd_solve(
     project(w - ETA_MAX * grad); stop with kkt_tol once the residual ||w -
     z|| / ETA_MAX <= tol_kkt.  Otherwise search along the Newton-CG
     direction (_newton_direction) with NEWTON_BACKTRACKS backtracks.  Where
-    the model has no positive curvature (a linear or concave objective) or
-    no Newton trial is accepted, search along z - w with MAX_BACKTRACKS
-    backtracks instead; when that search accepts no trial either, stop with
-    step_tol at w.  These two stops and the max_iters cap are the only
-    ones.  Both searches are _search, so every accepted step has g @
-    (w_next - w) < 0 and lowers the trace; trial points outside the
-    log-barrier domain evaluate to +inf and are rejected like any other
-    insufficient decrease.  A kkt_tol or step_tol return reports the
-    residual its last test measured, so a step_tol return marks a fit whose
-    fallback stalled before it was certified.
+    the model has no positive curvature (a linear or concave objective), is
+    the barrier's alone, or no Newton trial is accepted, search along z - w
+    with MAX_BACKTRACKS backtracks instead; when that search accepts no
+    trial either, stop with step_tol at w.  These two stops and the
+    max_iters cap are the only ones.  Both searches are _search, so every
+    accepted step has g @ (w_next - w) < 0 and lowers the trace; trial
+    points outside the log-barrier domain evaluate to +inf and are rejected
+    like any other insufficient decrease.  A kkt_tol or step_tol return
+    reports the residual its last test measured, so a step_tol return marks
+    a fit whose fallback stalled before it was certified.
 
     Aborts raise (see the module docstring); callers that score many fits
     record one as a failure of that one fit.

@@ -6,6 +6,7 @@ package imports this module; it exists so the tests have a second opinion
 that shares no code with the implementation under test.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -284,49 +285,51 @@ def face_direction_reference(ctx, w, pt, g, active, cg_tol):
 
 def solver_work(presets, draws):
     """{name: {"iters", "hessian_vector_products", "projections",
-    "backtracks", "fallback_searches"}}, each summed over one harness.learn
-    fit per draw.
+    "backtracks", "newton_searches", "fallback_searches", "uncertified"}},
+    each summed over one harness.learn fit per draw.
 
     presets maps a name to a harness.ModelPreset, and draws is an iterable
-    of signal matrices X.  Products, projections and fallback searches are
-    counted by wrapping objective._hessian_vector, solvers.project_simplex
-    and solvers._search for the duration of the call; a fallback search is a
-    _search call with budget MAX_BACKTRACKS, the projected-gradient one.
-    Iterations and backtracks come from each fit's report.
+    of signal matrices X.  Products, projections and searches are counted by
+    wrapping objective._hessian_vector, solvers.project_simplex and
+    solvers._search for the duration of the call.  A search is counted by
+    its budget: NEWTON_BACKTRACKS along a Newton direction, MAX_BACKTRACKS
+    along the projected-gradient fallback.  Iterations, backtracks and
+    uncertified fits come from each fit's report.
     """
-    targets = {"hessian_vector_products": (objective, "_hessian_vector"),
-               "projections": (solvers, "project_simplex"),
-               "fallback_searches": (solvers, "_search")}
-    counted = {"fallback_searches": lambda args: args[-1] == solvers.MAX_BACKTRACKS}
-    originals = {key: getattr(module, attr) for key, (module, attr) in targets.items()}
-    calls = dict.fromkeys(targets, 0)
+    searches = {solvers.NEWTON_BACKTRACKS: "newton_searches",
+                solvers.MAX_BACKTRACKS: "fallback_searches"}
+    targets = {(objective, "_hessian_vector"): lambda args: "hessian_vector_products",
+               (solvers, "project_simplex"): lambda args: "projections",
+               (solvers, "_search"): lambda args: searches[args[-1]]}
+    originals = {target: getattr(*target) for target in targets}
+    calls = collections.Counter()
 
-    def counting(key):
-        counts = counted.get(key, lambda args: True)
+    def counting(target, key_of):
+        original = originals[target]
 
         def wrapped(*args):
-            calls[key] += counts(args)
-            return originals[key](*args)
+            calls[key_of(args)] += 1
+            return original(*args)
 
         return wrapped
 
     keys = ("iters", "hessian_vector_products", "projections", "backtracks",
-            "fallback_searches")
+            "newton_searches", "fallback_searches", "uncertified")
     work = {name: dict.fromkeys(keys, 0) for name in presets}
-    for key, (module, attr) in targets.items():
-        setattr(module, attr, counting(key))
+    for target, key_of in targets.items():
+        setattr(*target, counting(target, key_of))
     try:
         for X in draws:
             for name, preset in presets.items():
-                calls.update(dict.fromkeys(calls, 0))
+                calls.clear()
                 _, report = harness.learn(preset, X)
-                work[name]["iters"] += report.iters
-                work[name]["backtracks"] += report.backtracks
-                for key, n in calls.items():
-                    work[name][key] += n
+                calls.update(iters=report.iters, backtracks=report.backtracks,
+                             uncertified=not report.certified)
+                for key in keys:
+                    work[name][key] += calls[key]
     finally:
-        for key, (module, attr) in targets.items():
-            setattr(module, attr, originals[key])
+        for target, original in originals.items():
+            setattr(*target, original)
     return work
 
 

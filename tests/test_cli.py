@@ -298,7 +298,7 @@ def test_null_only_where_a_field_is_optional(tmp_path, capsys):
 def test_parse_value_bool_is_true_or_false():
     assert cli.parse_value(bool, False, "config.trace") is False
     for val in (1, "true"):
-        with pytest.raises(cli.CliError) as exc:
+        with pytest.raises(ValueError) as exc:
             cli.parse_value(bool, val, "config.trace")
         assert str(exc.value) == f"config.trace must be a boolean, got {val!r}"
 
@@ -311,7 +311,7 @@ def test_parse_value_tuple_decodes_each_item():
         ("vsgl", "config.presets[1] must be an object"),
         ({"name": "nope"}, "config.presets[1]: unknown preset 'nope'"),
     ]:
-        with pytest.raises(cli.CliError) as exc:
+        with pytest.raises(ValueError) as exc:
             cli.parse_value(hint, [{"name": "vsgl"}, item], "config.presets")
         assert str(exc.value).startswith(message)
 
@@ -323,7 +323,7 @@ def test_parse_value_reads_typing_optional_as_a_union_with_none(val):
     def decoded(hint):
         try:
             return cli.parse_value(hint, val, "config.out")
-        except cli.CliError as exc:
+        except ValueError as exc:
             return f"error: {exc}"
 
     assert decoded(typing.Optional[str]) == decoded(str | None)
@@ -756,8 +756,15 @@ def test_eval_node_count_mismatch(tmp_path, capsys):
         "truth": str(data / "graph.edges"),
         "predicted": str(small),
     }, "eval.json")
-    assert cli.main(["eval", "--config", cfg]) == 6
-    assert "m=5" in capsys.readouterr().err
+    out = tmp_path / "scores"
+    for flags in ([], ["--out", str(out)]):
+        assert cli.main(["eval", "--config", cfg, *flags]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: node-count mismatch: truth has m=5, prediction has m=3\n"
+        )
+    assert not (out / "metrics.json").exists()
 
 
 def test_eval_writes_metrics_file(tmp_path, capsys):
@@ -949,13 +956,14 @@ def test_invalid_config_seed_is_config_error(tmp_path, monkeypatch, capsys, comm
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-def test_bench_all_failures_exit_code(tmp_path, monkeypatch):
+def test_bench_all_failures_exit_code(tmp_path, monkeypatch, capsys):
     def always_fail(preset, X):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(harness, "learn", always_fail)
     code, out = run_bench(tmp_path)
     assert code == 7
+    assert capsys.readouterr().err == "error: every seed failed for every preset\n"
     # artifacts are still written so the failures can be inspected
     doc = json.loads((out / "summary.json").read_text())
     assert len(doc["failures"]) == 4

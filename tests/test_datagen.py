@@ -93,6 +93,18 @@ def test_rbf_weight_one_at_identical_coords():
     assert w[1] < 1.0 and w[2] < 1.0
 
 
+def test_rbf_weights_match_the_row_gather_form_bit_for_bit():
+    # rbf_weights adds the squared gaps one coordinate at a time; gathering
+    # whole rows and summing along them is the reference
+    rng = np.random.default_rng(5)
+    for m in [*range(2, 41), 300]:
+        coords = rng.random((m, 2))
+        rows, cols = pair_indices(m)
+        diff = coords[rows] - coords[cols]
+        expected = np.exp(-np.sum(diff * diff, axis=1) / (2.0 * 0.3**2))
+        assert rbf_weights(coords, sigma=0.3).tobytes() == expected.tobytes()
+
+
 def test_gaussian_graph_edges_match_distance_cutoff():
     for seed in range(20):
         graph = gen_graph(GraphSpec("gaussian", 12, seed=seed))

@@ -905,7 +905,24 @@ def test_stalled_fit_takes_one_fallback_search(stalled_line_search):
     # the Newton search from the centroid accepts nothing, so the fit falls
     # back once, accepts nothing there either and stops on step_tol
     work = solver_work({"log_model": ModelPreset("log_model")}, gaussian_draws(0, 1))
+    assert work["log_model"]["newton_searches"] == 1
     assert work["log_model"]["fallback_searches"] == 1
+
+
+def test_barrier_only_fits_search_only_along_the_fallback():
+    # with no Frobenius or squared term the model's curvature is the
+    # barrier's alone, singular on pair space, so no CG solve or Newton
+    # search runs: every iteration but the certifying last one searches once
+    # along z - w.  Solving that model anyway, headline master 0's first 4
+    # draws took 131,114 Hessian-vector products, and almost every Newton
+    # search rejected all its trials
+    presets = {"mugl_l": ModelPreset("mugl_l", rho2=0.0),
+               "log_model": ModelPreset("log_model", quad_weight=0.0)}
+    work = solver_work(presets, gaussian_draws(0, 2))
+    for counts in work.values():
+        assert counts["hessian_vector_products"] == counts["newton_searches"] == 0
+        assert counts["fallback_searches"] == counts["iters"] - 2
+        assert counts["uncertified"] == 0
 
 
 def test_scale_fits_stay_within_their_work():

@@ -1,12 +1,13 @@
 """Model presets and the seeded benchmark loop.
 
-PRESETS is the model family, one row per preset name: whether the preset
-is robust (it takes rho1 and rho2 explicitly or, by default, from the
-radius formulas at confidence level delta, with the sample covariance's
-spectral norm plugged in; otherwise both are 0), and whether it reads
-alpha (the log-degree barrier) and quad_weight (the squared off-diagonal
-penalty).  The simplex scale is tied to the node count (s = m), matching
-how the synthetic benchmarks are run.  Every resolved config is fitted by
+PRESETS is the model family: each preset name maps to the fields it reads
+beyond name, label and solver.  A robust preset reads the radii rho1 and
+rho2, given explicitly or, by default, from the radius formulas at
+confidence level radius_params.delta with the sample covariance's spectral
+norm plugged in; alpha weighs the log-degree barrier and quad_weight the
+squared off-diagonal penalty.  A field the preset does not read resolves to
+0.  The simplex scale is tied to the node count (s = m), matching how the
+synthetic benchmarks are run.  Every resolved config is fitted by
 solvers.ls_pgd_solve from solvers.start_point, which is the best vertex of
 a config with no convex term (vsgl, or mugl_o at rho2 = 0) and the
 centroid otherwise.
@@ -22,8 +23,7 @@ are deterministic functions of the master seed, also under seed threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,19 +34,12 @@ from .moments import EmpiricalMoments, RadiusParams, empirical_moments, rho1_rad
 from .objective import ModelConfig, build_context
 
 
-class PresetRow(NamedTuple):
-    """What a preset reads: the radii (robust), alpha, quad_weight."""
-
-    robust: bool
-    alpha: bool
-    quad_weight: bool
-
-
+RADII = ("rho1", "rho2")
 PRESETS = {
-    "mugl_o": PresetRow(robust=True, alpha=False, quad_weight=False),
-    "mugl_l": PresetRow(robust=True, alpha=True, quad_weight=False),
-    "vsgl": PresetRow(robust=False, alpha=False, quad_weight=False),
-    "log_model": PresetRow(robust=False, alpha=True, quad_weight=True),
+    "mugl_o": (*RADII, "radius_params"),
+    "mugl_l": (*RADII, "radius_params", "alpha"),
+    "vsgl": (),
+    "log_model": ("alpha", "quad_weight"),
 }
 PRESET_NAMES = tuple(PRESETS)
 SUMMARY_METRICS = ("precision", "recall", "f_measure", "nmi")
@@ -59,9 +52,9 @@ DEFAULT_QUAD_WEIGHT = 0.5
 class ModelPreset:
     """A named model with its radii source, penalties, and solver options.
 
-    PRESETS[name] says which fields the preset reads; a field it never
-    reads must keep its default (non-robust presets accept explicit zero
-    radii).  rho1/rho2 left as None means take it from the radius formulas
+    PRESETS[name] lists the fields the preset reads; a field that only
+    other presets read must keep its default here, except that radii may
+    also be given as 0.  rho1/rho2 left as None means take it from the radius formulas
     at radius_params.delta.  alpha must be > 0, quad_weight >= 0 and every
     coefficient finite.  label distinguishes multiple presets of the same
     name in one experiment, e.g. a grid over alpha; left as None it becomes
@@ -82,20 +75,19 @@ class ModelPreset:
             raise ValueError(f"unknown preset {self.name!r}, expected one of {PRESET_NAMES}")
         if self.label is None:
             object.__setattr__(self, "label", self.name)
-        row = PRESETS[self.name]
-        if not row.robust:
-            for radius in (self.rho1, self.rho2):
-                if radius is not None and radius != 0.0:
-                    raise ValueError(f"{self.name} is non-robust; radii must be 0 or omitted")
-            if self.radius_params != RadiusParams():
-                raise ValueError(f"{self.name} is non-robust; radius_params must be omitted")
-        if not row.alpha and self.alpha != DEFAULT_ALPHA:
-            raise ValueError(f"{self.name} has no barrier; alpha must be omitted")
+        for f in fields(self):
+            readers = [name for name, reads in PRESETS.items() if f.name in reads]
+            if not readers or self.name in readers:
+                continue
+            value = getattr(self, f.name)
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if value != default and not (f.name in RADII and value == 0.0):
+                verb = "reads" if len(readers) == 1 else "read"
+                raise ValueError(
+                    f"only {' and '.join(readers)} {verb} {f.name}; omit it for {self.name}"
+                )
         if not self.alpha > 0:
             raise ValueError(f"{self.name}'s log-degree barrier needs alpha > 0, got {self.alpha}")
-        if not row.quad_weight and self.quad_weight != DEFAULT_QUAD_WEIGHT:
-            readers = ", ".join(name for name, r in PRESETS.items() if r.quad_weight)
-            raise ValueError(f"only {readers} reads quad_weight; omit it for {self.name}")
         if not self.quad_weight >= 0:
             raise ValueError(f"quad_weight must be nonnegative, got {self.quad_weight}")
         for radius in (self.rho1, self.rho2):
@@ -108,31 +100,26 @@ class ModelPreset:
     @property
     def uses_barrier(self) -> bool:
         """True when the preset reads alpha, i.e. its objective has the barrier."""
-        return PRESETS[self.name].alpha
+        return "alpha" in PRESETS[self.name]
 
 
 def resolve_config(preset: ModelPreset, moments: EmpiricalMoments, m: int) -> ModelConfig:
-    """Concrete objective config for this preset on this data (s = m)."""
-    row = PRESETS[preset.name]
-    if not row.robust:
-        rho1 = rho2 = 0.0
-    else:
-        params = preset.radius_params
-        rho1 = preset.rho1 if preset.rho1 is not None else rho1_radius(params, moments.n)
-        if preset.rho2 is not None:
-            rho2 = preset.rho2
-        else:
-            # only the covariance radius reads sigma, so only it takes an
-            # eigenvalue; the floor keeps constant signals' scale positive
-            sigma = max(float(np.linalg.eigvalsh(moments.cov)[-1]), np.finfo(float).tiny)
-            rho2 = rho2_radius(params, sigma, m, moments.n)
-    return ModelConfig(
-        rho1=rho1,
-        rho2=rho2,
-        s=float(m),
-        alpha=preset.alpha if row.alpha else 0.0,
-        quad_weight=preset.quad_weight if row.quad_weight else 0.0,
-    )
+    """Concrete objective config for this preset on this data (s = m).
+
+    A field the preset does not read resolves to 0, and a radius it reads
+    but leaves as None to its formula.
+    """
+    reads = PRESETS[preset.name]
+    rho1, rho2 = preset.rho1, preset.rho2
+    if rho1 is None and "rho1" in reads:
+        rho1 = rho1_radius(preset.radius_params, moments.n)
+    if rho2 is None and "rho2" in reads:
+        # only the covariance radius reads sigma, so only it takes an
+        # eigenvalue; the floor keeps constant signals' scale positive
+        sigma = max(float(np.linalg.eigvalsh(moments.cov)[-1]), np.finfo(float).tiny)
+        rho2 = rho2_radius(preset.radius_params, sigma, m, moments.n)
+    values = {"rho1": rho1, "rho2": rho2, "alpha": preset.alpha, "quad_weight": preset.quad_weight}
+    return ModelConfig(s=float(m), **{k: v if k in reads else 0.0 for k, v in values.items()})
 
 
 def learn(preset: ModelPreset, X: np.ndarray) -> tuple[ModelConfig, solvers.SolveReport]:
@@ -263,33 +250,19 @@ def summarize(records: list[dict], labels) -> list[dict]:
     n_uncertified how many returned a kkt_residual above tol_kkt."""
     stats = []
     for label in labels:
-        values = {metric: [] for metric in SUMMARY_METRICS}
-        n_capped = n_uncertified = 0
-        for rec in records:
-            entry = rec["models"].get(label)
-            if entry is None or "error" in entry:
-                continue
-            for metric in SUMMARY_METRICS:
-                values[metric].append(entry[metric])
-            n_capped += entry["termination"] == "max_iters"
-            n_uncertified += not entry["certified"]
+        fits = [rec["models"][label] for rec in records if "error" not in rec["models"][label]]
+        counts = {
+            "n_seeds": len(fits),
+            "n_capped": sum(fit["termination"] == "max_iters" for fit in fits),
+            "n_uncertified": sum(not fit["certified"] for fit in fits),
+        }
         for metric in SUMMARY_METRICS:
-            vals = np.array(values[metric], dtype=float)
-            if vals.size:
-                mean = float(vals.mean())
-                spread = 100.0 * float(vals.std()) / mean if mean != 0.0 else 0.0
-            else:
-                mean, spread = 0.0, 0.0
+            vals = np.array([fit[metric] for fit in fits], dtype=float)
+            mean = float(vals.mean()) if fits else 0.0
+            spread = 100.0 * float(vals.std()) / mean if mean != 0.0 else 0.0
             stats.append(
-                {
-                    "model": label,
-                    "metric": metric,
-                    "mean": mean,
-                    "normalized_std_percent": spread,
-                    "n_seeds": int(vals.size),
-                    "n_capped": n_capped,
-                    "n_uncertified": n_uncertified,
-                }
+                {"model": label, "metric": metric, "mean": mean, "normalized_std_percent": spread}
+                | counts
             )
     return stats
 

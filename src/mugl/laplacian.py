@@ -147,8 +147,8 @@ def adjoint(M: np.ndarray) -> np.ndarray:
     """Adjoint of expand applied to a symmetric matrix M.
 
     Entry k of the result is M_ii - M_ij - M_ji + M_jj for the pair (i, j)
-    at linear position k.  Inputs that are only asymmetric at round-off are
-    symmetrized silently; material asymmetry additionally raises a warning.
+    at linear position k, so an asymmetric M acts through its symmetric
+    part; material asymmetry raises a warning.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -160,10 +160,9 @@ def adjoint(M: np.ndarray) -> np.ndarray:
             f"adjoint() input asymmetric (max gap {sym_gap:.3g}); symmetrizing",
             stacklevel=2,
         )
-    S = 0.5 * (M + M.T)
     rows, cols = pair_indices(m)
-    d = np.diag(S)
-    return d[rows] + d[cols] - 2.0 * S[rows, cols]
+    d = np.diag(M)
+    return d[rows] + d[cols] - (M[rows, cols] + M[cols, rows])
 
 
 def validate_simplex(w: np.ndarray, s: float) -> bool:

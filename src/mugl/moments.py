@@ -61,7 +61,11 @@ class RadiusParams:
 
 
 def empirical_moments(X: np.ndarray) -> EmpiricalMoments:
-    """Mean and 1/n covariance of the columns of X (m x n)."""
+    """Mean and 1/n covariance of the columns of X (m x n).
+
+    ValueError if X has a non-finite entry, or if a covariance entry or a
+    squared gap between two node means overflows.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"signal matrix must be 2-d, got shape {X.shape}")
@@ -70,9 +74,15 @@ def empirical_moments(X: np.ndarray) -> EmpiricalMoments:
         raise ValueError(f"need at least 2 observations for a covariance, got n={n}")
     if not np.isfinite(X).all():
         raise ValueError("signal matrix contains non-finite entries")
-    mean = X.mean(axis=1)
-    centered = X - mean[:, None]
-    cov = (centered @ centered.T) / n
+    # finite signals can still overflow a covariance entry or the squared
+    # gap between two means, which the objective's coefficients are built from
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=1)
+        centered = X - mean[:, None]
+        cov = (centered @ centered.T) / n
+        gap_sq = np.ptp(mean) ** 2
+    if not (np.isfinite(cov).all() and np.isfinite(gap_sq)):
+        raise ValueError("signal second moments overflow; rescale the signals")
     return EmpiricalMoments(mean=mean, cov=cov, n=n)
 
 

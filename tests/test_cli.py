@@ -472,6 +472,25 @@ def test_learn_non_finite_signal_names_file_and_row(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["mugl_l", "log_model", "vsgl"])
+@pytest.mark.parametrize("case", ["scaled", "offset", "held"])
+def test_learn_overflowing_second_moments_is_config_error(tmp_path, capsys, case, preset):
+    # finite signals whose covariance or squared mean gap overflows
+    Z = np.random.default_rng(0).standard_normal((5, 20))
+    X = {
+        "scaled": Z * 1e200,
+        "offset": Z + np.where(np.arange(20) % 2 == 0, 1e170, -1e170),
+        "held": np.repeat(np.where(np.arange(5) % 2 == 0, 1e160, -1e160)[:, None], 20, axis=1),
+    }[case]
+    signals = tmp_path / "signals.csv"
+    write_signals_csv(signals, X)
+    out = tmp_path / "fit"
+    cfg = write_config(tmp_path, {"signals": str(signals), "preset": {"name": preset}})
+    assert cli.main(["learn", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: signal second moments overflow; rescale the signals\n"
+    assert not out.exists()
+
+
 def test_eval_oversized_edge_list_field_is_config_error(tmp_path, capsys):
     # edge lists are not read through the csv module, so no field limit
     # applies; an absurd weight is still refused by line

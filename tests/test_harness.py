@@ -25,9 +25,9 @@ def test_preset_validation():
     with pytest.raises(ValueError, match="unknown preset"):
         harness.ModelPreset("mugl_x")
     for name in ("vsgl", "log_model"):
-        with pytest.raises(ValueError, match="non-robust"):
+        with pytest.raises(ValueError, match=f"only mugl_o and mugl_l read rho1; omit it for {name}"):
             harness.ModelPreset(name, rho1=1.0)
-        with pytest.raises(ValueError, match="non-robust"):
+        with pytest.raises(ValueError, match=f"only mugl_o and mugl_l read rho2; omit it for {name}"):
             harness.ModelPreset(name, rho2=0.5)
         harness.ModelPreset(name, rho1=0.0, rho2=0.0)  # explicit zeros are fine
     with pytest.raises(ValueError, match="nonnegative"):
@@ -42,7 +42,7 @@ def test_preset_validation():
 
 def test_preset_rejects_alpha_without_a_barrier():
     for name in ("mugl_o", "vsgl"):
-        with pytest.raises(ValueError, match=f"{name} has no barrier; alpha"):
+        with pytest.raises(ValueError, match=f"only mugl_l and log_model read alpha; omit it for {name}"):
             harness.ModelPreset(name, alpha=0.3)
         harness.ModelPreset(name, alpha=harness.DEFAULT_ALPHA)
     for name in ("mugl_l", "log_model"):
@@ -71,7 +71,7 @@ def test_preset_rejects_quad_weight_outside_log_model():
 def test_preset_rejects_radius_params_on_non_robust_presets():
     params = harness.RadiusParams(delta=0.01)
     for name in ("vsgl", "log_model"):
-        with pytest.raises(ValueError, match="non-robust; radius_params"):
+        with pytest.raises(ValueError, match=f"read radius_params; omit it for {name}"):
             harness.ModelPreset(name, radius_params=params)
         harness.ModelPreset(name, radius_params=harness.RadiusParams())
     for name in ("mugl_o", "mugl_l"):
@@ -85,6 +85,43 @@ def test_preset_flags():
     assert not harness.ModelPreset("vsgl").uses_barrier
     assert harness.ModelPreset("vsgl").label == "vsgl"
     assert harness.ModelPreset("vsgl", label="baseline").label == "baseline"
+
+
+ROBUST = {"mugl_o", "mugl_l"}
+EVERY_PRESET = set(harness.PRESET_NAMES)
+# (field, value) -> the presets that accept it; every other preset refuses it.
+# radius_params takes a RadiusParams, so RadiusParams(0.01) stands in for 0.3.
+PRESET_ACCEPTANCE = {
+    ("rho1", None): EVERY_PRESET,
+    ("rho1", 0.0): EVERY_PRESET,
+    ("rho1", -0.0): EVERY_PRESET,
+    ("rho1", 0.3): ROBUST,
+    ("rho1", math.nan): set(),
+    ("rho2", None): EVERY_PRESET,
+    ("rho2", 0.0): EVERY_PRESET,
+    ("rho2", 0.3): ROBUST,
+    ("rho2", math.nan): set(),
+    ("radius_params", harness.RadiusParams()): EVERY_PRESET,
+    ("radius_params", harness.RadiusParams(delta=0.01)): ROBUST,
+    ("alpha", harness.DEFAULT_ALPHA): EVERY_PRESET,
+    ("alpha", 0.0): set(),
+    ("alpha", 0.3): {"mugl_l", "log_model"},
+    ("alpha", math.nan): set(),
+    ("quad_weight", harness.DEFAULT_QUAD_WEIGHT): EVERY_PRESET,
+    ("quad_weight", 0.0): {"log_model"},
+    ("quad_weight", 0.3): {"log_model"},
+    ("quad_weight", math.nan): set(),
+}
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_preset_acceptance_table(name):
+    for (field, value), accepted in PRESET_ACCEPTANCE.items():
+        if name in accepted:
+            assert getattr(harness.ModelPreset(name, **{field: value}), field) is value
+        else:
+            with pytest.raises(ValueError):
+                harness.ModelPreset(name, **{field: value})
 
 
 def test_resolve_config_per_preset():
@@ -359,6 +396,33 @@ def test_solver_failure_skips_one_seed_only(monkeypatch, error):
     by_model = {(row["model"], row["metric"]): row["n_seeds"] for row in summary["stats"]}
     assert by_model[("vsgl", "f_measure")] == 2
     assert by_model[("mugl_o", "f_measure")] == 1
+
+
+def test_preset_that_fails_on_every_seed_has_empty_stats(monkeypatch):
+    presets = [harness.ModelPreset("vsgl"), harness.ModelPreset("mugl_o")]
+    args = (SMALL_GRAPH, SMALL_SIGNALS, presets)
+    healthy = harness.run_experiment(*args, n_seeds=3, master_seed=7)["stats"]
+    real_learn = harness.learn
+
+    def failing_learn(preset, X):
+        if preset.label == "mugl_o":
+            raise RuntimeError("synthetic solver failure")
+        return real_learn(preset, X)
+
+    monkeypatch.setattr(harness, "learn", failing_learn)
+    summary = harness.run_experiment(*args, n_seeds=3, master_seed=7)
+    assert [(f["seed_index"], f["model"]) for f in summary["failures"]] == [
+        (r, "mugl_o") for r in range(3)
+    ]
+    empty = {"mean": 0.0, "normalized_std_percent": 0.0,
+             "n_seeds": 0, "n_capped": 0, "n_uncertified": 0}
+    rows = [row for row in summary["stats"] if row["model"] == "mugl_o"]
+    assert rows == [
+        {"model": "mugl_o", "metric": metric} | empty for metric in harness.SUMMARY_METRICS
+    ]
+    assert [row for row in summary["stats"] if row["model"] == "vsgl"] == [
+        row for row in healthy if row["model"] == "vsgl"
+    ]
 
 
 def test_non_finite_gradient_fails_one_fit_only(monkeypatch):

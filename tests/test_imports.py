@@ -1,6 +1,6 @@
 """The package's shape: it runs on numpy alone, importing its entry points
-loads neither scipy nor concurrent.futures, and every public function and
-class is reached from the package."""
+loads neither scipy nor concurrent.futures, every public function and
+class is reached from the package, and every imported name is read."""
 
 import ast
 import os
@@ -61,3 +61,20 @@ def test_every_public_function_is_named_in_the_package():
     }
     assert REACHED_FROM_TESTS_ONLY | CHECKED_ENTRY_POINTS <= defined
     assert sorted(defined - named - REACHED_FROM_TESTS_ONLY - CHECKED_ENTRY_POINTS) == []
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports but never reads is a leftover of deleted code
+    unused = []
+    for path in sorted((SRC / "mugl").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []

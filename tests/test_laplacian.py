@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -125,6 +127,25 @@ def test_adjoint_warns_on_material_asymmetry():
         out = adjoint(M)
     # symmetrized to [[0, .5], [.5, 0]]
     assert np.allclose(out, [-1.0])
+
+
+def test_adjoint_matches_the_symmetrized_form_bit_for_bit():
+    # adjoint adds both triangles of M directly; symmetrizing first, as
+    # 0.5 * (M + M.T), and doubling the off-diagonal back is the reference
+    rng = np.random.default_rng(11)
+    for m in [*range(2, 31), 100]:
+        rows, cols = pair_indices(m)
+        for scale in (1e-3, 1.0, 1e3):
+            X = scale * rng.standard_normal((m, 3 * m))
+            cov = np.cov(X, bias=True)
+            noisy = cov * (1.0 + 1e-12 * rng.standard_normal((m, m)))
+            for M in (cov, noisy, rng.standard_normal((m, m))):
+                S = 0.5 * (M + M.T)
+                d = np.diag(S)
+                expected = d[rows] + d[cols] - 2.0 * S[rows, cols]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert adjoint(M).tobytes() == expected.tobytes()
 
 
 def test_adjoint_rejects_a_non_square_matrix():

@@ -56,6 +56,30 @@ def test_moments_input_validation():
         empirical_moments(np.zeros(5))
 
 
+def overflowing_signals(case):
+    """5 x 20 finite signals whose second moments overflow."""
+    Z = np.random.default_rng(0).standard_normal((5, 20))
+    if case == "scaled":  # every covariance entry overflows
+        return Z * 1e200
+    if case == "offset":  # observations at +-1e170 about a zero mean
+        return Z + np.where(np.arange(20) % 2 == 0, 1e170, -1e170)
+    # nodes held at +-1e160: zero covariance, but the squared mean gap overflows
+    return np.repeat(np.where(np.arange(5) % 2 == 0, 1e160, -1e160)[:, None], 20, axis=1)
+
+
+@pytest.mark.parametrize("case", ["scaled", "offset", "held"])
+def test_overflowing_second_moments_are_refused(case):
+    # warnings are errors in this suite, so this also checks that none escapes
+    with pytest.raises(ValueError, match="^signal second moments overflow; rescale the signals$"):
+        empirical_moments(overflowing_signals(case))
+
+
+def test_large_finite_second_moments_are_kept():
+    # covariance entries near 1e300 still fit in a float
+    mom = empirical_moments(overflowing_signals("scaled") * 1e-50)
+    assert np.isfinite(mom.cov).all() and np.abs(mom.cov).max() > 1e299
+
+
 def test_covariance_psd_and_rank_bounded():
     rng = np.random.default_rng(5)
     for m, n in [(3, 10), (5, 3), (6, 2)]:

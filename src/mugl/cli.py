@@ -271,8 +271,6 @@ def cmd_learn(args) -> int:
     m, n = X.shape
     resolved, report = harness.learn(preset, X)
 
-    os.makedirs(out, exist_ok=True)
-    write_edge_list(os.path.join(out, LEARNED_FILE), report.w_final, m)
     doc = {
         "version": __version__,
         "signals": signals,
@@ -284,7 +282,12 @@ def cmd_learn(args) -> int:
     }
     if want_trace:
         doc["objective_trace"] = list(report.objective_trace)
-    write_json(os.path.join(out, REPORT_FILE), doc)
+    # a report that cannot be serialized (a non-finite value) writes nothing
+    text = dumps(doc) + "\n"
+    os.makedirs(out, exist_ok=True)
+    write_edge_list(os.path.join(out, LEARNED_FILE), report.w_final, m)
+    with open(os.path.join(out, REPORT_FILE), "w") as fh:
+        fh.write(text)
     info(args, f"wrote {LEARNED_FILE}, {REPORT_FILE} to {out} ({report.termination})")
     return EXIT_MAX_ITERS if report.termination == "max_iters" else EXIT_OK
 

@@ -190,10 +190,26 @@ def write_edge_list(path, w: np.ndarray, m: int) -> None:
         )
     rows, cols = pair_indices(m)
     k = np.flatnonzero(w)
-    edges = zip((rows[k] + 1).tolist(), (cols[k] + 1).tolist(), w[k].tolist())
-    with open(path, "w") as fh:
-        fh.write(f"# m={m}\n")
-        fh.writelines("%d %d %.17g\n" % edge for edge in edges)
+    newline = (np.frombuffer(b"\n", np.uint8)[None], np.ones((1, 1), bool))
+    with open(path, "wb") as fh:
+        fh.write(f"# m={m}\n".encode())
+        for s in range(0, k.size, _G17_BLOCK):
+            pairs = k[s : s + _G17_BLOCK]
+            labels = _edge_labels(rows[pairs] + 1, cols[pairs] + 1, len(str(m)))
+            fh.write(_format_g17(w[pairs], newline, labels))
+
+
+def _edge_labels(i: np.ndarray, j: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, keep) of the text ``f"{i} {j} "`` of each pair, for labels of
+    at most ``width`` digits: each label right-aligned in ``width`` cells."""
+    cells = np.full((i.size, 2 * width + 2), ord(" "), np.uint8)
+    keep = np.ones(cells.shape, bool)
+    for first, label in ((0, i), (width + 1, j)):
+        for t in range(width):
+            power = 10 ** (width - 1 - t)
+            cells[:, first + t] = label // power % 10 + ord("0")
+            keep[:, first + t] = label >= power
+    return cells, keep
 
 
 def read_edge_list(path) -> tuple[np.ndarray, int]:
@@ -280,6 +296,155 @@ def _first_failing_line(parse, lines: list[str]) -> int:
         except ValueError:
             bad = mid
     return good
+
+
+# Values per _format_g17 call in the text writers.  Of 1,024, 2,048 and
+# 4,096, 2,048 wrote a 100 x 400 signals CSV fastest, and a block's buffers
+# (a few hundred kB) add to the peak memory of a process that writes one.
+_G17_BLOCK = 2048
+
+# Exact '%.17g' for a block of doubles (``_format_g17``).  10**q is an exact
+# double for q <= 22, and Veltkamp's split into 26-bit halves lets Dekker's
+# two-product give x * 10**q = p + e with no rounding error.
+_POW10 = np.array([float(10**q) for q in range(23)])
+_VELTKAMP = 2.0**27 + 1
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo == a exactly, each of at most 26 significant bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# The cells a value's text is picked from, and the offsets of the two copies
+# of its 17 digits d0..d16 (d1 on a 4-byte boundary for the uint32 writes):
+#   '-' '0' _ d0 | d1..d16 | '.' '0' '0' '0' | _ _ _ d0 | d1..d16
+# (_ is never kept).  A value of decimal exponent k >= 0 keeps d0..dk from
+# the first copy, then '.' and the fraction digits from the second; one with
+# k < 0 keeps '0.', -k-1 zeros and the second copy.  Trailing zero digits
+# are dropped.
+_CELLS = np.frombuffer(b"-0" + b" " * 18 + b".000" + b" " * 20, np.uint8)
+_INT, _FRAC = 3, 27
+
+
+@lru_cache(maxsize=None)
+def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_format_g17's read-only tables (quad_text, quad_end, keep), built on
+    first use, so that a process that writes no text file never builds them.
+
+    - quad_text[r]: the four ASCII digits of r in 0..9999 as one uint32, in
+      memory order.
+    - quad_end[t, r]: one past the last nonzero digit when digits 4t+1..4t+4
+      of the 17 are r, and 0 when r == 0 (1 for t == 0: d0 is never zero).
+    - keep[((k + 4) * 18 + L) * 2 + (1 if negative else 0)]: which of _CELLS
+      the text of a value keeps, as uint32 words, for its decimal exponent k
+      in [-4, 15] and L, the count of its 17 digits up to the last nonzero.
+    """
+    quad = np.arange(10000, dtype=np.int16)
+    quad_text = np.ascontiguousarray(
+        np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    ).view(np.uint32)[:, 0]
+    quad_end = np.where(
+        quad == 0,
+        np.uint8(0),
+        np.arange(5, 21, 4, dtype=np.uint8)[:, None]
+        - (quad % 10 == 0).astype(np.uint8) - (quad % 100 == 0) - (quad % 1000 == 0),
+    )
+    quad_end[0, 0] = 1
+
+    k = np.arange(-4, 16)[:, None, None, None]
+    last = np.arange(18)[:, None, None]
+    i = np.arange(17)
+    keep = np.zeros((20, 18, 2, _CELLS.size), bool)
+    keep[..., 0] = np.arange(2)
+    keep[..., 1] = (k < 0)[..., 0]
+    keep[..., _INT : _INT + 17] = i <= k
+    keep[..., _INT + 17] = (last > k + 1)[..., 0]
+    keep[..., _INT + 18 : _INT + 21] = np.arange(3) < -k - 1
+    keep[..., _FRAC : _FRAC + 17] = (k < i) & (i < last)
+    tables = quad_text, quad_end, keep.reshape(-1, _CELLS.size).view(np.uint32)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _format_exceptional(value: float) -> bytes:
+    """'%.17g' of one value outside _format_g17's exact domain."""
+    return b"%.17g" % value
+
+
+def _format_g17(x: np.ndarray, sep: tuple, head: tuple | None = None) -> bytes:
+    """The bytes of head[r] + '%.17g' % x[r] + sep[r] for every value x[r] of
+    the 1-d float64 block x, as CPython's correctly rounded '%' prints them.
+
+    ``sep`` and ``head`` are (cells, keep) pairs of uint8 and bool arrays of
+    shape (x.size or 1, width): row r's text is the cells its keep row marks.
+
+    For 1e-4 <= |x| < 1e16, '%.17g' prints 17 significant digits in fixed
+    notation, and its digits are round-half-even(|x| * 10**q) for q = 16 - k,
+    k = floor(log10|x|).  The two-product gives x * 10**q = p + e exactly, and
+    p >= 1e16 > 2**53 is an even integer, so the rounding is p + rint(e),
+    ties to even included.  log10 can be one off near a power of ten, so a
+    product outside [1e16, 1e17) is redone with k moved by one.  The rounding
+    never carries to 1e17: the double nearest below each power of ten in the
+    range lies more than half a unit of the 17th digit away.  Every other
+    value (zeros, non-finite values, and those printed with an exponent)
+    goes through _format_exceptional.
+    """
+    quad_text, quad_end, keep_table = _g17_tables()
+    n = x.size
+    head_cells, head_keep = head if head is not None else (np.empty((1, 0), np.uint8),) * 2
+    start = -(-head_cells.shape[1] // 4) * 4  # the value's first cell, 4-aligned
+    stop = start + _CELLS.size
+    width = stop + -(-sep[0].shape[1] // 4) * 4
+    frame = np.empty((n, width), np.uint8)
+    keep = np.zeros((n, width), bool)
+    frame[:, start - head_cells.shape[1] : start] = head_cells
+    keep[:, start - head_cells.shape[1] : start] = head_keep
+    frame[:, stop : stop + sep[0].shape[1]] = sep[0]
+    keep[:, stop : stop + sep[0].shape[1]] = sep[1]
+    words = frame.view(np.uint32)
+    words[:, start // 4 : stop // 4] = _CELLS.view(np.uint32)
+
+    a = np.abs(x)
+    exact = (1e-4 <= a) & (a < 1e16)
+    a = np.where(exact, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    a_hi, a_lo = _veltkamp(a)
+
+    def two_product(rows):
+        q = 16 - k[rows]
+        p = a[rows] * _POW10[q]
+        hi, lo = a_hi[rows], a_lo[rows]
+        return p, ((hi * _POW10_HI[q] - p) + hi * _POW10_LO[q] + lo * _POW10_HI[q]) + lo * _POW10_LO[q]
+
+    p, e = two_product(slice(None))
+    below = (p < 1e16) | ((p == 1e16) & (e < 0))
+    above = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    redo = np.flatnonzero(below | above)
+    k[redo] += np.where(above[redo], 1, -1)
+    p[redo], e[redo] = two_product(redo)
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+    # four digits at a time, from d13..d16 up, into both copies
+    last = None
+    for t in range(3, -1, -1):
+        rest = digits // 10000
+        quad = digits - 10000 * rest
+        words[:, (start + _INT + 1) // 4 + t] = words[:, (start + _FRAC + 1) // 4 + t] = quad_text[quad]
+        end = quad_end[t, quad]
+        last = end if last is None else np.maximum(last, end)
+        digits = rest
+    frame[:, start + _INT] = frame[:, start + _FRAC] = digits + ord("0")
+    keep.view(np.uint32)[:, start // 4 : stop // 4] = keep_table[((k + 4) * 18 + last) * 2 + (x < 0)]
+
+    for r in np.flatnonzero(~exact):
+        text = _format_exceptional(float(x[r]))
+        frame[r, start : start + len(text)] = np.frombuffer(text, np.uint8)
+        keep[r, start:stop] = np.arange(_CELLS.size) < len(text)
+    return frame[keep].tobytes()
 
 
 def _excerpt(line: str) -> str:

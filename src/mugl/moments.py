@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .laplacian import _first_failing_line
+from .laplacian import _G17_BLOCK, _first_failing_line, _format_g17
 
 # delta may not exceed exp(-2); beyond that the mean bound's derivation no
 # longer applies, so we reject rather than silently extrapolate.
@@ -129,12 +129,21 @@ def write_signals_csv(path, X: np.ndarray) -> None:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"signal matrix must be 2-d, got shape {X.shape}")
-    m = X.shape[0]
-    row_format = ",".join(["%.17g"] * m) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"node_{i}" for i in range(1, m + 1)) + "\r\n")
-        # One row at a time: a whole-matrix string would cost megabytes.
-        fh.writelines(row_format % tuple(row.tolist()) for row in X.T)
+    m, n = X.shape
+    with open(path, "wb") as fh:
+        fh.write((",".join(f"node_{i}" for i in range(1, m + 1)) + "\r\n").encode())
+        if m == 0:
+            fh.write(b"\r\n" * n)  # rows without fields
+            return
+        # Blocks of whole rows, at most _G17_BLOCK values (or one row), each
+        # written as soon as it is formatted: the matrix's text is never held.
+        rows = max(1, _G17_BLOCK // m)
+        row_end = np.arange(rows * m) % m == m - 1
+        cells = np.frombuffer(b",\r\n", np.uint8)[None]
+        keep = np.stack([~row_end, row_end, row_end], axis=1)  # "," or "\r\n"
+        for r in range(0, n, rows):
+            block = X[:, r : r + rows].T.ravel()
+            fh.write(_format_g17(block, (cells, keep[: block.size])))
 
 
 def read_signals_csv(path) -> np.ndarray:

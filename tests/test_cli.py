@@ -1106,3 +1106,27 @@ def test_python_m_mugl_exit_codes(tmp_path, case, code):
     if code:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_learn_report_that_cannot_be_written_writes_nothing(tmp_path):
+    # The covariance of these signals is finite (about 1e302), but the
+    # objective overflows, so the solve report holds inf, which JSON refuses.
+    # In-process, the suite's warnings-as-errors setting would stop the fit
+    # at the overflow warning instead.
+    signals = tmp_path / "signals.csv"
+    write_signals_csv(signals, np.random.default_rng(0).standard_normal((5, 20)) * 1e151)
+    config = {"signals": str(signals), "preset": {"name": "log_model"}}
+    fit = tmp_path / "out" / "fit"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "mugl", "learn", "--config", write_config(tmp_path, config),
+         "--out", str(fit)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == cli.EXIT_CONFIG, result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        "error: Out of range float values are not JSON compliant: inf")
+    assert not (tmp_path / "out").exists()

@@ -9,8 +9,13 @@ a file's prefixes one line at a time: a refusal must name the same line.
 """
 
 import csv
+import hashlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +26,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import first_refused_line
 
-from mugl.laplacian import edge_count, pair_indices, pair_to_linear, read_edge_list, write_edge_list
+import mugl
+from mugl import laplacian
+from mugl.laplacian import (
+    _G17_BLOCK,
+    _format_g17,
+    edge_count,
+    pair_indices,
+    pair_to_linear,
+    read_edge_list,
+    write_edge_list,
+)
 from mugl.moments import read_signals_csv, write_signals_csv
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +124,133 @@ def test_edge_writer_matches_reference_loop(case):
         path = Path(tmp) / "graph.edges"
         write_edge_list(path, w, m)
         assert path.read_bytes() == reference_edge_bytes(w, m)
+
+
+COMMA = (np.frombuffer(b",", np.uint8)[None], np.ones((1, 1), bool))
+
+
+def g17_reference(x):
+    return "".join("%.17g," % v for v in x.tolist()).encode()
+
+
+def exponent_edges():
+    """10**k and one ulp either side, for k = -5..17, with both signs."""
+    powers = 10.0 ** np.arange(-5, 18)
+    x = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    return np.concatenate([x, -x])
+
+
+def half_way_ties(rng, count):
+    """x = t / 2**k = 5**k * t / 10**k for odd t < 2**53 with t * 5**k of 18
+    digits: the last is a 5, so '%.17g' rounds an exact tie."""
+    ties = []
+    for k in range(2, 26):
+        low, high = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        if low < high:
+            ties.append((rng.integers(low, high, count) | 1) / 2.0**k)
+    return np.concatenate(ties)
+
+
+@pytest.mark.parametrize("case", ["bit_patterns", "exponent_edges", "carries", "ties", "log_uniform"])
+def test_g17_kernel_matches_percent_format(case):
+    rng = np.random.default_rng(40)
+    if case == "bit_patterns":
+        x = np.concatenate([
+            rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False).view(np.float64),
+            np.array([0xFFF8000000000000, 0x7FF8000000000001, 1, 0x800FFFFFFFFFFFFF], np.uint64)
+            .view(np.float64),  # NaN with the sign bit set, another NaN, two subnormals
+            [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308],
+        ])
+    elif case == "exponent_edges":
+        x = exponent_edges()
+    elif case == "carries":
+        # no double in [1e-4, 1e16) rounds up to a power of ten at 17 digits;
+        # these come closest, from below
+        x = np.array([9.9999999999999999e-2, 0.09999999999999999, 0.9999999999999999,
+                      9999999999999998.0, 0.00099999999999999991, 99.999999999999986])
+    elif case == "ties":
+        x = half_way_ties(rng, 200)
+        x = np.concatenate([x, -x])
+    else:
+        x = 10.0 ** rng.uniform(-5, 17, 20000) * rng.choice([-1.0, 1.0], 20000)
+    assert _format_g17(x, COMMA) == g17_reference(x)
+
+
+def test_g17_kernel_formats_values_in_its_domain_without_the_fallback(monkeypatch):
+    calls = []
+    exceptional = laplacian._format_exceptional
+
+    def counting(value):
+        calls.append(value)
+        return exceptional(value)
+
+    monkeypatch.setattr(laplacian, "_format_exceptional", counting)
+    rng = np.random.default_rng(41)
+    inside = np.concatenate([
+        10.0 ** rng.uniform(-4, 16, 5000) * rng.choice([-1.0, 1.0], 5000),
+        half_way_ties(rng, 20),
+        [1e-4, -1e-4, np.nextafter(1e16, 0), 0.5, 1.0, 123.0],
+    ])
+    inside = inside[(1e-4 <= np.abs(inside)) & (np.abs(inside) < 1e16)]
+    assert _format_g17(inside, COMMA) == g17_reference(inside)
+    assert calls == []
+    outside = np.array([0.0, -0.0, np.nan, np.inf, np.nextafter(1e-4, 0), 1e16, -3e-300, 5e-324])
+    assert _format_g17(outside, COMMA) == g17_reference(outside)
+    assert len(calls) == outside.size
+
+
+@pytest.mark.parametrize("n", [_G17_BLOCK - 1, _G17_BLOCK, _G17_BLOCK + 1, 3 * _G17_BLOCK])
+def test_writers_match_reference_loops_across_blocks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    # one column puts n values in n rows; with three, a block holds whole
+    # rows, 3 * (_G17_BLOCK // 3) values
+    for m in (1, 3):
+        X = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-6, 18, (m, n))
+        write_signals_csv(tmp_path / "signals.csv", X)
+        assert (tmp_path / "signals.csv").read_bytes() == reference_signals_bytes(X)
+    m = 160  # 12,720 pairs, n of them nonzero
+    w = np.zeros(edge_count(m))
+    w[rng.choice(w.size, n, replace=False)] = rng.uniform(0, 0.05, n)
+    write_edge_list(tmp_path / "graph.edges", w, m)
+    assert (tmp_path / "graph.edges").read_bytes() == reference_edge_bytes(w, m)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 1), (0, 5), (3, 0), (1, 0)])
+def test_signals_writer_handles_empty_shapes(tmp_path, shape):
+    # a zero-column matrix writes one bare CRLF per row
+    X = np.zeros(shape)
+    write_signals_csv(tmp_path / "signals.csv", X)
+    assert (tmp_path / "signals.csv").read_bytes() == reference_signals_bytes(X)
+
+
+# sha256 of the files `mugl generate` (ER m=100, n=400, seed 0) and
+# `mugl learn` (log_model, trace on) write at the shape of the benchmark's
+# cli_pipeline, recorded under one BLAS thread with the per-value '%.17g'
+# writers that _format_g17 replaced.
+PIPELINE_DIGESTS = {
+    "signals.csv": "941f6abb633b0ffb2e9d1b90e5cb2bbabfcc05d1745a5773d08d0b82155d32a4",
+    "graph.edges": "dc54b0124615630eb1a78ff412a5d197e89ac8332681169cde60217b68e27425",
+    "learned.edges": "c42b25093bf6647814b1a4d827dc0743b25debe819b59a0845e284878613e5c8",
+}
+
+
+def test_pipeline_files_keep_their_bytes(tmp_path):
+    (tmp_path / "gen.json").write_text(json.dumps(
+        {"graph": {"family": "er", "m": 100}, "signals": {"n": 400, "epsilon": 0.1}}))
+    (tmp_path / "learn.json").write_text(json.dumps(
+        {"signals": str(tmp_path / "out" / "signals.csv"), "preset": {"name": "log_model"},
+         "trace": True}))
+    src = str(Path(mugl.__file__).resolve().parent.parent)
+    # one BLAS thread: more can move the last bits of the covariance at m=100
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"], "1")}
+    for argv in (["generate", "--config", str(tmp_path / "gen.json"), "--seed", "0"],
+                 ["learn", "--config", str(tmp_path / "learn.json")]):
+        subprocess.run([sys.executable, "-m", "mugl", *argv, "--out", str(tmp_path / "out"), "--quiet"],
+                       env=env, check=True, timeout=120)
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in PIPELINE_DIGESTS}
+    assert digests == PIPELINE_DIGESTS
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
